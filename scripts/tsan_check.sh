@@ -34,7 +34,7 @@ cmake -B "$BUILD_DIR" -S . \
 # published HNSW index against the writer patching/rebuilding its successor.
 TESTS=(threadpool_test sampling_test determinism_test serve_test obs_test
        service_stress_test arena_test sparse_aggregate_test
-       stream_test live_store_test ann_test plan_test)
+       stream_test live_store_test ann_test plan_test batched_tower_test)
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TESTS[@]}"
 
 status=0

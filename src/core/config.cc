@@ -1,8 +1,14 @@
 #include "core/config.h"
 
+#include <cmath>
+
 namespace hybridgnn {
 
 Status HybridGnnConfig::Validate() const {
+  if (!std::isfinite(learning_rate) || learning_rate <= 0.0f) {
+    return Status::InvalidArgument(
+        "learning_rate must be finite and positive");
+  }
   if (base_dim == 0 || edge_dim == 0 || hidden_dim == 0) {
     return Status::InvalidArgument("embedding dims must be positive");
   }

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstring>
-#include <unordered_map>
+#include <string>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -11,7 +12,6 @@
 #include "common/threadpool.h"
 #include "nn/sparse.h"
 #include "obs/metrics.h"
-#include "plan/plan.h"
 #include "sampling/exploration.h"
 #include "sampling/neighbor_sampler.h"
 #include "sampling/sgns.h"
@@ -107,13 +107,13 @@ ag::Var HybridGnn::FuseFlows(const ag::Var& stack) const {
 
 void HybridGnn::SampleNode(const MultiplexHeteroGraph& g, NodeId v, Rng& rng,
                            NodeSketch* out) const {
-  // Mirrors FlowStack's sampling control flow exactly — same sampler calls
-  // in the same relation/scheme order — so ForwardNode(v) consumes the RNG
-  // stream identically whether or not the sample/build split is in play.
+  // Mirrors FlowStack's sampling control flow — same sampler calls in the
+  // same scheme order — for every relation in turn.
   out->v = v;
-  out->per_rel.assign(num_relations_, {});
+  out->per_rel.resize(num_relations_);
   for (RelationId r = 0; r < num_relations_; ++r) {
     std::vector<FlowSketch>& flows = out->per_rel[r];
+    flows.clear();  // reused sketches keep their capacity
     if (config_.use_hybrid_aggregation) {
       for (size_t i = 0; i < schemes_.size(); ++i) {
         const MetapathScheme& s = schemes_[i];
@@ -124,20 +124,230 @@ void HybridGnn::SampleNode(const MultiplexHeteroGraph& g, NodeId v, Rng& rng,
         const size_t agg_idx = config_.per_scheme_aggregators ? i : 0;
         flows.push_back(
             FlowSketch{MetapathGuidedNeighbors(g, s, v, config_.fanout, rng),
-                       scheme_aggs_[agg_idx].get(),
-                       static_cast<int>(agg_idx)});
+                       scheme_aggs_[agg_idx].get()});
       }
     } else {
       flows.push_back(FlowSketch{SampleLayers(g, v, 2, config_.fanout, rng),
-                                 rand_agg_.get(), -1});
+                                 rand_agg_.get()});
     }
     if (config_.use_randomized_exploration) {
       flows.push_back(
           FlowSketch{ExplorationNeighbors(g, v, config_.exploration_depth,
                                           config_.fanout, rng),
-                     rand_agg_.get(), -1});
+                     rand_agg_.get()});
     }
   }
+}
+
+namespace {
+
+/// Sketches per batched inference forward (validation pass, embedding
+/// cache chunk): about 12 KB of activations each at base_dim 128 with four
+/// relations. Chunks of 2,048 left multi-MB pooled buffers and arena blocks
+/// between the heap's per-Fit allocations, and peak RSS on a repeated
+/// 8,400-node Fit grew by a third; at 512 it stays below the per-node
+/// tower's, and per-chunk op overhead is still negligible.
+constexpr size_t kForwardChunk = 512;
+
+/// Levels BuildLevelFrontier keeps for a flow: up to the deepest non-empty
+/// one.
+size_t FlowDepth(const std::vector<std::vector<NodeId>>& levels) {
+  size_t depth = 0;
+  for (size_t k = 0; k < levels.size(); ++k) {
+    if (!levels[k].empty()) depth = k + 1;
+  }
+  HYBRIDGNN_CHECK(depth > 0) << "flow with no sampled level";
+  return depth;
+}
+
+/// A frontier of `segments` segments of `size` consecutive rows each.
+void UniformFrontier(size_t segments, size_t size, MinibatchFrontier* out) {
+  out->Clear();
+  for (size_t s = 1; s <= segments; ++s) out->indptr.push_back(s * size);
+}
+
+}  // namespace
+
+ag::Var HybridGnn::ForwardSketches(std::span<const NodeSketch> sketches) const {
+  static obs::LatencyHistogram& gather_stage = obs::Stage("core/gather");
+  static obs::LatencyHistogram& reduce_stage =
+      obs::Stage("core/segment_reduce");
+  static obs::LatencyHistogram& attn_stage = obs::Stage("core/attention");
+  const size_t n = sketches.size();
+  const size_t num_rel = num_relations_;
+  HYBRIDGNN_CHECK(n > 0) << "ForwardSketches of no sketches";
+  // Per-thread scratch, reused across calls; every op below copies the
+  // index and segment arrays it keeps into the tape.
+  struct FlowRef {
+    const FlowSketch* flow;
+    size_t group;
+    size_t pos;  // row within the group's output
+  };
+  struct FlowGroup {
+    const MeanAggregator* agg;
+    size_t depth;
+    size_t count;
+  };
+  static thread_local std::vector<FlowRef> flows;
+  static thread_local std::vector<FlowGroup> groups;
+  static thread_local MinibatchFrontier frontier;
+  static thread_local std::vector<int32_t> idx;
+  flows.clear();
+  groups.clear();
+
+  // ---- Eq. 3 flows. Every (node, relation, flow) joins the group of its
+  // aggregator and depth; a group is one frontier whose segments are
+  // level-major (deepest level of every flow first, the node's own level
+  // last), so each fold step below is one contiguous row slice.
+  for (const NodeSketch& sk : sketches) {
+    for (const std::vector<FlowSketch>& rel_flows : sk.per_rel) {
+      for (const FlowSketch& f : rel_flows) {
+        const size_t depth = FlowDepth(f.levels);
+        size_t gi = 0;
+        while (gi < groups.size() &&
+               (groups[gi].agg != f.agg || groups[gi].depth != depth)) {
+          ++gi;
+        }
+        if (gi == groups.size()) groups.push_back(FlowGroup{f.agg, depth, 0});
+        flows.push_back(FlowRef{&f, gi, groups[gi].count++});
+      }
+    }
+  }
+  std::vector<ag::Var> group_out;
+  std::vector<size_t> group_offset;
+  size_t flow_rows = 0;
+  for (size_t gi = 0; gi < groups.size(); ++gi) {
+    const FlowGroup& grp = groups[gi];
+    frontier.Clear();
+    for (size_t t = 0; t < grp.depth; ++t) {
+      const size_t level = grp.depth - 1 - t;
+      for (const FlowRef& fr : flows) {
+        if (fr.group != gi) continue;
+        const std::vector<NodeId>& nodes = fr.flow->levels[level];
+        HYBRIDGNN_CHECK(!nodes.empty())
+            << "empty level " << level << " below the deepest";
+        for (NodeId u : nodes) frontier.indices.push_back(u);
+        frontier.CloseSegment();
+      }
+    }
+    ag::Var block;
+    {
+      obs::ScopedTimer gather_timer(gather_stage);
+      block = GatherRowsSegmented(edge_init_->table(), frontier);
+    }
+    ag::Var means;
+    {
+      obs::ScopedTimer reduce_timer(reduce_stage);
+      means = SegmentMean(block, frontier);  // [depth * count, edge_dim]
+    }
+    const size_t count = grp.count;
+    ag::Var rep = grp.depth == 1 ? means : ag::SliceRows(means, 0, count);
+    UniformFrontier(count, 1, &frontier);  // identity: one row per flow
+    for (size_t t = 1; t < grp.depth; ++t) {
+      rep = grp.agg->Forward(frontier, ag::SliceRows(means, t * count, count),
+                             rep);
+    }
+    group_out.push_back(rep);
+    group_offset.push_back(flow_rows);
+    flow_rows += count;
+  }
+
+  // ---- Metapath-level fusion (Eqs. 6-7). u gathers one row per (node,
+  // relation) from `sources`: the flow rows themselves (single-flow pairs),
+  // the fused rows of each flow count m > 1 (one attention call per m), and
+  // the initial edge embedding of pairs with no flow at all.
+  std::vector<ag::Var> sources;
+  if (!group_out.empty()) {
+    sources.push_back(group_out.size() == 1 ? group_out[0]
+                                            : ag::ConcatRows(group_out));
+  }
+  static thread_local std::vector<int32_t> u_src;  // per pair: source row
+  static thread_local std::vector<size_t> pair_m, pair_first;
+  u_src.assign(n * num_rel, -1);
+  pair_m.resize(n * num_rel);
+  pair_first.resize(n * num_rel);
+  size_t max_m = 0;
+  {
+    size_t at = 0;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t r = 0; r < num_rel; ++r) {
+        const size_t m = sketches[i].per_rel[r].size();
+        pair_m[i * num_rel + r] = m;
+        pair_first[i * num_rel + r] = at;
+        at += m;
+        max_m = std::max(max_m, m);
+        if (m == 1) {
+          const FlowRef& fr = flows[pair_first[i * num_rel + r]];
+          u_src[i * num_rel + r] =
+              static_cast<int32_t>(group_offset[fr.group] + fr.pos);
+        }
+      }
+    }
+  }
+  size_t src_rows = flow_rows;
+  idx.clear();
+  for (size_t q = 0; q < n * num_rel; ++q) {
+    if (pair_m[q] != 0) continue;
+    u_src[q] = static_cast<int32_t>(src_rows + idx.size());
+    idx.push_back(static_cast<int32_t>(sketches[q / num_rel].v));
+  }
+  if (!idx.empty()) {
+    src_rows += idx.size();
+    sources.push_back(ag::GatherRows(edge_init_->table(), idx));
+  }
+  for (size_t m = 2; m <= max_m; ++m) {
+    idx.clear();
+    size_t pairs = 0;
+    for (size_t q = 0; q < n * num_rel; ++q) {
+      if (pair_m[q] != m) continue;
+      u_src[q] = static_cast<int32_t>(src_rows + pairs++);
+      for (size_t j = 0; j < m; ++j) {
+        const FlowRef& fr = flows[pair_first[q] + j];
+        idx.push_back(static_cast<int32_t>(group_offset[fr.group] + fr.pos));
+      }
+    }
+    if (pairs == 0) continue;
+    ag::Var stack = ag::GatherRows(sources[0], idx);  // [pairs * m, edge]
+    if (config_.use_metapath_attention) {
+      obs::ScopedTimer attn_timer(attn_stage);
+      stack = metapath_attn_->Forward(stack, pairs);
+    }
+    UniformFrontier(pairs, m, &frontier);
+    sources.push_back(SegmentMean(stack, frontier));  // [pairs, edge]
+    src_rows += pairs;
+  }
+  ag::Var src = sources.size() == 1 ? sources[0] : ag::ConcatRows(sources);
+  ag::Var u = ag::GatherRows(src, u_src);  // [n * R, edge], node-major
+
+  // ---- Relationship-level attention (Eqs. 8-9) over each node's R rows;
+  // identity under the ablation.
+  if (config_.use_relation_attention && num_rel > 1) {
+    obs::ScopedTimer attn_timer(attn_stage);
+    u = relation_attn_->Forward(u, n);
+  }
+
+  // ---- e*_{v,r} = e_v + e_{v,r} W_r (Eq. 10): the rows regrouped
+  // relation-major, then one block product against the stacked W_r.
+  if (config_.local_scale != 1.0f) u = ag::Scale(u, config_.local_scale);
+  ag::Var w = w_rel_[0];
+  if (num_rel > 1) {
+    idx.clear();
+    for (size_t r = 0; r < num_rel; ++r) {
+      for (size_t i = 0; i < n; ++i) {
+        idx.push_back(static_cast<int32_t>(i * num_rel + r));
+      }
+    }
+    u = ag::GatherRows(u, idx);
+    w = ag::ConcatRows(w_rel_);  // [R * edge, base]
+  }
+  ag::Var out = ag::BatchedMatMul(u, w, num_rel);  // [R * n, base]
+  idx.clear();
+  for (size_t r = 0; r < num_rel; ++r) {
+    for (const NodeSketch& sk : sketches) {
+      idx.push_back(static_cast<int32_t>(sk.v));
+    }
+  }
+  return ag::Add(out, ag::GatherRows(base_->table(), idx));  // [R * n, base]
 }
 
 ag::Var HybridGnn::ForwardNodeSketch(const NodeSketch& sk) const {
@@ -163,29 +373,20 @@ ag::Var HybridGnn::ForwardNodeSketch(const NodeSketch& sk) const {
   // Relationship-level attention (Eqs. 8-9); identity under the ablation.
   ag::Var u_hat = u;
   if (config_.use_relation_attention && num_relations_ > 1) {
-    static obs::LatencyHistogram& attn_stage = obs::Stage("core/attention");
-    obs::ScopedTimer attn_timer(attn_stage);
     u_hat = relation_attn_->Forward(u);
   }
   // e*_{v,r} = e_v + e_{v,r} W_r (Eq. 10).
+  if (config_.local_scale != 1.0f) {
+    u_hat = ag::Scale(u_hat, config_.local_scale);
+  }
   std::vector<ag::Var> rows;
   rows.reserve(num_relations_);
   for (RelationId r = 0; r < num_relations_; ++r) {
     rows.push_back(ag::MatMul(ag::SliceRows(u_hat, r, 1), w_rel_[r]));
   }
   ag::Var local = rows.size() == 1 ? rows[0] : ag::ConcatRows(rows);
-  if (config_.local_scale != 1.0f) {
-    local = ag::Scale(local, config_.local_scale);
-  }
   ag::Var base_row = base_->ForwardNodes({sk.v});
   return ag::AddRowBroadcast(local, base_row);  // [R, base_dim]
-}
-
-ag::Var HybridGnn::ForwardNode(const MultiplexHeteroGraph& g, NodeId v,
-                               Rng& rng) const {
-  static thread_local NodeSketch sketch;
-  SampleNode(g, v, rng, &sketch);
-  return ForwardNodeSketch(sketch);
 }
 
 Status HybridGnn::Fit(const MultiplexHeteroGraph& g,
@@ -203,6 +404,7 @@ Status HybridGnn::Fit(const MultiplexHeteroGraph& g,
     HYBRIDGNN_RETURN_IF_ERROR(s.Validate(g));
   }
   graph_ = &g;
+  fitted_ = false;  // a Fit that fails below leaves no stale cache in use
   num_relations_ = g.num_relations();
   Rng rng(config_.seed);
 
@@ -338,33 +540,46 @@ Status HybridGnn::Fit(const MultiplexHeteroGraph& g,
       all_params[i]->value = snap[i];
     }
   };
+  std::vector<NodeSketch> val_sketches;
   auto validation_auc = [&]() {
     Rng val_rng(config_.seed ^ 0x7A11);
     double wins = 0.0;
-    for (size_t i = 0; i < val_edges.size(); ++i) {
-      // Per-edge tape: the four forward graphs are scoring-only scaffolding,
-      // rewound before the next edge.
-      ag::TapeScope tape;
-      const EdgeTriple& e = val_edges[i];
-      ag::Var eu = ForwardNode(g, e.src, val_rng);
-      ag::Var ev = ForwardNode(g, e.dst, val_rng);
-      ag::Var ex = ForwardNode(g, val_negs[i], val_rng);
-      ag::Var ex2 = ForwardNode(g, val_negs2[i], val_rng);
-      const float* u_row = eu->value.RowPtr(e.rel);
-      const float* v_row = ev->value.RowPtr(e.rel);
-      const float* x_row = ex->value.RowPtr(e.rel);
-      const float* x2_row = ex2->value.RowPtr(e.rel);
-      double pos = 0.0, neg = 0.0, neg2 = 0.0;
-      for (size_t j = 0; j < config_.base_dim; ++j) {
-        pos += static_cast<double>(u_row[j]) * v_row[j];
-        neg += static_cast<double>(u_row[j]) * x_row[j];
-        neg2 += static_cast<double>(u_row[j]) * x2_row[j];
+    // Four sketches per edge (src, dst, two negatives), sampled in edge
+    // order, then one batched forward per kForwardChunk sketches.
+    const size_t edges_per_chunk = kForwardChunk / 4;
+    for (size_t lo = 0; lo < val_edges.size(); lo += edges_per_chunk) {
+      const size_t hi = std::min(val_edges.size(), lo + edges_per_chunk);
+      val_sketches.resize(4 * (hi - lo));
+      for (size_t i = lo; i < hi; ++i) {
+        const EdgeTriple& e = val_edges[i];
+        NodeSketch* sk = &val_sketches[4 * (i - lo)];
+        for (NodeId v : {e.src, e.dst, val_negs[i], val_negs2[i]}) {
+          SampleNode(g, v, val_rng, sk++);
+        }
       }
-      for (double n : {neg, neg2}) {
-        if (pos > n) {
-          wins += 1.0;
-        } else if (pos == n) {
-          wins += 0.5;
+      // Scoring-only graph, rewound before the next chunk.
+      ag::TapeScope tape;
+      ag::Var all = ForwardSketches(val_sketches);
+      const size_t n = val_sketches.size();
+      for (size_t i = lo; i < hi; ++i) {
+        const EdgeTriple& e = val_edges[i];
+        const size_t at = e.rel * n + 4 * (i - lo);
+        const float* u_row = all->value.RowPtr(at);
+        const float* v_row = all->value.RowPtr(at + 1);
+        const float* x_row = all->value.RowPtr(at + 2);
+        const float* x2_row = all->value.RowPtr(at + 3);
+        double pos = 0.0, neg = 0.0, neg2 = 0.0;
+        for (size_t j = 0; j < config_.base_dim; ++j) {
+          pos += static_cast<double>(u_row[j]) * v_row[j];
+          neg += static_cast<double>(u_row[j]) * x_row[j];
+          neg2 += static_cast<double>(u_row[j]) * x2_row[j];
+        }
+        for (double ns : {neg, neg2}) {
+          if (pos > ns) {
+            wins += 1.0;
+          } else if (pos == ns) {
+            wins += 0.5;
+          }
         }
       }
     }
@@ -374,40 +589,20 @@ Status HybridGnn::Fit(const MultiplexHeteroGraph& g,
   std::vector<size_t> order(train_edges.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
-  // Compiled execution plans (src/plan): when enabled, each distinct node
-  // aggregation-tower structure (per-relation flow counts, aggregator
-  // identities, level sizes) is traced once — the recording build runs
-  // eagerly — and every later node with the same structure replays the
-  // optimized plan with zero graph construction. Towers dominate per-step
-  // graph construction and their structures recur heavily across nodes and
-  // batches, while the cheap per-row loss assembly stays eager. Replays are
-  // bitwise identical to eager (the replayed Var's fat backward op sits at
-  // the tower's tape position, so gradient accumulation order is
-  // unchanged), so the flag never changes results — the serial determinism
-  // goldens hold with it on or off.
-  const bool use_plan = plan::Enabled(options.compile_plan);
-  std::vector<plan::PlanCache> plan_caches(train_threads);
-  plan::PassOptions plan_pass_opts;
-  if (freeze_tables) {
-    plan_pass_opts.frozen.insert(base_->table().get());
-    plan_pass_opts.frozen.insert(context_->table().get());
-  }
-
   // One minibatch over edges [start, end) of the shuffled order, built and
   // backpropagated with `brng`. Returns (sum of per-element BCE terms,
   // element count) so shard losses can be reduced exactly.
-  auto run_batch = [&](size_t start, size_t end, Rng& brng,
-                       plan::PlanCache& pcache) {
+  auto run_batch = [&](size_t start, size_t end, Rng& brng) {
     // The tape is declared before every Var below so the Vars die first and
     // the arena rewind at scope exit frees the whole batch graph at once.
     ag::TapeScope tape;
     // Phase 1 — sample. All randomness the batch consumes (neighbor
     // sampling at each node's first reference, negative draws in between)
-    // is drawn here in exactly the order the fused sample+build loop drew
-    // it, so the split is invisible to the RNG stream. Thread-local scratch
-    // is reused across batches (capacity survives the clear); a flat vector
-    // with linear node lookup beats a hash map here — a batch touches a few
-    // hundred nodes and the probe is a scan over ids.
+    // is drawn here in exactly the order the node-at-a-time loop drew it,
+    // so the batched build is invisible to the RNG stream. Thread-local
+    // scratch is reused across batches (capacity survives the clear); a
+    // flat vector with linear node lookup beats a hash map here — a batch
+    // touches a few hundred nodes and the probe is a scan over ids.
     struct BatchRow {
       int lhs;
       int rhs;
@@ -441,112 +636,20 @@ Status HybridGnn::Fit(const MultiplexHeteroGraph& g,
     }
     for (const BatchRow& row : brows) labels.push_back(row.label);
 
-    // Phase 2 — build the step graph from the sketches. Node towers are
-    // built lazily at first use, so op creation order matches the old fused
-    // loop. With plans on, a tower is traced at its structure's first
-    // sighting and replayed on every later one; either way the resulting
-    // Var slots into the eager loss assembly below unchanged.
-    auto node_key = [](const NodeSketch& sk) {
-      // Everything that shapes the tower graph: per-relation flow counts,
-      // aggregator identities, level sizes. Bound data — the node id and
-      // its sampled neighbor indices — stays out of the key; the executor's
-      // Bind length CHECKs catch any collision loudly.
-      uint64_t key = 0xcbf29ce484222325ull;
-      auto mix = [&key](uint64_t x) { plan::HashCombine(&key, x); };
-      for (const std::vector<FlowSketch>& flows : sk.per_rel) {
-        mix(flows.size());
-        for (const FlowSketch& f : flows) {
-          mix(static_cast<uint64_t>(f.agg_id + 2));
-          mix(f.levels.size());
-          for (const auto& lvl : f.levels) mix(lvl.size());
-        }
-      }
-      return key;
-    };
-    // Binds a sketch's per-replay arrays in recorded slot order — the order
-    // ForwardNodeSketch creates its gather/segment ops.
-    auto replay_node = [&](const NodeSketch& sk,
-                           plan::CompiledStep& step) -> ag::Var {
-      static thread_local MinibatchFrontier bf;
-      static thread_local std::vector<std::vector<int32_t>> ivecs;
-      static thread_local std::vector<std::vector<size_t>> svecs;
-      size_t iused = 0, sused = 0;
-      auto next_i = [&]() -> std::vector<int32_t>& {
-        if (iused == ivecs.size()) ivecs.emplace_back();
-        return ivecs[iused++];
-      };
-      auto next_s = [&]() -> std::vector<size_t>& {
-        if (sused == svecs.size()) svecs.emplace_back();
-        return svecs[sused++];
-      };
-      plan::StepInputs in;
-      for (const std::vector<FlowSketch>& flows : sk.per_rel) {
-        for (const FlowSketch& f : flows) {
-          BuildLevelFrontier(f.levels, &bf);
-          std::vector<int32_t>& iv = next_i();
-          iv.assign(bf.indices.begin(), bf.indices.end());
-          std::vector<size_t>& sv = next_s();
-          sv.assign(bf.indptr.begin(), bf.indptr.end());
-          in.i32.push_back(iv);  // GatherRowsSegmented indices
-          in.szs.push_back(sv);  // ... and its indptr
-          in.szs.push_back(sv);  // SegmentMean indptr
-        }
-        if (flows.empty()) {
-          std::vector<int32_t>& iv = next_i();
-          iv.assign(1, static_cast<int32_t>(sk.v));
-          in.i32.push_back(iv);  // edge_init_ fallback gather
-        }
-      }
-      std::vector<int32_t>& bv = next_i();
-      bv.assign(1, static_cast<int32_t>(sk.v));
-      in.i32.push_back(bv);  // base-table gather
-      return step.ReplayTrain(in);
-    };
-    auto build_loss = [&]() -> ag::Var {
-      static thread_local std::vector<ag::Var> built;
-      static thread_local std::vector<ag::Var> lhs, rhs;
-      built.assign(sketches.size(), nullptr);
-      auto node_var = [&](int ord) -> const ag::Var& {
-        ag::Var& slot = built[ord];
-        if (slot == nullptr) {
-          const NodeSketch& sk = sketches[ord];
-          if (!use_plan) {
-            slot = ForwardNodeSketch(sk);
-          } else {
-            plan::PlanCache::Entry& ent = pcache.Slot(node_key(sk));
-            if (ent.step != nullptr) {
-              slot = replay_node(sk, *ent.step);
-            } else if (ent.poisoned) {
-              slot = ForwardNodeSketch(sk);
-            } else {
-              // First sighting of this tower structure: record the eager
-              // build, which then participates in the batch graph as-is.
-              plan::Recorder rec;
-              ag::Var v = ForwardNodeSketch(sk);
-              ent.step = rec.Finalize(v, plan_pass_opts);
-              ent.poisoned = (ent.step == nullptr);
-              slot = std::move(v);
-            }
-          }
-        }
-        return slot;
-      };
-      for (const BatchRow& row : brows) {
-        lhs.push_back(ag::SliceRows(node_var(row.lhs), row.rel, 1));
-        rhs.push_back(ag::SliceRows(node_var(row.rhs), row.rel, 1));
-      }
-      ag::Var logits =
-          ag::RowwiseDot(ag::ConcatRows(lhs), ag::ConcatRows(rhs));
-      ag::Var loss = ag::BceWithLogits(logits, labels);
-      // Drop every tape-backed Var held in persistent scratch so per-node
-      // recordings see a clean handle baseline on the next batch.
-      built.clear();
-      lhs.clear();
-      rhs.clear();
-      return loss;
-    };
-
-    ag::Var loss = build_loss();
+    // Phase 2 — one batched tower over the batch's distinct nodes; each
+    // loss row gathers its two endpoints' relation rows out of it.
+    static thread_local std::vector<int32_t> lhs, rhs;
+    lhs.clear();
+    rhs.clear();
+    const size_t n = sketches.size();
+    for (const BatchRow& row : brows) {
+      lhs.push_back(static_cast<int32_t>(row.rel * n + row.lhs));
+      rhs.push_back(static_cast<int32_t>(row.rel * n + row.rhs));
+    }
+    ag::Var all = ForwardSketches(sketches);
+    ag::Var logits =
+        ag::RowwiseDot(ag::GatherRows(all, lhs), ag::GatherRows(all, rhs));
+    ag::Var loss = ag::BceWithLogits(logits, labels);
     ag::Backward(loss);
     const double batch_loss = loss->value.At(0, 0);
     const size_t elems = labels.size();
@@ -572,6 +675,8 @@ Status HybridGnn::Fit(const MultiplexHeteroGraph& g,
       obs::GlobalRegistry().GetCounter("core/minibatches");
   static obs::Gauge& loss_gauge =
       obs::GlobalRegistry().GetGauge("core/last_epoch_loss");
+  static obs::Counter& nonfinite_counter =
+      obs::GlobalRegistry().GetCounter("core/nonfinite_loss");
   // Bytes newly fetched from the OS/heap by the last training step (pool
   // misses + arena block growth). Flatlines at zero once pools and tapes
   // are warm; the arena_test reuse case asserts exactly that.
@@ -592,7 +697,7 @@ Status HybridGnn::Fit(const MultiplexHeteroGraph& g,
           pool::MissBytes() + ag::Tape::TotalReservedBytes();
       double batch_loss = 0.0;
       if (pool == nullptr || end - start < 2 * train_threads) {
-        batch_loss = run_batch(start, end, rng, plan_caches[0]).first;
+        batch_loss = run_batch(start, end, rng).first;
       } else {
         // Data-parallel shards: each worker backprops its slice of the
         // batch under a private gradient sink; the main thread reduces
@@ -606,7 +711,7 @@ Status HybridGnn::Fit(const MultiplexHeteroGraph& g,
           ag::GradSinkScope scope(&sinks[w]);
           const size_t lo = start + count * w / shards;
           const size_t hi = start + count * (w + 1) / shards;
-          auto [l, n] = run_batch(lo, hi, wrng, plan_caches[w]);
+          auto [l, n] = run_batch(lo, hi, wrng);
           shard_loss[w] = l;
           shard_elems[w] = n;
         });
@@ -626,6 +731,13 @@ Status HybridGnn::Fit(const MultiplexHeteroGraph& g,
                         (static_cast<double>(shard_elems[w]) /
                          static_cast<double>(total_elems));
         }
+      }
+      if (!std::isfinite(batch_loss)) {
+        nonfinite_counter.Add(1);
+        return Status::FailedPrecondition(
+            "non-finite training loss " + std::to_string(batch_loss) +
+            " at epoch " + std::to_string(epoch) + " batch " +
+            std::to_string(batches));
       }
       optimizer.Step();
       optimizer.ZeroGrad();
@@ -657,33 +769,50 @@ Status HybridGnn::Fit(const MultiplexHeteroGraph& g,
   // ---- Freeze: cache e*_{v,r} for every node and relation. The forward
   // pass samples neighbors stochastically, so we average a few samples to
   // reduce inference variance (training sees many samples implicitly).
-  constexpr size_t kCacheSamples = 4;
   obs::ScopedTimer cache_timer(obs::Stage("core/embedding_cache"));
   cache_ = Tensor(v_count * num_relations_, config_.base_dim);
-  auto cache_node = [&](NodeId v, Rng& node_rng) {
-    for (size_t s = 0; s < kCacheSamples; ++s) {
-      ag::TapeScope tape;  // inference-only graph, rewound per sample
-      ag::Var all = ForwardNode(g, v, node_rng);
-      for (RelationId r = 0; r < num_relations_; ++r) {
-        const float* src = all->value.RowPtr(r);
-        float* dst = cache_.RowPtr(v * num_relations_ + r);
-        for (size_t j = 0; j < config_.base_dim; ++j) {
-          dst[j] += src[j] / static_cast<float>(kCacheSamples);
+  constexpr size_t kCacheSamples = 4;
+  constexpr size_t kChunkNodes = kForwardChunk / kCacheSamples;
+  const size_t num_chunks = (v_count + kChunkNodes - 1) / kChunkNodes;
+  // Serial: one stream in node order. Parallel: a forked stream per node,
+  // so the cache is reproducible and invariant to the thread count.
+  const Rng cache_master(config_.seed ^ 0xC0FFEE);
+  Rng cache_rng(config_.seed ^ 0xC0FFEE);
+  // Chunk c: its nodes' kCacheSamples sketches each as one batched forward.
+  // A chunk writes only its own nodes' rows, averaging in sample order.
+  auto cache_chunk = [&](size_t c, bool forked) {
+    const size_t lo = c * kChunkNodes;
+    const size_t hi = std::min(v_count, lo + kChunkNodes);
+    std::vector<NodeSketch> sketches(kCacheSamples * (hi - lo));
+    for (size_t v = lo; v < hi; ++v) {
+      Rng node_rng = forked ? cache_master.Fork(v) : Rng(0);
+      Rng& vrng = forked ? node_rng : cache_rng;
+      for (size_t s = 0; s < kCacheSamples; ++s) {
+        SampleNode(g, static_cast<NodeId>(v), vrng,
+                   &sketches[kCacheSamples * (v - lo) + s]);
+      }
+    }
+    ag::TapeScope tape;  // inference-only graph, rewound per chunk
+    ag::Var all = ForwardSketches(sketches);
+    const size_t n = sketches.size();
+    for (size_t v = lo; v < hi; ++v) {
+      for (size_t s = 0; s < kCacheSamples; ++s) {
+        for (RelationId r = 0; r < num_relations_; ++r) {
+          const float* src =
+              all->value.RowPtr(r * n + kCacheSamples * (v - lo) + s);
+          float* dst = cache_.RowPtr(v * num_relations_ + r);
+          for (size_t j = 0; j < config_.base_dim; ++j) {
+            dst[j] += src[j] / static_cast<float>(kCacheSamples);
+          }
         }
       }
     }
   };
   if (threads > 1) {
-    // Per-node forked streams: each worker writes its node's rows only, so
-    // the cache is reproducible and invariant to the thread count.
-    const Rng cache_master(config_.seed ^ 0xC0FFEE);
-    RunParallel(threads, v_count, [&](size_t v) {
-      Rng node_rng = cache_master.Fork(v);
-      cache_node(static_cast<NodeId>(v), node_rng);
-    });
+    RunParallel(threads, num_chunks,
+                [&](size_t c) { cache_chunk(c, /*forked=*/true); });
   } else {
-    Rng cache_rng(config_.seed ^ 0xC0FFEE);
-    for (NodeId v = 0; v < v_count; ++v) cache_node(v, cache_rng);
+    for (size_t c = 0; c < num_chunks; ++c) cache_chunk(c, false);
   }
   options.Report("cache", 1, 1);
   fitted_ = true;

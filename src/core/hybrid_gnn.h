@@ -2,6 +2,7 @@
 #define HYBRIDGNN_CORE_HYBRID_GNN_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,7 +48,9 @@ class HybridGnn : public EmbeddingModel, public Module {
   /// SGNS pretraining, minibatch epochs (per-worker gradient sinks reduced
   /// on the main thread before each Adam step) and the embedding cache all
   /// run on worker threads; options.deterministic keeps the racy stages
-  /// serial. num_threads <= 1 is bit-identical to the original pipeline.
+  /// serial. num_threads <= 1 is the serial path: the same seed gives the
+  /// same bits on every run. Fails with FailedPrecondition when a
+  /// minibatch loss is not finite.
   Status Fit(const MultiplexHeteroGraph& train_graph,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;
@@ -75,15 +78,16 @@ class HybridGnn : public EmbeddingModel, public Module {
   const HybridGnnConfig& config() const { return config_; }
 
  private:
+  friend struct HybridGnnTestPeer;  // differential tests of the two towers
+
   /// One sampled aggregation flow for a (node, relation) pair: the
   /// level-structured neighbor lists plus the aggregator that folds them.
-  /// Sampling is split from graph construction so the compiled-plan path
-  /// (FitOptions{compile_plan}) can hash the sampled structure and decide
-  /// whether to build the graph eagerly (record) or replay a compiled step.
+  /// Sampling is split from graph construction so a whole minibatch (or
+  /// validation pass, or cache chunk) is sampled first, in the RNG order of
+  /// the node-at-a-time loop, and then built as one batched graph.
   struct FlowSketch {
     std::vector<std::vector<NodeId>> levels;
     const MeanAggregator* agg = nullptr;
-    int agg_id = 0;  // stable id for structure hashing
   };
   /// All sampled flows for one node: per_rel[r] lists the flows FlowStack
   /// would build for relation r (empty -> the self-embedding fallback).
@@ -92,17 +96,23 @@ class HybridGnn : public EmbeddingModel, public Module {
     std::vector<std::vector<FlowSketch>> per_rel;
   };
 
-  /// Draws every random sample ForwardNode(v) would draw, in the same RNG
+  /// Draws every random sample the node's tower consumes, in a fixed RNG
   /// order, without building any graph.
   void SampleNode(const MultiplexHeteroGraph& g, NodeId v, Rng& rng,
                   NodeSketch* out) const;
 
-  /// Builds the e*_{v,r} graph from a sketch: [R, base_dim]. Consumes no
-  /// randomness; ForwardNode == SampleNode + ForwardNodeSketch.
-  ag::Var ForwardNodeSketch(const NodeSketch& sk) const;
+  /// The batched tower: e*_{v,r} for every sketch and relation as one
+  /// [R * n, base_dim] Var, row r * n + i holding sketch i's relation r
+  /// (n = sketches.size(); a node may appear in several sketches). One
+  /// frontier gather + segment mean per (aggregator, depth) group, one
+  /// attention call per flow count, one block product for all W_r.
+  /// Consumes no randomness; on the scalar kernel backend every row equals
+  /// ForwardNodeSketch's bit for bit.
+  ag::Var ForwardSketches(std::span<const NodeSketch> sketches) const;
 
-  /// Computes e*_{v,r} rows for all relations as one [R, base_dim] Var.
-  ag::Var ForwardNode(const MultiplexHeteroGraph& g, NodeId v, Rng& rng) const;
+  /// The per-node tower: one sketch -> [R, base_dim]. Kept only as the
+  /// reference the batched tower is tested against; no Fit path uses it.
+  ag::Var ForwardNodeSketch(const NodeSketch& sk) const;
 
   /// One aggregation flow: a level-structured CSR frontier (deepest level
   /// first, see BuildLevelFrontier) -> [1, edge_dim].

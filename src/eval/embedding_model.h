@@ -45,9 +45,11 @@ struct FitOptions {
   /// the optimized plan with zero graph construction on every later step
   /// with the same signature. Replayed steps are bitwise identical to the
   /// eager path (loss values and gradients), so this flag changes speed,
-  /// never results. Honored by the minibatch trainers (HybridGNN, GATNE);
-  /// other models ignore it. The HYBRIDGNN_PLAN env var overrides this in
-  /// both directions ("on"/"1" force-enables, "off"/"0" disables).
+  /// never results. Honored by GATNE's minibatch trainer; other models
+  /// ignore it (HybridGNN builds one batched graph per minibatch, which
+  /// leaves nothing per node to replay). The HYBRIDGNN_PLAN env var
+  /// overrides this in both directions ("on"/"1" force-enables, "off"/"0"
+  /// disables).
   bool compile_plan = false;
 
   /// Invoked from the main training thread at stage boundaries / epoch

@@ -21,15 +21,19 @@ SelfAttention::SelfAttention(size_t in_dim, size_t key_dim, Rng& rng,
   if (!identity_values_) make(wv_);
 }
 
-ag::Var SelfAttention::Forward(const ag::Var& h) const {
+ag::Var SelfAttention::Forward(const ag::Var& h, size_t blocks) const {
   const float inv_sqrt_dk =
       1.0f / std::sqrt(static_cast<float>(key_dim_));
+  // The projections are row-wise, so they run once over every block. One
+  // block uses the dense ops, which compiled plans (src/plan) can trace.
   ag::Var q = ag::MatMul(h, wq_);
   ag::Var k = ag::MatMul(h, wk_);
-  ag::Var logits = ag::Scale(ag::MatMul(q, ag::Transpose(k)), inv_sqrt_dk);
-  ag::Var weights = ag::SoftmaxRows(logits);
-  if (identity_values_) return ag::MatMul(weights, h);
-  return ag::MatMul(weights, ag::MatMul(h, wv_));
+  ag::Var logits = blocks == 1 ? ag::MatMul(q, ag::Transpose(k))
+                               : ag::BatchedMatMulTransB(q, k, blocks);
+  ag::Var weights = ag::SoftmaxRows(ag::Scale(logits, inv_sqrt_dk));
+  ag::Var v = identity_values_ ? h : ag::MatMul(h, wv_);
+  return blocks == 1 ? ag::MatMul(weights, v)
+                     : ag::BatchedMatMul(weights, v, blocks);
 }
 
 Tensor SelfAttention::AttentionScores(const Tensor& h) const {

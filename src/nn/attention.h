@@ -20,9 +20,14 @@ class SelfAttention : public Module {
   SelfAttention(size_t in_dim, size_t key_dim, Rng& rng,
                 bool identity_values = false);
 
-  /// h is [m, in_dim] (m = number of items attended over);
-  /// returns [m, key_dim], or [m, in_dim] when identity_values is set.
-  ag::Var Forward(const ag::Var& h) const;
+  /// h is [blocks*m, in_dim]: `blocks` independent sets of m items, each
+  /// attending only within itself (m = rows / blocks). Returns
+  /// [blocks*m, key_dim], or [blocks*m, in_dim] when identity_values is set.
+  /// One block runs on dense ops; several run on the batched block
+  /// products, whose attention logits are dot products (bit-identical to
+  /// the dense ops on the scalar kernel backend, within float rounding on
+  /// AVX2).
+  ag::Var Forward(const ag::Var& h, size_t blocks = 1) const;
 
   /// Returns the row-stochastic attention matrix softmax(QK^T/sqrt(dk)) for
   /// the *current values* of h (no gradient) — used for the paper's Fig. 6

@@ -562,15 +562,8 @@ void CompiledStep::RunBackward(Frame& f, const Tensor& root_grad) {
       case OpKind::kGatherRows: {
         const ValueInfo& tv = plan_.values[op.args[0]];
         if (!tv.requires_grad) break;
-        const std::vector<int32_t>& idx = f.i32[op.islot];
-        // Zero-initialized: the scatter accumulates into touched rows only.
-        Tensor dt(tv.rows, tv.cols);
-        for (size_t i = 0; i < idx.size(); ++i) {
-          const float* g = G.RowPtr(i);
-          float* d = dt.RowPtr(static_cast<size_t>(idx[i]));
-          for (size_t j = 0; j < dt.cols(); ++j) d[j] += g[j];
-        }
-        tv.leaf->AccumulateGrad(dt);
+        // The eager closure's row-sparse scatter, into the same accumulator.
+        ScatterAddRows(G, f.i32[op.islot], &tv.leaf->GradAccumulator());
         break;
       }
       case OpKind::kGatherRowsSegmented: {

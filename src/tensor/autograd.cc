@@ -7,6 +7,7 @@
 #include <new>
 
 #include "common/logging.h"
+#include "kernels/kernels.h"
 #include "obs/metrics.h"
 #include "tensor/tensor_ops.h"
 
@@ -702,17 +703,130 @@ Var SliceRows(const Var& a, size_t start, size_t count) {
 
 namespace {
 
+// Raw row-major block products behind the batched matmuls: `AB` forms
+// c[m, n] (+)= a[m, k] b[k, n] as axpys of b's rows, `ABt` forms
+// c[m, n] = a[m, k] b[n, k]^T as dots of rows, and `AtB` forms
+// c[k, n] += a[m, k]^T g[m, n] as axpys of g's rows. Every kernel call
+// spans a full row, so no block is ever transposed.
+
+void BlockAB(const float* a, const float* b, size_t m, size_t k, size_t n,
+             float* c) {
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t p = 0; p < k; ++p) {
+      const float av = a[i * k + p];
+      if (av == 0.0f) continue;
+      kernels::Axpy(av, b + p * n, c + i * n, n);
+    }
+  }
+}
+
+void BlockABt(const float* a, const float* b, size_t m, size_t k, size_t n,
+              float* c) {
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      c[i * n + j] = kernels::Dot(a + i * k, b + j * k, k);
+    }
+  }
+}
+
+void BlockAtB(const float* a, const float* g, size_t m, size_t k, size_t n,
+              float* c) {
+  for (size_t p = 0; p < m; ++p) {
+    for (size_t i = 0; i < k; ++i) {
+      const float av = a[p * k + i];
+      if (av == 0.0f) continue;
+      kernels::Axpy(av, g + p * n, c + i * n, n);
+    }
+  }
+}
+
+}  // namespace
+
+Var BatchedMatMul(const Var& a, const Var& b, size_t blocks) {
+  const Tensor& av = a->value;
+  const Tensor& bv = b->value;
+  HYBRIDGNN_CHECK(blocks > 0 && av.rows() % blocks == 0 &&
+                  bv.rows() == blocks * av.cols())
+      << "BatchedMatMul " << av.ShapeString() << " x " << bv.ShapeString()
+      << " in " << blocks << " blocks";
+  const size_t m = av.rows() / blocks, k = av.cols(), n = bv.cols();
+  Tensor out(av.rows(), n);
+  for (size_t p = 0; p < blocks; ++p) {
+    BlockAB(av.data() + p * m * k, bv.data() + p * k * n, m, k, n,
+            out.data() + p * m * n);
+  }
+  return MakeOp(std::move(out), {a, b}, [blocks](Node& node) {
+    Node* a = node.parent(0);
+    Node* b = node.parent(1);
+    const size_t m = a->value.rows() / blocks, k = a->value.cols();
+    const size_t n = b->value.cols();
+    const float* g = node.grad.data();
+    if (a->requires_grad) {  // da_p = g_p b_p^T
+      Tensor da = Tensor::Uninit(a->value.rows(), k);
+      for (size_t p = 0; p < blocks; ++p) {
+        BlockABt(g + p * m * n, b->value.data() + p * k * n, m, n, k,
+                 da.data() + p * m * k);
+      }
+      a->AccumulateGrad(da);
+    }
+    if (b->requires_grad) {  // db_p = a_p^T g_p
+      Tensor db(b->value.rows(), n);
+      for (size_t p = 0; p < blocks; ++p) {
+        BlockAtB(a->value.data() + p * m * k, g + p * m * n, m, k, n,
+                 db.data() + p * k * n);
+      }
+      b->AccumulateGrad(db);
+    }
+  });
+}
+
+Var BatchedMatMulTransB(const Var& a, const Var& b, size_t blocks) {
+  const Tensor& av = a->value;
+  const Tensor& bv = b->value;
+  HYBRIDGNN_CHECK(blocks > 0 && av.rows() % blocks == 0 &&
+                  bv.rows() % blocks == 0 && av.cols() == bv.cols())
+      << "BatchedMatMulTransB " << av.ShapeString() << " x "
+      << bv.ShapeString() << " in " << blocks << " blocks";
+  const size_t m = av.rows() / blocks, k = av.cols();
+  const size_t n = bv.rows() / blocks;
+  Tensor out = Tensor::Uninit(av.rows(), n);
+  for (size_t p = 0; p < blocks; ++p) {
+    BlockABt(av.data() + p * m * k, bv.data() + p * n * k, m, k, n,
+             out.data() + p * m * n);
+  }
+  return MakeOp(std::move(out), {a, b}, [blocks](Node& node) {
+    Node* a = node.parent(0);
+    Node* b = node.parent(1);
+    const size_t m = a->value.rows() / blocks, k = a->value.cols();
+    const size_t n = b->value.rows() / blocks;
+    const float* g = node.grad.data();
+    if (a->requires_grad) {  // da_p = g_p b_p
+      Tensor da(a->value.rows(), k);
+      for (size_t p = 0; p < blocks; ++p) {
+        BlockAB(g + p * m * n, b->value.data() + p * n * k, m, n, k,
+                da.data() + p * m * k);
+      }
+      a->AccumulateGrad(da);
+    }
+    if (b->requires_grad) {  // db_p = g_p^T a_p
+      Tensor db(b->value.rows(), k);
+      for (size_t p = 0; p < blocks; ++p) {
+        BlockAtB(g + p * m * n, a->value.data() + p * m * k, m, n, k,
+                 db.data() + p * n * k);
+      }
+      b->AccumulateGrad(db);
+    }
+  });
+}
+
+namespace {
+
 void ScatterGatherGrad(Node& n, const int32_t* indices, size_t count) {
   Node* table = n.parent(0);
   if (!table->requires_grad) return;
-  // Zero-initialized: the scatter accumulates into touched rows only.
-  Tensor dt(table->value.rows(), table->value.cols());
-  for (size_t i = 0; i < count; ++i) {
-    const float* g = n.grad.RowPtr(i);
-    float* d = dt.RowPtr(static_cast<size_t>(indices[i]));
-    for (size_t j = 0; j < dt.cols(); ++j) d[j] += g[j];
-  }
-  table->AccumulateGrad(dt);
+  // Row-sparse: only the gathered rows of the accumulator are touched.
+  ScatterAddRows(n.grad, std::span<const int32_t>(indices, count),
+                 &table->GradAccumulator());
 }
 
 }  // namespace

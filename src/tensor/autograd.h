@@ -435,6 +435,15 @@ Var ConcatCols(const std::vector<Var>& parts);
 Var ConcatCols(std::initializer_list<Var> parts);
 /// Rows [start, start+count) of `a`.
 Var SliceRows(const Var& a, size_t start, size_t count);
+/// Block-diagonal batched products over `blocks` contiguous, equal row
+/// blocks: block p of `a` [blocks*m, k] times block p of `b` [blocks*k, n]
+/// gives block p of the [blocks*m, n] result. A block's value and gradients
+/// do not depend on the other blocks, so each equals the op run on that
+/// block alone.
+Var BatchedMatMul(const Var& a, const Var& b, size_t blocks);
+/// The same with every block of `b` [blocks*n, k] transposed: block p of
+/// the [blocks*m, n] result is a_p b_p^T (one dot product per entry).
+Var BatchedMatMulTransB(const Var& a, const Var& b, size_t blocks);
 /// Gathers rows of a trainable table; backward scatters (accumulating
 /// duplicates). `indices` entries must be valid row ids of `table`. The
 /// span overload copies the indices into the active tape arena (or an

@@ -345,6 +345,39 @@ Tensor GatherRows(const Tensor& table, const std::vector<int32_t>& indices) {
   return GatherRows(table, std::span<const int32_t>(indices));
 }
 
+void ScatterAddRows(const Tensor& g, std::span<const int32_t> indices,
+                    Tensor* dest) {
+  HYBRIDGNN_CHECK(g.rows() == indices.size() && g.cols() == dest->cols())
+      << "ScatterAddRows: " << g.ShapeString() << " for " << indices.size()
+      << " indices into " << dest->ShapeString();
+  const size_t n = indices.size();
+  const size_t dim = dest->cols();
+  // (row << 32 | position) keys: sorting groups duplicates of a row while
+  // keeping them in index order, so each row's partial sum chains its
+  // contributions exactly as the dense zero-filled scatter did.
+  static thread_local std::vector<uint64_t> keys;
+  static thread_local std::vector<float> acc;
+  keys.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = (static_cast<uint64_t>(static_cast<uint32_t>(indices[i])) << 32) |
+              static_cast<uint64_t>(i);
+  }
+  std::sort(keys.begin(), keys.end());
+  acc.resize(dim);
+  for (size_t a = 0; a < n;) {
+    const size_t row = static_cast<size_t>(keys[a] >> 32);
+    HYBRIDGNN_CHECK(row < dest->rows())
+        << "ScatterAddRows index " << row << " out of range " << dest->rows();
+    std::fill(acc.begin(), acc.end(), 0.0f);
+    for (; a < n && static_cast<size_t>(keys[a] >> 32) == row; ++a) {
+      const float* gr = g.RowPtr(static_cast<size_t>(keys[a] & 0xFFFFFFFFu));
+      for (size_t j = 0; j < dim; ++j) acc[j] += gr[j];
+    }
+    float* d = dest->RowPtr(row);
+    for (size_t j = 0; j < dim; ++j) d[j] += acc[j];
+  }
+}
+
 Tensor ConcatRows(const std::vector<Tensor>& parts) {
   HYBRIDGNN_CHECK(!parts.empty()) << "ConcatRows of empty list";
   const size_t cols = parts[0].cols();

@@ -56,6 +56,15 @@ Tensor SumRows(const Tensor& a);
 Tensor GatherRows(const Tensor& table, std::span<const int32_t> indices);
 Tensor GatherRows(const Tensor& table, const std::vector<int32_t>& indices);
 
+/// The backward of GatherRows: dest[indices[i]] += g[i] for every i, touching
+/// only the indexed rows of `dest` (no dense [rows(dest), cols] scratch).
+/// Duplicate indices are pre-summed in index order from a zeroed row, then
+/// added once, which is the exact arithmetic of scattering into a zero-filled
+/// dense gradient and adding that. Negative or out-of-range indices are
+/// rejected.
+void ScatterAddRows(const Tensor& g, std::span<const int32_t> indices,
+                    Tensor* dest);
+
 /// Vertically stacks matrices with equal column counts.
 Tensor ConcatRows(const std::vector<Tensor>& parts);
 /// Horizontally concatenates matrices with equal row counts.

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/autograd.h"
 #include "tensor/init.h"
+#include "tensor/pool.h"
+#include "tensor/tensor_ops.h"
 
 namespace hybridgnn {
 namespace {
@@ -157,12 +163,173 @@ TEST(AutogradGradCheck, GatherRowsAccumulatesDuplicates) {
   });
 }
 
+TEST(AutogradGradCheck, BatchedMatMul) {
+  // Three blocks of [2, 3] x [3, 4].
+  Var a = MakeParam(6, 3, 40);
+  Var b = MakeParam(9, 4, 41);
+  Var w = MakeParam(6, 4, 42);
+  CheckGradients({a, b}, [&] {
+    return ag::SumAll(ag::Mul(ag::BatchedMatMul(a, b, 3), w));
+  });
+}
+
+TEST(AutogradGradCheck, BatchedMatMulTransB) {
+  // Two blocks of [3, 4] x [2, 4]^T.
+  Var a = MakeParam(6, 4, 43);
+  Var b = MakeParam(4, 4, 44);
+  Var w = MakeParam(6, 2, 45);
+  CheckGradients({a, b}, [&] {
+    return ag::SumAll(ag::Mul(ag::BatchedMatMulTransB(a, b, 2), w));
+  });
+}
+
+// Every block of the batched products is the dense op on that block alone,
+// value and gradients (to float rounding: the dense ops sum in another
+// order).
+TEST(AutogradTest, BatchedMatMulsMatchPerBlockDenseOps) {
+  constexpr size_t kBlocks = 5, kM = 3, kK = 4, kN = 2;
+  Var a = MakeParam(kBlocks * kM, kK, 46);
+  Var b = MakeParam(kBlocks * kK, kN, 47);
+  Var bt = MakeParam(kBlocks * kN, kK, 48);
+  Var wa = MakeParam(kBlocks * kM, kN, 49);
+  auto grads = [](const std::vector<Var>& ps) {
+    std::vector<Tensor> out;
+    for (const Var& p : ps) {
+      out.push_back(p->grad);
+      p->ZeroGrad();
+    }
+    return out;
+  };
+  for (const Var& p : {a, b, bt}) p->ZeroGrad();
+  Var batched = ag::Add(ag::BatchedMatMul(a, b, kBlocks),
+                        ag::BatchedMatMulTransB(a, bt, kBlocks));
+  ag::Backward(ag::SumAll(ag::Mul(batched, wa)));
+  const std::vector<Tensor> batched_grads = grads({a, b, bt});
+  for (size_t p = 0; p < kBlocks; ++p) {
+    Var ap = ag::SliceRows(a, p * kM, kM);
+    Var dense = ag::Add(ag::MatMul(ap, ag::SliceRows(b, p * kK, kK)),
+                        ag::MatMul(ap, ag::Transpose(ag::SliceRows(
+                                           bt, p * kN, kN))));
+    for (size_t i = 0; i < kM; ++i) {
+      for (size_t j = 0; j < kN; ++j) {
+        EXPECT_NEAR(dense->value.At(i, j), batched->value.At(p * kM + i, j),
+                    1e-5)
+            << "block " << p;
+      }
+    }
+    // Each block's gradient lands in its own rows only.
+    ag::Backward(ag::SumAll(ag::Mul(dense, ag::SliceRows(wa, p * kM, kM))));
+  }
+  const std::vector<Tensor> dense_grads = grads({a, b, bt});
+  for (size_t k = 0; k < dense_grads.size(); ++k) {
+    ASSERT_TRUE(dense_grads[k].SameShape(batched_grads[k]));
+    for (size_t i = 0; i < dense_grads[k].size(); ++i) {
+      EXPECT_NEAR(dense_grads[k].data()[i], batched_grads[k].data()[i], 1e-5)
+          << "param " << k << " entry " << i;
+    }
+  }
+}
+
 TEST(AutogradGradCheck, Transpose) {
   Var a = MakeParam(2, 3, 18);
   Var b = MakeParam(2, 3, 19);
   CheckGradients({a, b}, [&] {
     return ag::SumAll(ag::MatMul(ag::Transpose(a), b));
   });
+}
+
+// ---- Row-sparse gather backward ----
+//
+// GatherRows' backward scatters into the touched rows of the table's
+// gradient accumulator. The reference below is the dense scatter it
+// replaced: zero-fill a [rows, dim] scratch, add each gathered row's
+// gradient into it in index order, then add the scratch to the gradient.
+
+std::vector<int32_t> RandomIndices(size_t count, size_t rows, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int32_t> idx(count);
+  for (int32_t& i : idx) i = static_cast<int32_t>(rng.UniformUint64(rows));
+  // Force heavy duplication on a few hot rows too.
+  for (size_t k = 0; k < count; k += 7) idx[k] = static_cast<int32_t>(k % 5);
+  return idx;
+}
+
+Tensor DenseScatterReference(const Tensor& start, const Tensor& g,
+                             const std::vector<int32_t>& idx) {
+  Tensor dt(start.rows(), start.cols());
+  for (size_t i = 0; i < idx.size(); ++i) {
+    const float* gr = g.RowPtr(i);
+    float* d = dt.RowPtr(static_cast<size_t>(idx[i]));
+    for (size_t j = 0; j < dt.cols(); ++j) d[j] += gr[j];
+  }
+  Tensor out = start;
+  out.AddInPlace(dt);
+  return out;
+}
+
+void ExpectBitwiseEqual(const Tensor& a, const Tensor& b) {
+  ASSERT_TRUE(a.SameShape(b));
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+}
+
+TEST(GatherBackwardTest, ScatterMatchesDenseReferenceBitwise) {
+  constexpr size_t kRows = 20000, kDim = 12, kCount = 3000;
+  const std::vector<int32_t> idx = RandomIndices(kCount, kRows, 50);
+  Tensor g(kCount, kDim);
+  Rng rng(51);
+  UniformInit(g, rng, -1.0f, 1.0f);
+  Tensor start(kRows, kDim);
+  UniformInit(start, rng, -1.0f, 1.0f);
+  Tensor sparse = start;
+  ScatterAddRows(g, idx, &sparse);
+  ExpectBitwiseEqual(sparse, DenseScatterReference(start, g, idx));
+}
+
+TEST(GatherBackwardTest, BackwardMatchesDenseReferenceAndSkipsUntouchedRows) {
+  constexpr size_t kRows = 5000, kDim = 8, kCount = 700;
+  const std::vector<int32_t> idx = RandomIndices(kCount, kRows, 52);
+  Var table = MakeParam(kRows, kDim, 53);
+  Var w = MakeParam(kCount, kDim, 54);
+  // A non-zero gradient already in place, as from an earlier op.
+  Rng rng(55);
+  Tensor start(kRows, kDim);
+  UniformInit(start, rng, -1.0f, 1.0f);
+  table->grad = start;
+  ag::Backward(ag::SumAll(ag::Mul(ag::GatherRows(table, idx), w)));
+  // d(sum(gather * w)) / d(gather) is w itself.
+  ExpectBitwiseEqual(table->grad, DenseScatterReference(start, w->value, idx));
+  std::vector<bool> touched(kRows, false);
+  for (int32_t i : idx) touched[static_cast<size_t>(i)] = true;
+  for (size_t r = 0; r < kRows; ++r) {
+    if (touched[r]) continue;
+    ASSERT_EQ(std::memcmp(table->grad.RowPtr(r), start.RowPtr(r),
+                          kDim * sizeof(float)),
+              0)
+        << "untouched row " << r << " changed";
+  }
+}
+
+// The backward must cost O(gathered rows), not O(table): no [rows, dim]
+// scratch may be fetched from the pool or the tape. Run on a fresh thread so
+// its tensor pool starts empty and any table-sized buffer is a pool miss.
+TEST(GatherBackwardTest, BackwardAllocatesNoTableSizedScratch) {
+  constexpr size_t kRows = 100000, kDim = 8;
+  Var table = MakeParam(kRows, kDim, 56);
+  table->GradAccumulator();  // the gradient itself exists before the step
+  const std::vector<int32_t> idx = RandomIndices(64, kRows, 57);
+  uint64_t added = 0;
+  std::thread worker([&] {
+    const uint64_t before = pool::MissBytes() + ag::Tape::TotalReservedBytes();
+    {
+      ag::TapeScope tape;
+      Var rows = ag::GatherRows(table, idx);
+      ag::Backward(ag::SumAll(ag::Mul(rows, rows)));
+    }
+    added = pool::MissBytes() + ag::Tape::TotalReservedBytes() - before;
+  });
+  worker.join();
+  EXPECT_LT(added, kRows * kDim * sizeof(float))
+      << "one backward fetched " << added << " bytes";
 }
 
 TEST(AutogradGradCheck, AttentionShapedComposite) {

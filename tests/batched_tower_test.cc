@@ -1,0 +1,381 @@
+// Differential tests of HybridGNN's batched tower (HybridGnn::ForwardSketches,
+// the only tower any Fit path builds) against the per-node reference tower
+// (ForwardNodeSketch), on the same sampled sketches:
+//   * forward rows and the minibatch loss are bit-identical on the scalar
+//     kernel backend: both towers run the same arithmetic on the same rows,
+//     only grouped differently. On AVX2 the batched attention logits are
+//     vector dot products where the per-node tower's dense MatMul chains
+//     axpys, so rows agree to kForwardTolerance;
+//   * every parameter gradient entry agrees to within kGradRelTolerance of
+//     the largest |entry| of that gradient plus kGradAbsTolerance: shared
+//     parameters now receive one summed contribution per op instead of one
+//     per node, so float accumulation order differs;
+// for the full model and each ablation that changes the tower's shape, at
+// 1 and 4 workers (per-worker GradSinkScopes reduced as Fit reduces them),
+// on the scalar and AVX2 kernel backends.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <memory>
+#include <span>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/logging.h"
+#include "common/rng.h"
+#include "core/hybrid_gnn.h"
+#include "data/profiles.h"
+#include "kernels/kernels.h"
+#include "tensor/autograd.h"
+#include "tensor/init.h"
+
+namespace hybridgnn {
+
+/// Reaches the private sampling and tower entry points of a fitted model.
+struct HybridGnnTestPeer {
+  using NodeSketch = HybridGnn::NodeSketch;
+
+  static void Sample(const HybridGnn& m, NodeId v, Rng& rng,
+                     NodeSketch* out) {
+    m.SampleNode(*m.graph_, v, rng, out);
+  }
+  static ag::Var Batched(const HybridGnn& m,
+                         std::span<const NodeSketch> sketches) {
+    return m.ForwardSketches(sketches);
+  }
+  static ag::Var PerNode(const HybridGnn& m, const NodeSketch& sk) {
+    return m.ForwardNodeSketch(sk);
+  }
+  static size_t NumRelations(const HybridGnn& m) { return m.num_relations_; }
+  /// Every trainable tensor of the model, named for failure messages.
+  static std::vector<std::pair<std::string, ag::Var>> Params(
+      const HybridGnn& m) {
+    std::vector<std::pair<std::string, ag::Var>> out;
+    out.emplace_back("base", m.base_->table());
+    out.emplace_back("context", m.context_->table());
+    out.emplace_back("edge_init", m.edge_init_->table());
+    auto add_all = [&out](const std::string& name, const Module& mod) {
+      for (size_t i = 0; i < mod.parameters().size(); ++i) {
+        out.emplace_back(name + "[" + std::to_string(i) + "]",
+                         mod.parameters()[i]);
+      }
+    };
+    for (size_t i = 0; i < m.scheme_aggs_.size(); ++i) {
+      add_all("scheme_agg" + std::to_string(i), *m.scheme_aggs_[i]);
+    }
+    add_all("rand_agg", *m.rand_agg_);
+    add_all("metapath_attn", *m.metapath_attn_);
+    add_all("relation_attn", *m.relation_attn_);
+    for (size_t r = 0; r < m.w_rel_.size(); ++r) {
+      out.emplace_back("w_rel" + std::to_string(r), m.w_rel_[r]);
+    }
+    return out;
+  }
+};
+
+namespace {
+
+using NodeSketch = HybridGnnTestPeer::NodeSketch;
+
+/// Forward agreement bound on AVX2 (embedding entries are O(0.1-1)).
+constexpr double kForwardTolerance = 1e-5;
+
+/// Gradient agreement bound: reordered float sums of a few thousand terms,
+/// relative to the largest |entry| of the reference gradient, plus a floor
+/// for gradients that nearly cancel (a few 1e-8 on the ablations).
+constexpr double kGradRelTolerance = 1e-4;
+constexpr double kGradAbsTolerance = 1e-10;
+
+struct LossRow {
+  size_t lhs;
+  size_t rhs;
+  RelationId rel;
+  float label;
+};
+
+struct StepResult {
+  std::vector<Tensor> rows;  // per sketch: [R, base_dim] (1 worker only)
+  double loss = 0.0;
+  std::vector<Tensor> grads;  // parallel to HybridGnnTestPeer::Params
+};
+
+/// Loss over `rows` from one tower: the batched tower's rows gathered out of
+/// its [R * n, base] output, or the per-node towers' rows sliced and
+/// concatenated as the node-at-a-time trainer assembled them.
+ag::Var StepLoss(const HybridGnn& m, std::span<const NodeSketch> sketches,
+                 std::span<const LossRow> rows, bool batched,
+                 std::vector<Tensor>* forward_rows) {
+  std::vector<float> labels;
+  for (const LossRow& row : rows) labels.push_back(row.label);
+  const size_t n = sketches.size();
+  const size_t num_rel = HybridGnnTestPeer::NumRelations(m);
+  if (batched) {
+    ag::Var all = HybridGnnTestPeer::Batched(m, sketches);
+    if (forward_rows != nullptr) {
+      for (size_t i = 0; i < n; ++i) {
+        Tensor t(num_rel, all->value.cols());
+        for (size_t r = 0; r < num_rel; ++r) {
+          std::memcpy(t.RowPtr(r), all->value.RowPtr(r * n + i),
+                      t.cols() * sizeof(float));
+        }
+        forward_rows->push_back(std::move(t));
+      }
+    }
+    std::vector<int32_t> lhs, rhs;
+    for (const LossRow& row : rows) {
+      lhs.push_back(static_cast<int32_t>(row.rel * n + row.lhs));
+      rhs.push_back(static_cast<int32_t>(row.rel * n + row.rhs));
+    }
+    return ag::BceWithLogits(
+        ag::RowwiseDot(ag::GatherRows(all, lhs), ag::GatherRows(all, rhs)),
+        labels);
+  }
+  std::vector<ag::Var> built(n);
+  for (size_t i = 0; i < n; ++i) {
+    built[i] = HybridGnnTestPeer::PerNode(m, sketches[i]);
+    if (forward_rows != nullptr) forward_rows->push_back(built[i]->value);
+  }
+  std::vector<ag::Var> lhs, rhs;
+  for (const LossRow& row : rows) {
+    lhs.push_back(ag::SliceRows(built[row.lhs], row.rel, 1));
+    rhs.push_back(ag::SliceRows(built[row.rhs], row.rel, 1));
+  }
+  return ag::BceWithLogits(
+      ag::RowwiseDot(ag::ConcatRows(lhs), ag::ConcatRows(rhs)), labels);
+}
+
+/// One minibatch step with either tower, sharded over `workers` threads
+/// exactly as HybridGnn::Fit shards a batch: each worker backprops its
+/// slice of the loss rows under a private gradient sink, and the sinks are
+/// reduced into the parameter gradients weighted by element share.
+StepResult RunStep(const HybridGnn& m, std::span<const NodeSketch> sketches,
+                   std::span<const LossRow> rows, bool batched,
+                   size_t workers) {
+  const auto params = HybridGnnTestPeer::Params(m);
+  for (const auto& [name, p] : params) p->ZeroGrad();
+  StepResult res;
+  if (workers == 1) {
+    ag::TapeScope tape;
+    ag::Var loss = StepLoss(m, sketches, rows, batched, &res.rows);
+    ag::Backward(loss);
+    res.loss = loss->value.At(0, 0);
+  } else {
+    std::vector<ag::GradSinkScope::Sink> sinks(workers);
+    std::vector<double> losses(workers);
+    std::vector<std::thread> threads;
+    for (size_t w = 0; w < workers; ++w) {
+      threads.emplace_back([&, w] {
+        ag::GradSinkScope sink(&sinks[w]);
+        ag::TapeScope tape;
+        const size_t lo = rows.size() * w / workers;
+        const size_t hi = rows.size() * (w + 1) / workers;
+        ag::Var loss =
+            StepLoss(m, sketches, rows.subspan(lo, hi - lo), batched, nullptr);
+        ag::Backward(loss);
+        losses[w] = loss->value.At(0, 0);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (size_t w = 0; w < workers; ++w) {
+      const size_t share = rows.size() * (w + 1) / workers -
+                           rows.size() * w / workers;
+      const float weight =
+          static_cast<float>(share) / static_cast<float>(rows.size());
+      for (auto& [node, grad] : sinks[w]) {
+        if (node->grad.empty()) {
+          node->grad = Tensor(node->value.rows(), node->value.cols());
+        }
+        node->grad.Axpy(weight, grad);
+      }
+      res.loss += losses[w] * static_cast<double>(share) /
+                  static_cast<double>(rows.size());
+    }
+  }
+  for (const auto& [name, p] : params) {
+    res.grads.push_back(p->grad.empty()
+                            ? Tensor(p->value.rows(), p->value.cols())
+                            : p->grad);
+    p->ZeroGrad();
+  }
+  return res;
+}
+
+struct TowerCase {
+  const char* name;
+  bool metapath_attn;
+  bool relation_attn;
+  bool randomized;
+  bool hybrid;
+  bool per_scheme_aggs;
+  bool user_schemes_only;  // items get no metapath flow (fallback pairs)
+};
+
+std::unique_ptr<HybridGnn> FitSmallModel(const TowerCase& tc,
+                                         const Dataset& ds) {
+  HybridGnnConfig c;
+  c.base_dim = 16;
+  c.edge_dim = 8;
+  c.hidden_dim = 8;
+  c.fanout = 3;
+  c.epochs = 1;
+  c.batch_size = 64;
+  c.max_pairs_per_epoch = 256;
+  c.corpus.num_walks_per_node = 2;
+  c.corpus.walk_length = 4;
+  c.corpus.window = 2;
+  c.use_metapath_attention = tc.metapath_attn;
+  c.use_relation_attention = tc.relation_attn;
+  c.use_randomized_exploration = tc.randomized;
+  c.use_hybrid_aggregation = tc.hybrid;
+  c.per_scheme_aggregators = tc.per_scheme_aggs;
+  // Keep the trained epoch (W_r starts at zero; one step makes it non-zero
+  // so gradients reach the aggregators and attention).
+  c.restore_best = false;
+  c.seed = 29;
+  std::vector<MetapathScheme> schemes;
+  for (const MetapathScheme& s : ds.schemes) {
+    if (!tc.user_schemes_only || s.source_type() == 0) schemes.push_back(s);
+  }
+  auto model = std::make_unique<HybridGnn>(c, schemes);
+  FitOptions opts;
+  opts.num_threads = 1;
+  HYBRIDGNN_CHECK_OK(model->Fit(ds.graph, opts));
+  return model;
+}
+
+class BatchedTowerTest : public ::testing::TestWithParam<TowerCase> {};
+
+TEST_P(BatchedTowerTest, MatchesPerNodeTower) {
+  const TowerCase& tc = GetParam();
+  auto ds = MakeDataset("taobao", 0.1, 3);
+  ASSERT_TRUE(ds.ok());
+  const MultiplexHeteroGraph& g = ds->graph;
+  std::unique_ptr<HybridGnn> fitted = FitSmallModel(tc, *ds);
+  const HybridGnn& model = *fitted;
+
+  // 40 sketches of 32 nodes (so some nodes have several independent
+  // samples) and 120 loss rows over them.
+  Rng rng(7);
+  std::vector<NodeSketch> sketches(40);
+  for (size_t i = 0; i < sketches.size(); ++i) {
+    const NodeId v = static_cast<NodeId>(
+        i < 32 ? rng.UniformUint64(g.num_nodes()) : sketches[i - 32].v);
+    HybridGnnTestPeer::Sample(model, v, rng, &sketches[i]);
+  }
+  std::vector<LossRow> rows(120);
+  for (LossRow& row : rows) {
+    row.lhs = rng.UniformUint64(sketches.size());
+    row.rhs = rng.UniformUint64(sketches.size());
+    row.rel = static_cast<RelationId>(rng.UniformUint64(g.num_relations()));
+    row.label = rng.UniformUint64(2) == 0 ? 0.0f : 1.0f;
+  }
+
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::Avx2Available()) backends.push_back(kernels::Backend::kAvx2);
+  const auto params = HybridGnnTestPeer::Params(model);
+  for (kernels::Backend backend : backends) {
+    kernels::ScopedBackend scoped(backend);
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(std::string(kernels::BackendName(backend)) + " workers=" +
+                   std::to_string(workers));
+      const StepResult batched = RunStep(model, sketches, rows, true, workers);
+      const StepResult per_node =
+          RunStep(model, sketches, rows, false, workers);
+      const bool exact = backend == kernels::Backend::kScalar;
+      if (workers == 1) {
+        ASSERT_EQ(batched.rows.size(), per_node.rows.size());
+        for (size_t i = 0; i < batched.rows.size(); ++i) {
+          const Tensor& a = batched.rows[i];
+          const Tensor& b = per_node.rows[i];
+          ASSERT_TRUE(a.SameShape(b));
+          if (exact) {
+            EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)),
+                      0)
+                << "forward rows of sketch " << i;
+          } else {
+            for (size_t j = 0; j < a.size(); ++j) {
+              ASSERT_NEAR(a.data()[j], b.data()[j], kForwardTolerance)
+                  << "forward rows of sketch " << i;
+            }
+          }
+        }
+        if (exact) {
+          EXPECT_EQ(batched.loss, per_node.loss);
+        } else {
+          EXPECT_NEAR(batched.loss, per_node.loss, kForwardTolerance);
+        }
+      } else {
+        EXPECT_NEAR(batched.loss, per_node.loss, 1e-6);
+      }
+      size_t nonzero_tower_grads = 0;
+      for (size_t k = 0; k < params.size(); ++k) {
+        const Tensor& a = batched.grads[k];
+        const Tensor& b = per_node.grads[k];
+        ASSERT_TRUE(a.SameShape(b)) << params[k].first;
+        double scale = 0.0;
+        for (size_t i = 0; i < b.size(); ++i) {
+          scale = std::max(scale, std::abs(static_cast<double>(b.data()[i])));
+        }
+        if (scale > 0.0 && k >= 3) ++nonzero_tower_grads;
+        for (size_t i = 0; i < b.size(); ++i) {
+          ASSERT_NEAR(a.data()[i], b.data()[i],
+                      kGradRelTolerance * scale + kGradAbsTolerance)
+              << params[k].first << " entry " << i;
+        }
+      }
+      // The aggregation and attention branch must actually be exercised.
+      EXPECT_GT(nonzero_tower_grads, 2u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, BatchedTowerTest,
+    ::testing::Values(
+        TowerCase{"full", true, true, true, true, false, false},
+        TowerCase{"per_scheme_aggregators", true, true, true, true, true,
+                  false},
+        TowerCase{"wo_metapath_attention", false, true, true, true, false,
+                  false},
+        TowerCase{"wo_relation_attention", true, false, true, true, false,
+                  false},
+        TowerCase{"wo_hybrid", true, true, true, false, false, false},
+        TowerCase{"fallback_rows", true, true, false, true, false, true}),
+    [](const ::testing::TestParamInfo<TowerCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// The blocked attention used by the batched tower is the per-set attention
+// on every block, value and input gradient bit for bit (scalar backend).
+TEST(BlockedAttentionTest, MatchesPerBlockForward) {
+  kernels::ScopedBackend scalar(kernels::Backend::kScalar);
+  constexpr size_t kBlocks = 6, kM = 3, kDim = 5;
+  Rng rng(11);
+  SelfAttention attn(kDim, 4, rng, /*identity_values=*/true);
+  Tensor h(kBlocks * kM, kDim);
+  UniformInit(h, rng, -1.0f, 1.0f);
+  ag::Var hb = ag::Param(h);
+  ag::Var out = attn.Forward(hb, kBlocks);
+  ag::Backward(ag::SumAll(ag::Tanh(out)));
+  for (size_t p = 0; p < kBlocks; ++p) {
+    Tensor hp(kM, kDim);
+    std::memcpy(hp.data(), h.RowPtr(p * kM), hp.size() * sizeof(float));
+    ag::Var hv = ag::Param(hp);
+    ag::Var op = attn.Forward(hv);
+    ag::Backward(ag::SumAll(ag::Tanh(op)));
+    EXPECT_EQ(std::memcmp(op->value.data(), out->value.RowPtr(p * kM),
+                          op->value.size() * sizeof(float)),
+              0)
+        << "block " << p;
+    EXPECT_EQ(std::memcmp(hv->grad.data(), hb->grad.RowPtr(p * kM),
+                          hv->grad.size() * sizeof(float)),
+              0)
+        << "block " << p;
+  }
+}
+
+}  // namespace
+}  // namespace hybridgnn

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "core/hybrid_gnn.h"
 #include "data/profiles.h"
@@ -9,6 +11,7 @@
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "graph/metapath.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace hybridgnn {
@@ -57,6 +60,41 @@ TEST(HybridGnnConfigTest, ValidateCatchesBadSettings) {
   c = TinyConfig();
   c.corpus.walk_length = 1;
   EXPECT_FALSE(c.Validate().ok());
+}
+
+TEST(HybridGnnConfigTest, ValidateRejectsBadLearningRate) {
+  for (float lr : {std::nanf(""), std::numeric_limits<float>::infinity(),
+                   0.0f, -1e-2f}) {
+    HybridGnnConfig c = TinyConfig();
+    c.learning_rate = lr;
+    const Status s = c.Validate();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "lr " << lr;
+  }
+  MultiplexHeteroGraph g = SmallBipartite();
+  HybridGnnConfig c = TinyConfig();
+  c.learning_rate = std::nanf("");
+  HybridGnn model(c, SmallSchemes(g));
+  EXPECT_EQ(model.Fit(g).code(), StatusCode::kInvalidArgument);
+}
+
+// A diverging run must stop with a clean error, not hand back a garbage
+// model: at learning rate 1e30 the first Adam step blows the parameters up
+// and the next minibatch's loss is no longer finite.
+TEST(HybridGnnTest, NonFiniteLossFailsFitCleanly) {
+  MultiplexHeteroGraph g = SmallBipartite();
+  HybridGnnConfig c = TinyConfig();
+  c.learning_rate = 1e30f;
+  obs::Counter& nonfinite =
+      obs::GlobalRegistry().GetCounter("core/nonfinite_loss");
+  const uint64_t before = nonfinite.value();
+  HybridGnn model(c, SmallSchemes(g));
+  const Status s = model.Fit(g);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("non-finite training loss"), std::string::npos)
+      << s.ToString();
+  EXPECT_NE(s.message().find("epoch "), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find("batch "), std::string::npos) << s.ToString();
+  EXPECT_EQ(nonfinite.value(), before + 1);
 }
 
 TEST(HybridGnnTest, FitProducesEmbeddingsOfRightShape) {

@@ -1,7 +1,6 @@
 // Regression tests pinning the parallel pipeline's reproducibility
 // contract:
-//   * num_threads <= 1 is bit-identical to the pre-parallelism serial
-//     implementation (golden values captured from the seed build);
+//   * num_threads <= 1 reproduces pinned golden rows bit for bit;
 //   * parallel corpus generation is invariant to the worker count (every
 //     thread count > 1 produces the same corpus);
 //   * FitOptions{num_threads: N, deterministic: true} is run-to-run
@@ -23,7 +22,6 @@
 #include "core/hybrid_gnn.h"
 #include "graph/metapath.h"
 #include "kernels/kernels.h"
-#include "obs/metrics.h"
 #include "sampling/corpus.h"
 #include "sampling/negative_sampler.h"
 #include "sampling/sgns.h"
@@ -57,26 +55,34 @@ HybridGnnConfig TinyConfig() {
   return c;
 }
 
-// Golden rows dumped from the pre-parallelism serial build (full float
-// precision). If these fail, the threads<=1 path is no longer the original
-// pipeline.
+// Golden rows of the serial scalar path (full float precision). If these
+// fail, the threads<=1 path no longer computes what it did when they were
+// pinned.
+//
+// Re-pinned once when HybridGNN's towers became one batched graph per
+// minibatch, validation pass and cache chunk: the forward rows are the
+// same bits as the per-node tower's, and the RNG draws are unchanged, but
+// shared parameters now receive one summed gradient per op instead of one
+// per node, so gradient accumulation order (and the last few ULPs of the
+// trained model) moved. The previous rows differed from these by at most
+// 4 ULP.
 constexpr float kGoldenV0R0[16] = {
-    0.029116407f,   0.00659689587f, -0.00732238032f, 0.0927861407f,
-    0.0335711539f,  0.0307084247f,  -0.009861378f,   -0.0642795861f,
-    0.0377879292f,  0.0116837798f,  0.04985952f,     0.0171902403f,
-    -0.011715766f,  -0.0284654126f, 0.0397054702f,   0.0169521496f};
+    0.029116407f,   0.0065968968f,   -0.00732238032f, 0.0927861407f,
+    0.0335711539f,  0.0307084247f,   -0.009861378f,   -0.0642795861f,
+    0.0377879292f,  0.0116837798f,   0.04985952f,     0.017190244f,
+    -0.0117157679f, -0.0284654107f,  0.0397054702f,   0.0169521496f};
 constexpr float kGoldenV5R1[16] = {
     0.0343935937f,  -0.0380339362f, 0.0695880502f,  0.141735554f,
     -0.0357713699f, -0.00363818393f, 0.0801288038f, -0.0368240103f,
-    0.0157920476f,  0.0375176258f,  0.0284227915f,  0.00354929827f,
+    0.0157920476f,  0.0375176258f,  0.0284227915f,  0.00354929781f,
     -0.0141490465f, 0.0361460708f,  -0.0378150828f, -0.00168883754f};
 constexpr float kGoldenSgnsV0[8] = {
     -0.193856314f, -0.263697565f, 0.131161436f,  -0.43157804f,
     0.107928365f,  -0.0737559721f, 0.881925464f, 0.116057098f};
 
 TEST(DeterminismTest, SerialFitMatchesPreParallelGolden) {
-  // The goldens predate the SIMD kernel layer, so they pin the scalar
-  // dispatch path specifically.
+  // The goldens pin the scalar dispatch path specifically, and bit for
+  // bit.
   kernels::ScopedBackend scalar(kernels::Backend::kScalar);
   MultiplexHeteroGraph g = testing::SmallBipartite();
   HybridGnn model(TinyConfig(), TinySchemes(g));
@@ -87,35 +93,9 @@ TEST(DeterminismTest, SerialFitMatchesPreParallelGolden) {
   Tensor e51 = model.Embedding(5, 1);
   ASSERT_EQ(e00.cols(), 16u);
   for (size_t j = 0; j < 16; ++j) {
-    EXPECT_FLOAT_EQ(e00.At(0, j), kGoldenV0R0[j]) << "v0 r0 col " << j;
-    EXPECT_FLOAT_EQ(e51.At(0, j), kGoldenV5R1[j]) << "v5 r1 col " << j;
+    EXPECT_EQ(e00.At(0, j), kGoldenV0R0[j]) << "v0 r0 col " << j;
+    EXPECT_EQ(e51.At(0, j), kGoldenV5R1[j]) << "v5 r1 col " << j;
   }
-}
-
-TEST(DeterminismTest, SerialFitWithCompiledPlanMatchesGolden) {
-  // Compiled-plan replay (FitOptions{compile_plan}) must be bit-identical to
-  // the eager tape on the serial scalar path — same goldens, no tolerance.
-  // We also assert plan/replays advanced, so a silently-poisoned recorder
-  // (which would fall back to eager and pass vacuously) fails the test.
-  kernels::ScopedBackend scalar(kernels::Backend::kScalar);
-  const uint64_t replays_before =
-      obs::GlobalRegistry().GetCounter("plan/replays").value();
-  MultiplexHeteroGraph g = testing::SmallBipartite();
-  HybridGnn model(TinyConfig(), TinySchemes(g));
-  FitOptions opts;
-  opts.num_threads = 1;
-  opts.compile_plan = true;
-  ASSERT_TRUE(model.Fit(g, opts).ok());
-  Tensor e00 = model.Embedding(0, 0);
-  Tensor e51 = model.Embedding(5, 1);
-  ASSERT_EQ(e00.cols(), 16u);
-  for (size_t j = 0; j < 16; ++j) {
-    EXPECT_FLOAT_EQ(e00.At(0, j), kGoldenV0R0[j]) << "v0 r0 col " << j;
-    EXPECT_FLOAT_EQ(e51.At(0, j), kGoldenV5R1[j]) << "v5 r1 col " << j;
-  }
-  EXPECT_GT(obs::GlobalRegistry().GetCounter("plan/replays").value(),
-            replays_before)
-      << "compile_plan was on but no step replayed a compiled plan";
 }
 
 TEST(DeterminismTest, DefaultFitOverloadIsTheSerialPath) {

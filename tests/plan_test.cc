@@ -8,8 +8,8 @@
 // parameters produce no gradients, un-annotated ops poison the trace (the
 // caller stays eager), escaping a traced Var past Finalize CHECK-fails, the
 // HYBRIDGNN_PLAN env var overrides FitOptions{compile_plan} both ways, and
-// both models (HybridGNN + GATNE) train to bitwise-identical embeddings
-// with compile_plan on and off.
+// GATNE trains to bitwise-identical embeddings with compile_plan on and
+// off.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -22,7 +22,6 @@
 
 #include "baselines/gatne.h"
 #include "common/rng.h"
-#include "core/hybrid_gnn.h"
 #include "graph/frontier.h"
 #include "graph/metapath.h"
 #include "kernels/kernels.h"
@@ -359,7 +358,7 @@ TEST(PlanDifferential, EveryOpBitIdentical) {
                                                          c.name);
 }
 
-// Data-parallel pattern from HybridGnn::Fit: each worker records and
+// Data-parallel minibatch pattern: each worker records and
 // replays its own CompiledStep over shared leaves under a per-worker
 // GradSinkScope; the reduced gradient must equal serial eager accumulation
 // bit for bit. Under TSan this is the compiled-path race check.
@@ -566,22 +565,6 @@ std::vector<MetapathScheme> TinySchemes(const MultiplexHeteroGraph& g) {
   return schemes;
 }
 
-HybridGnnConfig TinyConfig() {
-  HybridGnnConfig c;
-  c.base_dim = 16;
-  c.edge_dim = 4;
-  c.hidden_dim = 8;
-  c.epochs = 2;
-  c.batch_size = 64;
-  c.max_pairs_per_epoch = 500;
-  c.corpus.num_walks_per_node = 3;
-  c.corpus.walk_length = 4;
-  c.corpus.window = 2;
-  c.fanout = 3;
-  c.seed = 123;
-  return c;
-}
-
 std::vector<uint32_t> AllEmbeddingBits(const EmbeddingModel& m,
                                        const MultiplexHeteroGraph& g) {
   std::vector<uint32_t> bits;
@@ -592,40 +575,6 @@ std::vector<uint32_t> AllEmbeddingBits(const EmbeddingModel& m,
     }
   }
   return bits;
-}
-
-TEST(PlanModelTest, HybridGnnCompiledMatchesEagerBitwise) {
-  MultiplexHeteroGraph g = testing::SmallBipartite();
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    FitOptions off;
-    off.num_threads = threads;
-    off.deterministic = true;
-    off.compile_plan = false;
-    FitOptions on = off;
-    on.compile_plan = true;
-
-    obs::MetricRegistry& reg = obs::GlobalRegistry();
-    const uint64_t traces_before = reg.GetCounter("plan/traces").value();
-    const uint64_t replays_before = reg.GetCounter("plan/replays").value();
-    const uint64_t poisoned_before =
-        reg.GetCounter("plan/trace_poisoned").value();
-
-    HybridGnn eager(TinyConfig(), TinySchemes(g));
-    HybridGnn compiled(TinyConfig(), TinySchemes(g));
-    ASSERT_TRUE(eager.Fit(g, off).ok());
-    ASSERT_TRUE(compiled.Fit(g, on).ok());
-
-    EXPECT_GT(reg.GetCounter("plan/traces").value(), traces_before)
-        << "compile_plan=true must actually trace (threads=" << threads
-        << ")";
-    EXPECT_GT(reg.GetCounter("plan/replays").value(), replays_before)
-        << "compiled steps must actually replay (threads=" << threads << ")";
-    EXPECT_EQ(reg.GetCounter("plan/trace_poisoned").value(), poisoned_before)
-        << "the model's step graph must trace cleanly (threads=" << threads
-        << ")";
-    EXPECT_EQ(AllEmbeddingBits(eager, g), AllEmbeddingBits(compiled, g))
-        << "compile_plan changed training results at threads=" << threads;
-  }
 }
 
 TEST(PlanModelTest, GatneCompiledMatchesEagerBitwise) {
