@@ -24,7 +24,6 @@
 #include "nn/aggregator.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
-#include "plan/plan.h"
 #include "tensor/autograd.h"
 #include "tensor/pool.h"
 
@@ -202,96 +201,6 @@ ModeResult RunMode(bool arena, size_t steps) {
   return r;
 }
 
-/// Reproduces BuildStep's per-batch index/label stream without building a
-/// graph, so a compiled replay can bind exactly the data the eager modes
-/// gather. Must draw from the Rng in the same order as BuildStep.
-void FillStepInputs(uint64_t step_seed, std::vector<int32_t>& centers,
-                    std::vector<int32_t>& nbrs, std::vector<float>& labels) {
-  Rng rng(step_seed);
-  centers.clear();
-  nbrs.clear();
-  labels.clear();
-  for (size_t b = 0; b < kBatch; ++b) {
-    centers.push_back(static_cast<int32_t>(rng.UniformUint64(kNodes)));
-    for (size_t f = 0; f < kFanout; ++f) {
-      nbrs.push_back(static_cast<int32_t>(rng.UniformUint64(kNodes)));
-    }
-    labels.push_back(static_cast<float>(b % 2));
-  }
-}
-
-/// Compiled mode: trace one step into a plan (src/plan), then replay it per
-/// step with fresh bound indices — zero per-step graph construction. The
-/// loss bits must match the eager arena mode exactly.
-ModeResult RunPlanMode(size_t steps) {
-  pool::PoolScope pool_scope(true);
-  Rng model_rng(0xC0DE);
-  Model model(model_rng);
-  ModeResult r;
-  r.loss_bits.reserve(steps);
-
-  std::unique_ptr<plan::CompiledStep> step;
-  {
-    ag::TapeScope tape;
-    plan::Recorder rec;
-    ag::Var loss = BuildStep(model, 0);
-    step = rec.Finalize(loss);
-    if (step == nullptr) {
-      std::fprintf(stderr, "FATAL: plan trace poisoned: %s\n",
-                   rec.poison_reason().c_str());
-      return r;  // empty loss_bits; Main treats that as failure
-    }
-  }
-  ZeroGrads(model);
-
-  std::vector<int32_t> centers, nbrs;
-  std::vector<float> labels;
-  centers.reserve(kBatch);
-  nbrs.reserve(kBatch * kFanout);
-  labels.reserve(kBatch);
-  plan::StepInputs in;
-  auto replay = [&](uint64_t seed) {
-    FillStepInputs(seed, centers, nbrs, labels);
-    in.i32.clear();
-    in.szs.clear();
-    in.f32.clear();
-    for (size_t b = 0; b < kBatch; ++b) {
-      in.i32.push_back(std::span<const int32_t>(centers.data() + b, 1));
-      in.i32.push_back(
-          std::span<const int32_t>(nbrs.data() + b * kFanout, kFanout));
-    }
-    in.f32.push_back(labels);
-    ag::TapeScope tape;
-    ag::Var loss = step->ReplayTrain(in);
-    ag::Backward(loss);
-    uint32_t bits;
-    std::memcpy(&bits, &loss->value.At(0, 0), sizeof(bits));
-    return bits;
-  };
-
-  for (size_t s = 0; s < 10; ++s) {
-    replay(s);
-    ZeroGrads(model);
-  }
-  const uint64_t allocs_before = g_alloc_calls.load();
-  const uint64_t bytes_before = g_alloc_bytes.load();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (size_t s = 0; s < steps; ++s) {
-    r.loss_bits.push_back(replay(1000 + s));
-    ZeroGrads(model);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  const double inv_steps = 1.0 / static_cast<double>(steps);
-  r.ns_per_step =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count() *
-      inv_steps;
-  r.allocs_per_step =
-      static_cast<double>(g_alloc_calls.load() - allocs_before) * inv_steps;
-  r.alloc_bytes_per_step =
-      static_cast<double>(g_alloc_bytes.load() - bytes_before) * inv_steps;
-  return r;
-}
-
 int Main(int argc, char** argv) {
   size_t steps = 300;
   bool gate = false;
@@ -309,18 +218,12 @@ int Main(int argc, char** argv) {
 
   ModeResult heap = RunMode(/*arena=*/false, steps);
   ModeResult arena = RunMode(/*arena=*/true, steps);
-  ModeResult plan = RunPlanMode(steps);
 
-  // The three modes must be numerically indistinguishable: same model seed,
+  // The two modes must be numerically indistinguishable: same model seed,
   // same per-step streams, bit-identical losses.
   if (heap.loss_bits != arena.loss_bits) {
     std::fprintf(stderr,
                  "FATAL: arena mode diverged from heap mode (loss bits)\n");
-    return 1;
-  }
-  if (plan.loss_bits != arena.loss_bits) {
-    std::fprintf(stderr,
-                 "FATAL: compiled plan diverged from arena mode (loss bits)\n");
     return 1;
   }
 
@@ -337,22 +240,14 @@ int Main(int argc, char** argv) {
   std::printf("  arena: %10.0f ns/step  %8.1f allocs/step  %10.0f B/step\n",
               arena.ns_per_step, arena.allocs_per_step,
               arena.alloc_bytes_per_step);
-  std::printf("  plan : %10.0f ns/step  %8.1f allocs/step  %10.0f B/step\n",
-              plan.ns_per_step, plan.allocs_per_step,
-              plan.alloc_bytes_per_step);
-  std::printf("  alloc ratio %.4f (gate <= 0.01), speedup %.2fx, "
-              "plan speedup %.2fx\n",
-              alloc_ratio, speedup,
-              plan.ns_per_step > 0.0 ? arena.ns_per_step / plan.ns_per_step
-                                     : 0.0);
+  std::printf("  alloc ratio %.4f (gate <= 0.01), speedup %.2fx\n",
+              alloc_ratio, speedup);
 
   bench::BenchReport report("micro_autograd");
   report.AddStage("heap_ns_per_step", 1, heap.ns_per_step * 1e-6, 0.0);
   report.AddStage("arena_ns_per_step", 1, arena.ns_per_step * 1e-6, 0.0);
-  report.AddStage("plan_ns_per_step", 1, plan.ns_per_step * 1e-6, 0.0);
   report.AddStage("heap_allocs_per_step", 1, 0.0, heap.allocs_per_step);
   report.AddStage("arena_allocs_per_step", 1, 0.0, arena.allocs_per_step);
-  report.AddStage("plan_allocs_per_step", 1, 0.0, plan.allocs_per_step);
   uint64_t hash = 1469598103934665603ull;  // FNV offset basis
   for (uint32_t bits : arena.loss_bits) {
     hash = (hash ^ bits) * 1099511628211ull;

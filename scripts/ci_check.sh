@@ -30,17 +30,6 @@ echo "=== ci_check: allocation-free training-step gate ==="
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target micro_autograd
 "$BUILD_DIR/bench/micro_autograd" --gate
 
-echo "=== ci_check: compiled-plan replay gate (speedup + zero allocs) ==="
-# The plan differential and IR-golden suites (plan_test, plan_ir_test) ran
-# in the ctest stage above; this gate adds the perf contract: compiled
-# replay >= 1.3x arena-eager ns/step with zero allocations per step.
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target micro_plan
-"$BUILD_DIR/bench/micro_plan" --gate
-
-echo "=== ci_check: frontier aggregation speedup gate ==="
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target micro_aggregate
-"$BUILD_DIR/bench/micro_aggregate" --gate
-
 echo "=== ci_check: streaming refresh gate (speedup + freshness) ==="
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target micro_stream
 "$BUILD_DIR/bench/micro_stream" --gate

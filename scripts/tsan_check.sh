@@ -27,14 +27,14 @@ cmake -B "$BUILD_DIR" -S . \
 # under the same multi-worker grad-sink pattern. live_store_test drives
 # concurrent ingest-publish against reader threads pinning snapshots
 # (the RCU-style swap in LiveEmbeddingStore); stream_test rides along for
-# the refresher's single-writer contract. plan_test records and replays
-# compiled steps from concurrent minibatch workers (per-worker PlanCache +
-# shared obs counters), so the trace/replay path gets TSan coverage too.
-# ann_test's ConcurrentSearchDuringPublish races reader threads traversing a
-# published HNSW index against the writer patching/rebuilding its successor.
+# the refresher's single-writer contract. batched_tower_test backpropagates
+# HybridGNN's and GATNE's batched towers from concurrent workers under
+# per-worker gradient sinks. ann_test's ConcurrentSearchDuringPublish races
+# reader threads traversing a published HNSW index against the writer
+# patching/rebuilding its successor.
 TESTS=(threadpool_test sampling_test determinism_test serve_test obs_test
        service_stress_test arena_test sparse_aggregate_test
-       stream_test live_store_test ann_test plan_test batched_tower_test)
+       stream_test live_store_test ann_test batched_tower_test)
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TESTS[@]}"
 
 status=0

@@ -1,13 +1,14 @@
 #include "baselines/gatne.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
-#include <unordered_map>
+#include <string>
 
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "nn/sparse.h"
-#include "plan/plan.h"
+#include "obs/metrics.h"
 #include "sampling/negative_sampler.h"
 #include "sampling/neighbor_sampler.h"
 #include "sampling/sgns.h"
@@ -59,16 +60,95 @@ ag::Var Gatne::ForwardNodeFrontier(NodeId v,
   return ag::AddRowBroadcast(local, base_row);  // [R, base]
 }
 
-ag::Var Gatne::ForwardNode(const MultiplexHeteroGraph& g, NodeId v,
-                           Rng& rng) const {
-  static thread_local MinibatchFrontier frontier;
-  SampleNode(g, v, rng, &frontier);
-  return ForwardNodeFrontier(v, frontier);
+namespace {
+
+/// Nodes per batched inference forward (validation chunk, embedding cache
+/// chunk). Each node holds R rows of base_dim floats per wide intermediate
+/// (8 KB at base_dim 128 with four relations), so a chunk's graph stays a
+/// few MB and the parallel cache still splits into many chunks.
+constexpr size_t kForwardChunk = 512;
+
+}  // namespace
+
+ag::Var Gatne::ForwardFrontiers(
+    std::span<const NodeId> nodes,
+    std::span<const MinibatchFrontier> frontiers) const {
+  const size_t n = nodes.size();
+  const size_t num_rel = num_relations_;
+  HYBRIDGNN_CHECK(n > 0 && frontiers.size() == n)
+      << "ForwardFrontiers of " << n << " nodes and " << frontiers.size()
+      << " frontiers";
+  // Per-thread scratch, reused across calls; the ops below copy the index
+  // and segment arrays they keep into the tape.
+  static thread_local MinibatchFrontier all;
+  static thread_local std::vector<int32_t> idx;
+
+  // U for every node: one frontier with n * R segments, node-major (node
+  // i's relation r is segment i * R + r), gathered and averaged at once.
+  all.Clear();
+  for (const MinibatchFrontier& f : frontiers) {
+    HYBRIDGNN_CHECK(f.num_segments() == num_rel)
+        << "frontier with " << f.num_segments() << " segments, expected "
+        << num_rel;
+    const size_t at = all.indices.size();
+    all.indices.insert(all.indices.end(), f.indices.begin(), f.indices.end());
+    for (size_t r = 1; r <= num_rel; ++r) {
+      all.indptr.push_back(at + f.indptr[r]);
+    }
+  }
+  ag::Var u = SegmentMean(GatherRowsSegmented(edge_embed_->table(), all),
+                          all);                               // [n * R, edge]
+  ag::Var hidden = ag::Tanh(attn_proj_->Forward(u));          // [n * R, hidden]
+
+  // a_{v,r} = softmax(w_r^T tanh(W U_v^T)) over relations, per node: block
+  // i of the logits is [R, R], row r holding w_r against each of node i's R
+  // hidden rows. The stacked queries [R, hidden] repeat once per block.
+  std::vector<ag::Var> queries;
+  queries.reserve(num_rel);
+  for (const ag::Var& q : attn_query_) queries.push_back(ag::Transpose(q));
+  idx.clear();
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t r = 0; r < num_rel; ++r) idx.push_back(static_cast<int32_t>(r));
+  }
+  ag::Var query_rows = ag::GatherRows(
+      queries.size() == 1 ? queries[0] : ag::ConcatRows(queries), idx);
+  ag::Var weights =
+      ag::SoftmaxRows(ag::BatchedMatMulTransB(query_rows, hidden, n));
+  ag::Var mixed = ag::BatchedMatMul(weights, u, n);  // [n * R, edge]
+
+  // M_r^T of each mixed row: the rows regrouped relation-major, then one
+  // block product against the stacked M_r.
+  ag::Var m = m_rel_[0];
+  if (num_rel > 1) {
+    idx.clear();
+    for (size_t r = 0; r < num_rel; ++r) {
+      for (size_t i = 0; i < n; ++i) {
+        idx.push_back(static_cast<int32_t>(i * num_rel + r));
+      }
+    }
+    mixed = ag::GatherRows(mixed, idx);
+    m = ag::ConcatRows(m_rel_);  // [R * edge, base]
+  }
+  ag::Var local = ag::BatchedMatMul(mixed, m, num_rel);  // [R * n, base]
+  if (options_.local_scale != 1.0f) {
+    local = ag::Scale(local, options_.local_scale);
+  }
+  idx.clear();
+  for (size_t r = 0; r < num_rel; ++r) {
+    for (NodeId v : nodes) idx.push_back(static_cast<int32_t>(v));
+  }
+  return ag::Add(local, ag::GatherRows(base_->table(), idx));  // [R * n, base]
 }
 
 Status Gatne::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
+  if (!std::isfinite(options_.learning_rate) ||
+      options_.learning_rate <= 0.0f) {
+    return Status::InvalidArgument(
+        "GATNE: learning_rate must be finite and positive");
+  }
   if (g.num_nodes() == 0) return Status::InvalidArgument("empty graph");
   for (const auto& s : schemes_) HYBRIDGNN_RETURN_IF_ERROR(s.Validate(g));
+  fitted_ = false;  // a Fit that fails below leaves no stale cache in use
   num_relations_ = g.num_relations();
   const size_t threads = options.threads();
   Rng rng(options_.seed);
@@ -177,31 +257,48 @@ Status Gatne::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
       all_params[i]->value = snap[i];
     }
   };
+  std::vector<NodeId> val_nodes;
+  std::vector<MinibatchFrontier> val_frontiers;
   auto validation_auc = [&]() {
     Rng val_rng(options_.seed ^ 0x7A11);
     double wins = 0.0;
-    for (size_t i = 0; i < val_edges.size(); ++i) {
-      ag::TapeScope tape;  // scoring-only graphs, rewound per edge
-      const EdgeTriple& e = val_edges[i];
-      ag::Var eu = ForwardNode(g, e.src, val_rng);
-      ag::Var ev = ForwardNode(g, e.dst, val_rng);
-      ag::Var ex = ForwardNode(g, val_negs[i], val_rng);
-      ag::Var ex2 = ForwardNode(g, val_negs2[i], val_rng);
-      const float* u_row = eu->value.RowPtr(e.rel);
-      const float* v_row = ev->value.RowPtr(e.rel);
-      const float* x_row = ex->value.RowPtr(e.rel);
-      const float* x2_row = ex2->value.RowPtr(e.rel);
-      double pos = 0.0, neg = 0.0, neg2 = 0.0;
-      for (size_t j = 0; j < options_.base_dim; ++j) {
-        pos += static_cast<double>(u_row[j]) * v_row[j];
-        neg += static_cast<double>(u_row[j]) * x_row[j];
-        neg2 += static_cast<double>(u_row[j]) * x2_row[j];
+    // Four nodes per edge (src, dst, two negatives), sampled in edge order,
+    // then one batched forward per kForwardChunk nodes.
+    const size_t edges_per_chunk = kForwardChunk / 4;
+    for (size_t lo = 0; lo < val_edges.size(); lo += edges_per_chunk) {
+      const size_t hi = std::min(val_edges.size(), lo + edges_per_chunk);
+      val_nodes.clear();
+      val_frontiers.resize(4 * (hi - lo));
+      for (size_t i = lo; i < hi; ++i) {
+        const EdgeTriple& e = val_edges[i];
+        for (NodeId v : {e.src, e.dst, val_negs[i], val_negs2[i]}) {
+          SampleNode(g, v, val_rng, &val_frontiers[val_nodes.size()]);
+          val_nodes.push_back(v);
+        }
       }
-      for (double n : {neg, neg2}) {
-        if (pos > n) {
-          wins += 1.0;
-        } else if (pos == n) {
-          wins += 0.5;
+      // Scoring-only graph, rewound before the next chunk.
+      ag::TapeScope tape;
+      ag::Var all = ForwardFrontiers(val_nodes, val_frontiers);
+      const size_t n = val_nodes.size();
+      for (size_t i = lo; i < hi; ++i) {
+        const EdgeTriple& e = val_edges[i];
+        const size_t at = e.rel * n + 4 * (i - lo);
+        const float* u_row = all->value.RowPtr(at);
+        const float* v_row = all->value.RowPtr(at + 1);
+        const float* x_row = all->value.RowPtr(at + 2);
+        const float* x2_row = all->value.RowPtr(at + 3);
+        double pos = 0.0, neg = 0.0, neg2 = 0.0;
+        for (size_t j = 0; j < options_.base_dim; ++j) {
+          pos += static_cast<double>(u_row[j]) * v_row[j];
+          neg += static_cast<double>(u_row[j]) * x_row[j];
+          neg2 += static_cast<double>(u_row[j]) * x2_row[j];
+        }
+        for (double ns : {neg, neg2}) {
+          if (pos > ns) {
+            wins += 1.0;
+          } else if (pos == ns) {
+            wins += 0.5;
+          }
         }
       }
     }
@@ -214,21 +311,8 @@ Status Gatne::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
   std::vector<Tensor> best_snapshot = snapshot();
   size_t bad_epochs = 0;
   const size_t edge_batch = std::max<size_t>(16, options_.batch_size / 2);
-
-  // Compiled execution plans (src/plan): each distinct node-frontier
-  // structure is traced once (the recording build runs eagerly), and every
-  // later node with the same segment layout replays the plan with zero
-  // graph construction. BuildRelationFrontier always emits exactly-fanout
-  // segments, so in practice one plan serves every node after the first.
-  // Replays are bitwise identical to eager, so the flag never changes
-  // results.
-  const bool use_plan = plan::Enabled(options.compile_plan);
-  plan::PlanCache plan_cache;
-  plan::PassOptions plan_pass_opts;
-  if (freeze_tables) {
-    plan_pass_opts.frozen.insert(base_->table().get());
-    plan_pass_opts.frozen.insert(context_->table().get());
-  }
+  static obs::Counter& nonfinite_counter =
+      obs::GlobalRegistry().GetCounter("core/nonfinite_loss");
 
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     rng.Shuffle(order);
@@ -236,7 +320,8 @@ Status Gatne::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
                            ? order.size()
                            : std::min(order.size(),
                                       options_.max_pairs_per_epoch);
-    for (size_t start = 0; start < use; start += edge_batch) {
+    size_t batch = 0;
+    for (size_t start = 0; start < use; start += edge_batch, ++batch) {
       const size_t end = std::min(use, start + edge_batch);
       // Tape before Vars; thread-local scratch reused across batches (see
       // HybridGnn::Fit for the pattern, including the sample/build split).
@@ -248,22 +333,25 @@ Status Gatne::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
         float label;
       };
       static thread_local std::vector<NodeId> node_ids;
-      static thread_local std::vector<MinibatchFrontier> sketches;
+      static thread_local std::vector<MinibatchFrontier> frontiers;
       static thread_local std::vector<BatchRow> brows;
       static thread_local std::vector<float> labels;
+      static thread_local std::vector<int32_t> lhs, rhs;
       node_ids.clear();
       brows.clear();
       labels.clear();
-      // Phase 1 — sample, consuming the RNG stream in exactly the order the
-      // fused sample+build loop consumed it. Frontier slots beyond the
-      // current batch's node count keep their buffers for reuse.
+      lhs.clear();
+      rhs.clear();
+      // Phase 1 — sample, drawing neighbors at each node's first reference
+      // and negatives in between, in the node-at-a-time loop's RNG order.
+      // Frontier slots beyond the batch's node count keep their buffers.
       auto node_ord = [&](NodeId v) -> int {
         for (size_t i = 0; i < node_ids.size(); ++i) {
           if (node_ids[i] == v) return static_cast<int>(i);
         }
         node_ids.push_back(v);
-        if (sketches.size() < node_ids.size()) sketches.emplace_back();
-        SampleNode(g, v, rng, &sketches[node_ids.size() - 1]);
+        if (frontiers.size() < node_ids.size()) frontiers.emplace_back();
+        SampleNode(g, v, rng, &frontiers[node_ids.size() - 1]);
         return static_cast<int>(node_ids.size()) - 1;
       };
       for (size_t i = start; i < end; ++i) {
@@ -277,75 +365,29 @@ Status Gatne::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
           brows.push_back(BatchRow{src_ord, node_ord(x), e.rel, 0.0f});
         }
       }
-      for (const BatchRow& row : brows) labels.push_back(row.label);
 
-      // Phase 2 — build the step graph. Node frontier graphs are built
-      // lazily at first use; with plans on, each distinct segment layout is
-      // traced once and replayed thereafter (per node: gather indices,
-      // indptr twice, base row id bound per replay). The cheap per-row loss
-      // assembly stays eager.
-      auto node_key = [](const MinibatchFrontier& f) {
-        uint64_t key = 0xcbf29ce484222325ull;
-        for (size_t p : f.indptr) plan::HashCombine(&key, p);
-        return key;
-      };
-      auto replay_node = [&](int ord, plan::CompiledStep& step) -> ag::Var {
-        static thread_local std::vector<int32_t> base_id;
-        const MinibatchFrontier& f = sketches[ord];
-        plan::StepInputs in;
-        in.i32.push_back(f.indices);  // GatherRowsSegmented indices
-        in.szs.push_back(f.indptr);   // ... and its indptr
-        in.szs.push_back(f.indptr);   // SegmentMean indptr
-        base_id.assign(1, static_cast<int32_t>(node_ids[ord]));
-        in.i32.push_back(base_id);  // base-table gather
-        return step.ReplayTrain(in);
-      };
-      auto build_loss = [&]() -> ag::Var {
-        static thread_local std::vector<ag::Var> built;
-        static thread_local std::vector<ag::Var> lhs, rhs;
-        built.assign(node_ids.size(), nullptr);
-        auto node_var = [&](int ord) -> const ag::Var& {
-          ag::Var& slot = built[ord];
-          if (slot == nullptr) {
-            if (!use_plan) {
-              slot = ForwardNodeFrontier(node_ids[ord], sketches[ord]);
-            } else {
-              plan::PlanCache::Entry& ent =
-                  plan_cache.Slot(node_key(sketches[ord]));
-              if (ent.step != nullptr) {
-                slot = replay_node(ord, *ent.step);
-              } else if (ent.poisoned) {
-                slot = ForwardNodeFrontier(node_ids[ord], sketches[ord]);
-              } else {
-                // First sighting of this segment layout: record the eager
-                // build, which then participates in the batch graph as-is.
-                plan::Recorder rec;
-                ag::Var v = ForwardNodeFrontier(node_ids[ord], sketches[ord]);
-                ent.step = rec.Finalize(v, plan_pass_opts);
-                ent.poisoned = (ent.step == nullptr);
-                slot = std::move(v);
-              }
-            }
-          }
-          return slot;
-        };
-        for (const BatchRow& row : brows) {
-          lhs.push_back(ag::SliceRows(node_var(row.lhs), row.rel, 1));
-          rhs.push_back(ag::SliceRows(node_var(row.rhs), row.rel, 1));
-        }
-        ag::Var logits =
-            ag::RowwiseDot(ag::ConcatRows(lhs), ag::ConcatRows(rhs));
-        ag::Var loss = ag::BceWithLogits(logits, labels);
-        built.clear();
-        lhs.clear();
-        rhs.clear();
-        return loss;
-      };
-
-      {
-        ag::Var loss = build_loss();
-        ag::Backward(loss);
+      // Phase 2 — one batched tower over the batch's distinct nodes; each
+      // loss row gathers its two endpoints' relation rows out of it.
+      const size_t n = node_ids.size();
+      for (const BatchRow& row : brows) {
+        labels.push_back(row.label);
+        lhs.push_back(static_cast<int32_t>(row.rel * n + row.lhs));
+        rhs.push_back(static_cast<int32_t>(row.rel * n + row.rhs));
       }
+      ag::Var all = ForwardFrontiers(
+          node_ids, std::span<const MinibatchFrontier>(frontiers.data(), n));
+      ag::Var loss = ag::BceWithLogits(
+          ag::RowwiseDot(ag::GatherRows(all, lhs), ag::GatherRows(all, rhs)),
+          labels);
+      const double batch_loss = loss->value.At(0, 0);
+      if (!std::isfinite(batch_loss)) {
+        nonfinite_counter.Add(1);
+        return Status::FailedPrecondition(
+            "GATNE: non-finite training loss " + std::to_string(batch_loss) +
+            " at epoch " + std::to_string(epoch) + " batch " +
+            std::to_string(batch));
+      }
+      ag::Backward(loss);
       optimizer.Step();
       optimizer.ZeroGrad();
     }
@@ -361,26 +403,43 @@ Status Gatne::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
   }
   if (options_.restore_best) restore(best_snapshot);
 
+  // Cache e_{v,r} for every node, one batched forward per chunk of nodes.
+  // Serial: one stream in node order. Parallel: a forked stream per node,
+  // so the cache is reproducible and invariant to the thread count.
   cache_ = Tensor(g.num_nodes() * num_relations_, options_.base_dim);
-  auto cache_node = [&](NodeId v, Rng& node_rng) {
-    ag::TapeScope tape;  // inference-only graph, rewound per node
-    ag::Var all = ForwardNode(g, v, node_rng);
-    for (RelationId r = 0; r < num_relations_; ++r) {
-      const float* src = all->value.RowPtr(r);
-      std::copy(src, src + options_.base_dim,
-                cache_.RowPtr(v * num_relations_ + r));
+  const Rng cache_master(options_.seed ^ 0xDEFACE);
+  Rng cache_rng(options_.seed ^ 0xDEFACE);
+  auto cache_chunk = [&](size_t c, bool forked) {
+    const size_t lo = c * kForwardChunk;
+    const size_t hi = std::min<size_t>(g.num_nodes(), lo + kForwardChunk);
+    static thread_local std::vector<NodeId> nodes;
+    static thread_local std::vector<MinibatchFrontier> chunk_frontiers;
+    nodes.clear();
+    chunk_frontiers.resize(hi - lo);
+    for (size_t v = lo; v < hi; ++v) {
+      Rng node_rng = forked ? cache_master.Fork(v) : Rng(0);
+      SampleNode(g, static_cast<NodeId>(v), forked ? node_rng : cache_rng,
+                 &chunk_frontiers[v - lo]);
+      nodes.push_back(static_cast<NodeId>(v));
+    }
+    ag::TapeScope tape;  // inference-only graph, rewound per chunk
+    ag::Var all = ForwardFrontiers(nodes, chunk_frontiers);
+    const size_t n = nodes.size();
+    for (size_t v = lo; v < hi; ++v) {
+      for (RelationId r = 0; r < num_relations_; ++r) {
+        const float* src = all->value.RowPtr(r * n + (v - lo));
+        std::copy(src, src + options_.base_dim,
+                  cache_.RowPtr(v * num_relations_ + r));
+      }
     }
   };
+  const size_t num_chunks =
+      (g.num_nodes() + kForwardChunk - 1) / kForwardChunk;
   if (threads > 1) {
-    // Per-node forked streams: reproducible and thread-count invariant.
-    const Rng cache_master(options_.seed ^ 0xDEFACE);
-    RunParallel(threads, g.num_nodes(), [&](size_t v) {
-      Rng node_rng = cache_master.Fork(v);
-      cache_node(static_cast<NodeId>(v), node_rng);
-    });
+    RunParallel(threads, num_chunks,
+                [&](size_t c) { cache_chunk(c, /*forked=*/true); });
   } else {
-    Rng cache_rng(options_.seed ^ 0xDEFACE);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) cache_node(v, cache_rng);
+    for (size_t c = 0; c < num_chunks; ++c) cache_chunk(c, false);
   }
   options.Report("cache", 1, 1);
   fitted_ = true;

@@ -2,6 +2,7 @@
 #define HYBRIDGNN_BASELINES_GATNE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,7 +60,9 @@ class Gatne : public EmbeddingModel {
   std::string name() const override { return "GATNE"; }
   /// options.num_threads parallelizes walk corpus, SGNS pretraining
   /// (Hogwild; serial under options.deterministic) and the frozen
-  /// embedding cache.
+  /// embedding cache. Fails with InvalidArgument when learning_rate is not
+  /// finite and positive, and with FailedPrecondition when a minibatch loss
+  /// is not finite.
   Status Fit(const MultiplexHeteroGraph& g,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;
@@ -68,20 +71,29 @@ class Gatne : public EmbeddingModel {
       const override;
 
  private:
-  /// Samples v's per-relation neighbor frontier (all the randomness
-  /// ForwardNode consumes) and remaps its indices into edge-table rows.
-  /// Split from graph construction so the compiled-plan path
-  /// (FitOptions{compile_plan}) can hash the sampled structure and replay a
-  /// recorded step instead of rebuilding the graph.
+  friend struct GatneTestPeer;  // differential tests of the two towers
+
+  /// Samples v's per-relation neighbor frontier (all the randomness the
+  /// tower consumes) and remaps its indices into edge-table rows. Sampling
+  /// is split from graph construction so a whole minibatch (or validation
+  /// chunk, or cache chunk) is sampled first, in the RNG order of the
+  /// node-at-a-time loop, and then built as one batched graph.
   void SampleNode(const MultiplexHeteroGraph& g, NodeId v, Rng& rng,
                   MinibatchFrontier* out) const;
 
-  /// Builds the e_{v,r} graph from a sampled frontier: [R, base_dim].
-  /// Consumes no randomness; ForwardNode == SampleNode + this.
-  ag::Var ForwardNodeFrontier(NodeId v, const MinibatchFrontier& f) const;
+  /// The batched tower: e_{v,r} for every node and relation as one
+  /// [R * n, base_dim] Var, row r * n + i holding nodes[i]'s relation r
+  /// (frontiers[i] is nodes[i]'s sampled frontier; a node may appear more
+  /// than once). One frontier gather + segment mean, one attention
+  /// projection, the relation attention as block products and one block
+  /// product for all M_r. Consumes no randomness; on the scalar kernel
+  /// backend every row equals ForwardNodeFrontier's bit for bit.
+  ag::Var ForwardFrontiers(std::span<const NodeId> nodes,
+                           std::span<const MinibatchFrontier> frontiers) const;
 
-  /// e_{v,r} rows for all relations at once: [R, base_dim].
-  ag::Var ForwardNode(const MultiplexHeteroGraph& g, NodeId v, Rng& rng) const;
+  /// The per-node tower: one frontier -> [R, base_dim]. Kept only as the
+  /// reference the batched tower is tested against; no Fit path uses it.
+  ag::Var ForwardNodeFrontier(NodeId v, const MinibatchFrontier& f) const;
 
   Options options_;
   std::vector<MetapathScheme> schemes_;

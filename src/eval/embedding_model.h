@@ -40,18 +40,6 @@ struct FitOptions {
   /// parallel.
   bool deterministic = false;
 
-  /// Compile each minibatch step's autograd graph into an execution plan
-  /// (src/plan) the first time its structure signature is seen, then replay
-  /// the optimized plan with zero graph construction on every later step
-  /// with the same signature. Replayed steps are bitwise identical to the
-  /// eager path (loss values and gradients), so this flag changes speed,
-  /// never results. Honored by GATNE's minibatch trainer; other models
-  /// ignore it (HybridGNN builds one batched graph per minibatch, which
-  /// leaves nothing per node to replay). The HYBRIDGNN_PLAN env var
-  /// overrides this in both directions ("on"/"1" force-enables, "off"/"0"
-  /// disables).
-  bool compile_plan = false;
-
   /// Invoked from the main training thread at stage boundaries / epoch
   /// ticks. Must be cheap; never invoked concurrently.
   std::function<void(const FitProgress&)> progress_callback;

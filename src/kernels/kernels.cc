@@ -53,7 +53,7 @@ const KernelOps& Active() {
         << "kernels: dispatching to '" << BackendName(s.backend)
         << "' backend (dot, axpy, scale, sgns_update_step, score_block, "
            "score_block_f16, score_block_i8, segment_sum, segment_mean, "
-           "segment_max, csr_spmm, ew_chain_fwd, ew_chain_bwd)";
+           "segment_max, csr_spmm)";
     g_backend.store(static_cast<int>(s.backend), std::memory_order_relaxed);
     g_ops.store(s.ops, std::memory_order_release);
     ops = s.ops;
@@ -146,16 +146,6 @@ void CsrSpmm(const size_t* indptr, const uint32_t* indices,
              const float* values, size_t rows, const float* x, size_t dim,
              float* y) {
   Active().csr_spmm(indptr, indices, values, rows, x, dim, y);
-}
-
-void EwChainForward(const EwStage* stages, size_t num_stages, const float* x,
-                    float* out, size_t n) {
-  Active().ew_chain_fwd(stages, num_stages, x, out, n);
-}
-
-void EwChainBackward(const EwStage* stages, size_t num_stages, const float* x,
-                     const float* g, float* dx, size_t n) {
-  Active().ew_chain_bwd(stages, num_stages, x, g, dx, n);
 }
 
 #if !defined(HYBRIDGNN_KERNELS_HAVE_AVX2)

@@ -151,47 +151,6 @@ void CsrSpmm(const size_t* indptr, const uint32_t* indices,
              const float* values, size_t rows, const float* x, size_t dim,
              float* y);
 
-/// ---- Fused elementwise chains (compiled-plan fusion targets) ----
-///
-/// The plan layer (src/plan) fuses single-consumer chains of elementwise
-/// autograd ops — Scale / Sigmoid / Tanh / Relu / LogSigmoid — into one
-/// kernel call described by a stage list. Per element, EwChainForward
-/// applies the stages in order using the exact per-element expressions of
-/// the unfused tensor_ops loops (one multiply for scale; libm for the
-/// transcendentals), so a fused chain is bit-identical to the op sequence
-/// it replaced on BOTH backends: the AVX2 path vectorizes scale (mulps) and
-/// relu (maxps with the operand order that reproduces the scalar NaN/±0
-/// behavior) and evaluates transcendental stages with per-lane scalar libm.
-/// EwChainBackward recomputes the per-stage intermediates from `x` and
-/// applies each stage's eager backward expression last-to-first:
-///   scale      d' = d * alpha
-///   sigmoid    d' = d * s * (1 - s)         (s = stage output)
-///   tanh       d' = d * (1 - t * t)         (t = stage output)
-///   relu       d' = v > 0 ? d : 0           (v = stage input)
-///   logsigmoid d' = d / (1 + exp(v))        (v = stage input)
-/// `out`/`dx` may alias `x`/`g`: every index-i read happens before the
-/// index-i write.
-enum class EwStageOp : uint8_t {
-  kScale = 0,
-  kSigmoid = 1,
-  kTanh = 2,
-  kRelu = 3,
-  kLogSigmoid = 4,
-};
-
-struct EwStage {
-  EwStageOp op;
-  float alpha;  // kScale only
-};
-
-/// Longest fusable chain; the fusion pass never emits more stages.
-inline constexpr size_t kMaxEwStages = 8;
-
-void EwChainForward(const EwStage* stages, size_t num_stages, const float* x,
-                    float* out, size_t n);
-void EwChainBackward(const EwStage* stages, size_t num_stages, const float* x,
-                     const float* g, float* dx, size_t n);
-
 }  // namespace hybridgnn::kernels
 
 #endif  // HYBRIDGNN_KERNELS_KERNELS_H_

@@ -303,149 +303,6 @@ void CsrSpmmAvx2(const size_t* indptr, const uint32_t* indices,
   }
 }
 
-// Fused elementwise chains. Scale vectorizes with mulps (one rounding per
-// element, the scalar expression exactly) and relu with maxps — the operand
-// order `max(v, 0)` returns the second source on NaN, matching the scalar
-// `v > 0 ? v : 0` (NaN -> 0), and max(-0, +0) = +0 matches too. The
-// transcendental stages (sigmoid/tanh/logsigmoid) and the whole backward go
-// through the same per-element scalar-libm code as kernels_scalar.cc, so
-// fused chains stay bit-identical across backends.
-inline float EwApplyStageScalar(const EwStage& s, float v) {
-  switch (s.op) {
-    case EwStageOp::kScale:
-      return v * s.alpha;
-    case EwStageOp::kSigmoid:
-      return 1.0f / (1.0f + std::exp(-v));
-    case EwStageOp::kTanh:
-      return std::tanh(v);
-    case EwStageOp::kRelu:
-      return v > 0.0f ? v : 0.0f;
-    case EwStageOp::kLogSigmoid:
-      return std::min(v, 0.0f) - std::log1p(std::exp(-std::abs(v)));
-  }
-  return v;
-}
-
-void EwChainForwardAvx2(const EwStage* stages, size_t num_stages,
-                        const float* x, float* out, size_t n) {
-  // All-vectorizable chains (scale/relu only) take the wide path; any
-  // transcendental stage drops the whole chain to per-element scalar so the
-  // intermediate values (and their roundings) match kernels_scalar.cc.
-  bool vectorizable = true;
-  for (size_t s = 0; s < num_stages; ++s) {
-    if (stages[s].op != EwStageOp::kScale &&
-        stages[s].op != EwStageOp::kRelu) {
-      vectorizable = false;
-      break;
-    }
-  }
-  if (vectorizable) {
-    const __m256 zero = _mm256_setzero_ps();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      __m256 v = _mm256_loadu_ps(x + i);
-      for (size_t s = 0; s < num_stages; ++s) {
-        if (stages[s].op == EwStageOp::kScale) {
-          v = _mm256_mul_ps(v, _mm256_set1_ps(stages[s].alpha));
-        } else {
-          // max(v, 0): second source returned on NaN, matching scalar.
-          v = _mm256_max_ps(v, zero);
-        }
-      }
-      _mm256_storeu_ps(out + i, v);
-    }
-    for (; i < n; ++i) {
-      float v = x[i];
-      for (size_t s = 0; s < num_stages; ++s) {
-        v = EwApplyStageScalar(stages[s], v);
-      }
-      out[i] = v;
-    }
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    float v = x[i];
-    for (size_t s = 0; s < num_stages; ++s) {
-      v = EwApplyStageScalar(stages[s], v);
-    }
-    out[i] = v;
-  }
-}
-
-void EwChainBackwardAvx2(const EwStage* stages, size_t num_stages,
-                         const float* x, const float* g, float* dx,
-                         size_t n) {
-  // Same gate as the forward: scale/relu-only chains vectorize exactly
-  // (mul and max round identically to their scalar forms, and the stage
-  // order is unchanged), so the wide recompute+chain is bit-identical to
-  // the scalar backend. Any transcendental stage drops to per-element
-  // scalar below.
-  bool vectorizable = true;
-  for (size_t s = 0; s < num_stages; ++s) {
-    if (stages[s].op != EwStageOp::kScale &&
-        stages[s].op != EwStageOp::kRelu) {
-      vectorizable = false;
-      break;
-    }
-  }
-  size_t i = 0;
-  if (vectorizable) {
-    const __m256 zero = _mm256_setzero_ps();
-    for (; i + 8 <= n; i += 8) {
-      __m256 v[kMaxEwStages + 1];
-      v[0] = _mm256_loadu_ps(x + i);
-      for (size_t s = 0; s < num_stages; ++s) {
-        v[s + 1] =
-            stages[s].op == EwStageOp::kScale
-                ? _mm256_mul_ps(v[s], _mm256_set1_ps(stages[s].alpha))
-                : _mm256_max_ps(v[s], zero);
-      }
-      __m256 d = _mm256_loadu_ps(g + i);
-      for (size_t s = num_stages; s-- > 0;) {
-        if (stages[s].op == EwStageOp::kScale) {
-          d = _mm256_mul_ps(d, _mm256_set1_ps(stages[s].alpha));
-        } else {
-          // d where v[s] > 0, else +0.0 — NaN inputs compare false,
-          // matching the scalar `v > 0 ? d : 0`.
-          d = _mm256_and_ps(d, _mm256_cmp_ps(v[s], zero, _CMP_GT_OQ));
-        }
-      }
-      _mm256_storeu_ps(dx + i, d);
-    }
-  }
-  // Per-element scalar: the full path for transcendental chains, the tail
-  // for vectorized ones. Recomputes intermediates and chains multiplies
-  // whose roundings must match the scalar backend.
-  for (; i < n; ++i) {
-    float v[kMaxEwStages + 1];
-    v[0] = x[i];
-    for (size_t s = 0; s < num_stages; ++s) {
-      v[s + 1] = EwApplyStageScalar(stages[s], v[s]);
-    }
-    float d = g[i];
-    for (size_t s = num_stages; s-- > 0;) {
-      switch (stages[s].op) {
-        case EwStageOp::kScale:
-          d = d * stages[s].alpha;
-          break;
-        case EwStageOp::kSigmoid:
-          d = d * v[s + 1] * (1.0f - v[s + 1]);
-          break;
-        case EwStageOp::kTanh:
-          d = d * (1.0f - v[s + 1] * v[s + 1]);
-          break;
-        case EwStageOp::kRelu:
-          d = v[s] > 0.0f ? d : 0.0f;
-          break;
-        case EwStageOp::kLogSigmoid:
-          d = d / (1.0f + std::exp(v[s]));
-          break;
-      }
-    }
-    dx[i] = d;
-  }
-}
-
 }  // namespace
 
 const KernelOps* Avx2Ops() {
@@ -461,7 +318,6 @@ const KernelOps* Avx2Ops() {
       DotAvx2, AxpyAvx2, ScaleAvx2, SgnsUpdateStepAvx2, ScoreBlockAvx2,
       ScoreBlockF16Avx2, ScoreBlockI8Avx2,
       SegmentSumAvx2, SegmentMeanAvx2, SegmentMaxAvx2, CsrSpmmAvx2,
-      EwChainForwardAvx2, EwChainBackwardAvx2,
   };
   return &ops;
 }

@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "kernels/kernels.h"  // EwStage
-
 // Internal dispatch table shared by kernels.cc and the per-backend
 // translation units. Not part of the public API; include kernels/kernels.h
 // instead.
@@ -28,9 +26,6 @@ struct KernelOps {
                       uint32_t*);
   void (*csr_spmm)(const size_t*, const uint32_t*, const float*, size_t,
                    const float*, size_t, float*);
-  void (*ew_chain_fwd)(const EwStage*, size_t, const float*, float*, size_t);
-  void (*ew_chain_bwd)(const EwStage*, size_t, const float*, const float*,
-                       float*, size_t);
 };
 
 /// The scalar reference implementation. Always present.

@@ -166,70 +166,6 @@ void CsrSpmmScalar(const size_t* indptr, const uint32_t* indices,
   }
 }
 
-// Fused elementwise chain (plan-layer fusion target). Each stage applies
-// the exact per-element expression of the unfused tensor_ops loop it
-// replaces, so fused == unfused bit for bit.
-inline float EwApplyStage(const EwStage& s, float v) {
-  switch (s.op) {
-    case EwStageOp::kScale:
-      return v * s.alpha;
-    case EwStageOp::kSigmoid:
-      return 1.0f / (1.0f + std::exp(-v));
-    case EwStageOp::kTanh:
-      return std::tanh(v);
-    case EwStageOp::kRelu:
-      return v > 0.0f ? v : 0.0f;
-    case EwStageOp::kLogSigmoid:
-      return std::min(v, 0.0f) - std::log1p(std::exp(-std::abs(v)));
-  }
-  return v;
-}
-
-void EwChainForwardScalar(const EwStage* stages, size_t num_stages,
-                          const float* x, float* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    float v = x[i];
-    for (size_t s = 0; s < num_stages; ++s) v = EwApplyStage(stages[s], v);
-    out[i] = v;
-  }
-}
-
-// Recomputes the stage intermediates from x, then walks the stages
-// last-to-first applying each op's eager backward expression (autograd.cc's
-// closure bodies, verbatim per element).
-void EwChainBackwardScalar(const EwStage* stages, size_t num_stages,
-                           const float* x, const float* g, float* dx,
-                           size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    float v[kMaxEwStages + 1];
-    v[0] = x[i];
-    for (size_t s = 0; s < num_stages; ++s) {
-      v[s + 1] = EwApplyStage(stages[s], v[s]);
-    }
-    float d = g[i];
-    for (size_t s = num_stages; s-- > 0;) {
-      switch (stages[s].op) {
-        case EwStageOp::kScale:
-          d = d * stages[s].alpha;
-          break;
-        case EwStageOp::kSigmoid:
-          d = d * v[s + 1] * (1.0f - v[s + 1]);
-          break;
-        case EwStageOp::kTanh:
-          d = d * (1.0f - v[s + 1] * v[s + 1]);
-          break;
-        case EwStageOp::kRelu:
-          d = v[s] > 0.0f ? d : 0.0f;
-          break;
-        case EwStageOp::kLogSigmoid:
-          d = d / (1.0f + std::exp(v[s]));
-          break;
-      }
-    }
-    dx[i] = d;
-  }
-}
-
 }  // namespace
 
 const KernelOps& ScalarOps() {
@@ -237,7 +173,7 @@ const KernelOps& ScalarOps() {
       DotScalar, AxpyScalar, ScaleScalar, SgnsUpdateStepScalar,
       ScoreBlockScalar, ScoreBlockF16Scalar, ScoreBlockI8Scalar,
       SegmentSumScalar, SegmentMeanScalar, SegmentMaxScalar,
-      CsrSpmmScalar, EwChainForwardScalar, EwChainBackwardScalar,
+      CsrSpmmScalar,
   };
   return ops;
 }

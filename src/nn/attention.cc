@@ -25,7 +25,7 @@ ag::Var SelfAttention::Forward(const ag::Var& h, size_t blocks) const {
   const float inv_sqrt_dk =
       1.0f / std::sqrt(static_cast<float>(key_dim_));
   // The projections are row-wise, so they run once over every block. One
-  // block uses the dense ops, which compiled plans (src/plan) can trace.
+  // block keeps the dense MatMul/Transpose ops of the single-set callers.
   ag::Var q = ag::MatMul(h, wq_);
   ag::Var k = ag::MatMul(h, wk_);
   ag::Var logits = blocks == 1 ? ag::MatMul(q, ag::Transpose(k))

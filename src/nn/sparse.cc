@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "kernels/kernels.h"
-#include "nn/sparse_grads.h"
 #include "tensor/tensor_ops.h"
 
 namespace hybridgnn {
@@ -64,178 +63,72 @@ const size_t* StableIndptr(const MinibatchFrontier& f, ag::Tape* tape) {
   return p;
 }
 
-}  // namespace
+// ---- Backward bodies of the segment ops -----------------------------------
 
-// Exported through nn/sparse_grads.h: the plan executor replays these when
-// it executes a compiled step's backward schedule.
-namespace sparse_detail {
-
-void SegmentSumGradInto(const Tensor& g, const size_t* indptr, size_t segs,
-                        Tensor* dx) {
-  const size_t dim = dx->cols();
+// dx <- broadcast of g rows over segments. Writes every row (the frontier
+// tiles the block), so dx may start uninitialized.
+void SegmentSumGrad(ag::Node& n, const size_t* indptr, size_t segs) {
+  ag::Node* x = n.parent(0);
+  if (!x->requires_grad) return;
+  Tensor dx = Tensor::Uninit(x->value.rows(), x->value.cols());
+  const size_t dim = dx.cols();
   for (size_t s = 0; s < segs; ++s) {
-    const float* gr = g.RowPtr(s);
+    const float* gr = n.grad.RowPtr(s);
     for (size_t i = indptr[s]; i < indptr[s + 1]; ++i) {
-      std::memcpy(dx->RowPtr(i), gr, dim * sizeof(float));
+      std::memcpy(dx.RowPtr(i), gr, dim * sizeof(float));
     }
   }
+  x->AccumulateGrad(dx);
 }
 
 // The exact expression MeanRows' backward used per element: d = g * (1/len).
-void SegmentMeanGradInto(const Tensor& g, const size_t* indptr, size_t segs,
-                         Tensor* dx) {
-  const size_t dim = dx->cols();
+void SegmentMeanGrad(ag::Node& n, const size_t* indptr, size_t segs) {
+  ag::Node* x = n.parent(0);
+  if (!x->requires_grad) return;
+  Tensor dx = Tensor::Uninit(x->value.rows(), x->value.cols());
+  const size_t dim = dx.cols();
   for (size_t s = 0; s < segs; ++s) {
     const size_t lo = indptr[s];
     const size_t hi = indptr[s + 1];
     if (lo == hi) continue;
     const float inv = 1.0f / static_cast<float>(hi - lo);
-    const float* gr = g.RowPtr(s);
+    const float* gr = n.grad.RowPtr(s);
     for (size_t i = lo; i < hi; ++i) {
-      float* d = dx->RowPtr(i);
+      float* d = dx.RowPtr(i);
       for (size_t j = 0; j < dim; ++j) d[j] = gr[j] * inv;
     }
   }
-}
-
-void SegmentMaxGradInto(const Tensor& g, const uint32_t* argmax, size_t segs,
-                        Tensor* dx) {
-  const size_t dim = dx->cols();
-  dx->Zero();  // only argmax rows receive grad
-  for (size_t s = 0; s < segs; ++s) {
-    const float* gr = g.RowPtr(s);
-    const uint32_t* a = argmax + s * dim;
-    for (size_t j = 0; j < dim; ++j) {
-      if (a[j] == kernels::kNoSegmentRow) continue;
-      dx->RowPtr(a[j])[j] += gr[j];
-    }
-  }
-}
-
-void SegmentSumGrad(ag::Node& n, const size_t* indptr, size_t segs) {
-  ag::Node* x = n.parent(0);
-  if (!x->requires_grad) return;
-  Tensor dx = Tensor::Uninit(x->value.rows(), x->value.cols());
-  SegmentSumGradInto(n.grad, indptr, segs, &dx);
   x->AccumulateGrad(dx);
 }
 
-void SegmentMeanGrad(ag::Node& n, const size_t* indptr, size_t segs) {
-  ag::Node* x = n.parent(0);
-  if (!x->requires_grad) return;
-  Tensor dx = Tensor::Uninit(x->value.rows(), x->value.cols());
-  SegmentMeanGradInto(n.grad, indptr, segs, &dx);
-  x->AccumulateGrad(dx);
-}
-
+// Routes each g element to its segment's argmax row; other rows get zero.
 void SegmentMaxGrad(ag::Node& n, const uint32_t* argmax, size_t segs) {
   ag::Node* x = n.parent(0);
   if (!x->requires_grad) return;
-  Tensor dx = Tensor::Uninit(x->value.rows(), x->value.cols());
-  SegmentMaxGradInto(n.grad, argmax, segs, &dx);
+  Tensor dx(x->value.rows(), x->value.cols());
+  const size_t dim = dx.cols();
+  for (size_t s = 0; s < segs; ++s) {
+    const float* gr = n.grad.RowPtr(s);
+    const uint32_t* a = argmax + s * dim;
+    for (size_t j = 0; j < dim; ++j) {
+      if (a[j] == kernels::kNoSegmentRow) continue;
+      dx.RowPtr(a[j])[j] += gr[j];
+    }
+  }
   x->AccumulateGrad(dx);
 }
-
-}  // namespace sparse_detail
-
-namespace {
-
-ag::Var SegmentReduceOp(const ag::Var& x, const MinibatchFrontier& f,
-                        void (*kernel)(const float*, size_t, const size_t*,
-                                       size_t, float*),
-                        void (*grad)(ag::Node&, const size_t*, size_t),
-                        ag::OpKind kind) {
-  CheckFrontierCoversBlock(f, x->value);
-  const size_t segs = f.num_segments();
-  const size_t dim = x->value.cols();
-  Tensor out = Tensor::Uninit(segs, dim);
-  if (segs > 0) {
-    kernel(x->value.rows() > 0 ? x->value.RowPtr(0) : nullptr, dim,
-           f.indptr.data(), segs, out.RowPtr(0));
-  }
-  ag::Var r;
-  if (ag::Tape* tape = ag::Tape::Current()) {
-    const size_t* indptr = StableIndptr(f, tape);
-    r = ag::MakeOp(std::move(out), {x}, [indptr, segs, grad](ag::Node& n) {
-      grad(n, indptr, segs);
-    });
-  } else {
-    r = ag::MakeOp(std::move(out), {x},
-                   [own = f.indptr, grad](ag::Node& n) {
-                     grad(n, own.data(), own.size() - 1);
-                   });
-  }
-  if (ag::detail::Tracing()) {
-    ag::OpAttrs attrs;
-    attrs.indptr = f.indptr;
-    const ag::Var parents[] = {x};
-    ag::detail::TraceOp(kind, r, parents, attrs);
-  }
-  return r;
-}
-
-}  // namespace
-
-ag::Var SegmentSum(const ag::Var& x, const MinibatchFrontier& f) {
-  return SegmentReduceOp(x, f, kernels::SegmentSum,
-                         sparse_detail::SegmentSumGrad,
-                         ag::OpKind::kSegmentSum);
-}
-
-ag::Var SegmentMean(const ag::Var& x, const MinibatchFrontier& f) {
-  return SegmentReduceOp(x, f, kernels::SegmentMean,
-                         sparse_detail::SegmentMeanGrad,
-                         ag::OpKind::kSegmentMean);
-}
-
-ag::Var SegmentMax(const ag::Var& x, const MinibatchFrontier& f) {
-  CheckFrontierCoversBlock(f, x->value);
-  const size_t segs = f.num_segments();
-  const size_t dim = x->value.cols();
-  Tensor out = Tensor::Uninit(segs, dim);
-  ag::Var r;
-  if (ag::Tape* tape = ag::Tape::Current()) {
-    uint32_t* argmax = tape->AllocateArray<uint32_t>(segs * dim);
-    if (segs > 0) {
-      kernels::SegmentMax(x->value.rows() > 0 ? x->value.RowPtr(0) : nullptr,
-                          dim, f.indptr.data(), segs, out.RowPtr(0), argmax);
-    }
-    r = ag::MakeOp(std::move(out), {x}, [argmax, segs](ag::Node& n) {
-      sparse_detail::SegmentMaxGrad(n, argmax, segs);
-    });
-  } else {
-    std::vector<uint32_t> argmax(segs * dim);
-    if (segs > 0) {
-      kernels::SegmentMax(x->value.rows() > 0 ? x->value.RowPtr(0) : nullptr,
-                          dim, f.indptr.data(), segs, out.RowPtr(0),
-                          argmax.data());
-    }
-    r = ag::MakeOp(std::move(out), {x},
-                   [own = std::move(argmax)](ag::Node& n) {
-                     sparse_detail::SegmentMaxGrad(n, own.data(),
-                                                   own.size() / n.value.cols());
-                   });
-  }
-  if (ag::detail::Tracing()) {
-    ag::OpAttrs attrs;
-    attrs.indptr = f.indptr;
-    const ag::Var parents[] = {x};
-    ag::detail::TraceOp(ag::OpKind::kSegmentMax, r, parents, attrs);
-  }
-  return r;
-}
-
-namespace sparse_detail {
 
 // Segment-grouped scatter into the table gradient. Per segment (in segment
 // order), duplicate rows' contributions are chained into `acc` first, then
 // added to the destination with one add per element — the same elementary
 // accumulation order as the per-level ScatterGatherGrad sequence the fused
 // gather replaced, without materializing one dense gradient per level.
-void SegmentedScatterGradInto(const Tensor& g, const int32_t* idx,
-                              const size_t* indptr, size_t segs,
-                              Tensor* dest) {
-  const size_t dim = dest->cols();
+void SegmentedScatterGrad(ag::Node& n, const int32_t* idx,
+                          const size_t* indptr, size_t segs) {
+  ag::Node* table = n.parent(0);
+  if (!table->requires_grad) return;
+  Tensor& dest = table->GradAccumulator();
+  const size_t dim = dest.cols();
   static thread_local std::vector<float> acc;
   acc.resize(dim);
   for (size_t s = 0; s < segs; ++s) {
@@ -251,28 +144,80 @@ void SegmentedScatterGradInto(const Tensor& g, const int32_t* idx,
         }
       }
       if (!first) continue;  // folded into the first occurrence's chain
-      const float* gr = g.RowPtr(i);
+      const float* gr = n.grad.RowPtr(i);
       std::memcpy(acc.data(), gr, dim * sizeof(float));
       for (size_t p = i + 1; p < hi; ++p) {
         if (idx[p] != row) continue;
-        const float* gp = g.RowPtr(p);
+        const float* gp = n.grad.RowPtr(p);
         for (size_t j = 0; j < dim; ++j) acc[j] += gp[j];
       }
-      float* d = dest->RowPtr(static_cast<size_t>(row));
+      float* d = dest.RowPtr(static_cast<size_t>(row));
       for (size_t j = 0; j < dim; ++j) d[j] += acc[j];
     }
   }
 }
 
-void SegmentedScatterGrad(ag::Node& n, const int32_t* idx,
-                          const size_t* indptr, size_t segs) {
-  ag::Node* table = n.parent(0);
-  if (!table->requires_grad) return;
-  SegmentedScatterGradInto(n.grad, idx, indptr, segs,
-                           &table->GradAccumulator());
+ag::Var SegmentReduceOp(const ag::Var& x, const MinibatchFrontier& f,
+                        void (*kernel)(const float*, size_t, const size_t*,
+                                       size_t, float*),
+                        void (*grad)(ag::Node&, const size_t*, size_t)) {
+  CheckFrontierCoversBlock(f, x->value);
+  const size_t segs = f.num_segments();
+  const size_t dim = x->value.cols();
+  Tensor out = Tensor::Uninit(segs, dim);
+  if (segs > 0) {
+    kernel(x->value.rows() > 0 ? x->value.RowPtr(0) : nullptr, dim,
+           f.indptr.data(), segs, out.RowPtr(0));
+  }
+  if (ag::Tape* tape = ag::Tape::Current()) {
+    const size_t* indptr = StableIndptr(f, tape);
+    return ag::MakeOp(std::move(out), {x},
+                      [indptr, segs, grad](ag::Node& n) {
+                        grad(n, indptr, segs);
+                      });
+  }
+  return ag::MakeOp(std::move(out), {x}, [own = f.indptr, grad](ag::Node& n) {
+    grad(n, own.data(), own.size() - 1);
+  });
 }
 
-}  // namespace sparse_detail
+}  // namespace
+
+ag::Var SegmentSum(const ag::Var& x, const MinibatchFrontier& f) {
+  return SegmentReduceOp(x, f, kernels::SegmentSum, SegmentSumGrad);
+}
+
+ag::Var SegmentMean(const ag::Var& x, const MinibatchFrontier& f) {
+  return SegmentReduceOp(x, f, kernels::SegmentMean, SegmentMeanGrad);
+}
+
+ag::Var SegmentMax(const ag::Var& x, const MinibatchFrontier& f) {
+  CheckFrontierCoversBlock(f, x->value);
+  const size_t segs = f.num_segments();
+  const size_t dim = x->value.cols();
+  Tensor out = Tensor::Uninit(segs, dim);
+  if (ag::Tape* tape = ag::Tape::Current()) {
+    uint32_t* argmax = tape->AllocateArray<uint32_t>(segs * dim);
+    if (segs > 0) {
+      kernels::SegmentMax(x->value.rows() > 0 ? x->value.RowPtr(0) : nullptr,
+                          dim, f.indptr.data(), segs, out.RowPtr(0), argmax);
+    }
+    return ag::MakeOp(std::move(out), {x}, [argmax, segs](ag::Node& n) {
+      SegmentMaxGrad(n, argmax, segs);
+    });
+  }
+  std::vector<uint32_t> argmax(segs * dim);
+  if (segs > 0) {
+    kernels::SegmentMax(x->value.rows() > 0 ? x->value.RowPtr(0) : nullptr,
+                        dim, f.indptr.data(), segs, out.RowPtr(0),
+                        argmax.data());
+  }
+  return ag::MakeOp(std::move(out), {x},
+                    [own = std::move(argmax)](ag::Node& n) {
+                      SegmentMaxGrad(n, own.data(),
+                                     own.size() / n.value.cols());
+                    });
+}
 
 ag::Var GatherRowsSegmented(const ag::Var& table, const MinibatchFrontier& f) {
   HYBRIDGNN_CHECK(f.indptr.back() == f.indices.size())
@@ -280,31 +225,20 @@ ag::Var GatherRowsSegmented(const ag::Var& table, const MinibatchFrontier& f) {
       << f.indices.size();
   Tensor out = hybridgnn::GatherRows(table->value, f.indices);
   const size_t segs = f.num_segments();
-  ag::Var r;
   if (ag::Tape* tape = ag::Tape::Current()) {
     const size_t* indptr = StableIndptr(f, tape);
     int32_t* idx = tape->AllocateArray<int32_t>(f.indices.size());
     std::memcpy(idx, f.indices.data(), f.indices.size() * sizeof(int32_t));
-    r = ag::MakeOp(std::move(out), {table},
-                   [idx, indptr, segs](ag::Node& n) {
-                     sparse_detail::SegmentedScatterGrad(n, idx, indptr, segs);
-                   });
-  } else {
-    r = ag::MakeOp(std::move(out), {table},
-                   [own_idx = f.indices, own_ptr = f.indptr](ag::Node& n) {
-                     sparse_detail::SegmentedScatterGrad(
-                         n, own_idx.data(), own_ptr.data(),
-                         own_ptr.size() - 1);
-                   });
+    return ag::MakeOp(std::move(out), {table},
+                      [idx, indptr, segs](ag::Node& n) {
+                        SegmentedScatterGrad(n, idx, indptr, segs);
+                      });
   }
-  if (ag::detail::Tracing()) {
-    ag::OpAttrs attrs;
-    attrs.indices = f.indices;
-    attrs.indptr = f.indptr;
-    const ag::Var parents[] = {table};
-    ag::detail::TraceOp(ag::OpKind::kGatherRowsSegmented, r, parents, attrs);
-  }
-  return r;
+  return ag::MakeOp(std::move(out), {table},
+                    [own_idx = f.indices, own_ptr = f.indptr](ag::Node& n) {
+                      SegmentedScatterGrad(n, own_idx.data(), own_ptr.data(),
+                                           own_ptr.size() - 1);
+                    });
 }
 
 ag::Var SpMM(const SparseMatrix& s, const ag::Var& x) {

@@ -216,6 +216,18 @@ void RecommendService::ProcessBatch(std::vector<Pending> batch) {
     store_version = pinned.version;
   }
 
+  // Records the batch's service time. Runs just before the batch's last
+  // promise is fulfilled, so a caller holding any response of this batch
+  // already sees it in metrics().
+  auto record_service = [&] {
+    const double service_ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+    metrics_.batch_service.Record(service_ms);
+    g_batch_service.Record(service_ms);
+  };
+  size_t unresolved = batch.size();
+
   // Resolves one request now (deadline misses and cache hits never reach
   // the scoring pool).
   auto resolve = [&](Pending& p, RecommendResponse resp) {
@@ -233,6 +245,7 @@ void RecommendService::ProcessBatch(std::vector<Pending> batch) {
     }
     metrics_.latency.Record(resp.latency_ms);
     g_latency.Record(resp.latency_ms);
+    if (--unresolved == 0) record_service();
     p.promise.set_value(std::move(resp));
   };
 
@@ -293,12 +306,6 @@ void RecommendService::ProcessBatch(std::vector<Pending> batch) {
       resolve(p, std::move(resp));
     }
   }
-
-  const double service_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-  metrics_.batch_service.Record(service_ms);
-  g_batch_service.Record(service_ms);
 }
 
 }  // namespace hybridgnn

@@ -27,7 +27,7 @@ struct TopKOptions {
   bool cosine = false;
   /// Sublinear candidate generation: build an HNSW index per relation at
   /// construction and answer queries by searching it, then re-ranking the
-  /// candidate pool through the exact ScoreBlock kernels (DESIGN.md §17).
+  /// candidate pool through the exact ScoreBlock kernels (DESIGN.md §16).
   /// The env var HYBRIDGNN_ANN=on|off overrides this at runtime. Scores and
   /// filters are always exact — ANN only shrinks the candidate set — and
   /// any query the index cannot serve confidently (unindexed relation,

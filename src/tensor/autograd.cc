@@ -31,67 +31,7 @@ Tape& ThreadLocalTape() {
   return tape;
 }
 
-/// Bridges the typed op wrappers below to TraceOp: builds the parent span
-/// only when a sink is installed (callers guard with detail::Tracing()).
-inline void TraceOpIl(OpKind kind, const Var& result,
-                      std::initializer_list<Var> parents,
-                      const OpAttrs& attrs = {}) {
-  detail::TraceOp(kind, result,
-                  std::span<const Var>(parents.begin(), parents.size()),
-                  attrs);
-}
-
 }  // namespace
-
-// ----- Trace sink plumbing -----
-
-namespace detail {
-thread_local TraceSink* t_trace_sink = nullptr;
-}  // namespace detail
-
-TraceSink* SetTraceSink(TraceSink* sink) {
-  TraceSink* prev = detail::t_trace_sink;
-  detail::t_trace_sink = sink;
-  return prev;
-}
-
-TraceSink* CurrentTraceSink() { return detail::t_trace_sink; }
-
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kConstant: return "Constant";
-    case OpKind::kParam: return "Param";
-    case OpKind::kMatMul: return "MatMul";
-    case OpKind::kAdd: return "Add";
-    case OpKind::kSub: return "Sub";
-    case OpKind::kMul: return "Mul";
-    case OpKind::kAddRowBroadcast: return "AddRowBroadcast";
-    case OpKind::kScale: return "Scale";
-    case OpKind::kTranspose: return "Transpose";
-    case OpKind::kSigmoid: return "Sigmoid";
-    case OpKind::kTanh: return "Tanh";
-    case OpKind::kRelu: return "Relu";
-    case OpKind::kLogSigmoid: return "LogSigmoid";
-    case OpKind::kSoftmaxRows: return "SoftmaxRows";
-    case OpKind::kRowwiseDot: return "RowwiseDot";
-    case OpKind::kMeanRows: return "MeanRows";
-    case OpKind::kSumRows: return "SumRows";
-    case OpKind::kMeanAll: return "MeanAll";
-    case OpKind::kSumAll: return "SumAll";
-    case OpKind::kConcatRows: return "ConcatRows";
-    case OpKind::kConcatCols: return "ConcatCols";
-    case OpKind::kSliceRows: return "SliceRows";
-    case OpKind::kGatherRows: return "GatherRows";
-    case OpKind::kBceWithLogits: return "BceWithLogits";
-    case OpKind::kSegmentSum: return "SegmentSum";
-    case OpKind::kSegmentMean: return "SegmentMean";
-    case OpKind::kSegmentMax: return "SegmentMax";
-    case OpKind::kGatherRowsSegmented: return "GatherRowsSegmented";
-    case OpKind::kEwChain: return "EwChain";
-    case OpKind::kOpaque: return "Opaque";
-  }
-  return "?";
-}
 
 // ----- Tape -----
 
@@ -182,13 +122,6 @@ TapeScope::TapeScope()
 }
 
 TapeScope::~TapeScope() {
-  // A plan recording holds raw Node* into this tape; rewinding underneath
-  // it would leave the recorder tracing freed memory. The recorder must
-  // Finalize (or abandon) before the scope that covers the trace exits.
-  HYBRIDGNN_CHECK(detail::t_trace_sink == nullptr ||
-                  detail::t_trace_sink->tape() != tape_)
-      << "TapeScope destroyed while a plan recording is active on its tape; "
-         "finalize or abandon the recording first";
   tape_->Rewind(mark_);
   g_current_tape = prev_current_;
   if (prev_current_ == nullptr) {
@@ -252,13 +185,10 @@ Var Constant(Tensor value) {
   if (Tape* tape = Tape::Current()) {
     Node* node = tape->Create<Node>(std::move(value), /*requires_grad=*/false);
     node->on_tape = true;
-    detail::TraceNodeCreated(node);
     out = tape->MakeVar(node);
   } else {
     out = std::make_shared<Node>(std::move(value), /*requires_grad=*/false);
-    detail::TraceNodeCreated(out.get());
   }
-  if (detail::Tracing()) TraceOpIl(OpKind::kConstant, out, {});
   return out;
 }
 
@@ -335,40 +265,34 @@ void Backward(const Var& root) {
 
 Var MatMul(const Var& a, const Var& b) {
   Tensor out = hybridgnn::MatMul(a->value, b->value);
-  Var r = MakeOp(std::move(out), {a, b}, [](Node& n) {
+  return MakeOp(std::move(out), {a, b}, [](Node& n) {
     Node* a = n.parent(0);
     Node* b = n.parent(1);
     if (a->requires_grad) a->AccumulateGrad(MatMulTransB(n.grad, b->value));
     if (b->requires_grad) b->AccumulateGrad(MatMulTransA(a->value, n.grad));
   });
-  if (detail::Tracing()) TraceOpIl(OpKind::kMatMul, r, {a, b});
-  return r;
 }
 
 Var Add(const Var& a, const Var& b) {
-  Var r = MakeOp(hybridgnn::Add(a->value, b->value), {a, b}, [](Node& n) {
+  return MakeOp(hybridgnn::Add(a->value, b->value), {a, b}, [](Node& n) {
     Node* a = n.parent(0);
     Node* b = n.parent(1);
     if (a->requires_grad) a->AccumulateGrad(n.grad);
     if (b->requires_grad) b->AccumulateGrad(n.grad);
   });
-  if (detail::Tracing()) TraceOpIl(OpKind::kAdd, r, {a, b});
-  return r;
 }
 
 Var Sub(const Var& a, const Var& b) {
-  Var r = MakeOp(hybridgnn::Sub(a->value, b->value), {a, b}, [](Node& n) {
+  return MakeOp(hybridgnn::Sub(a->value, b->value), {a, b}, [](Node& n) {
     Node* a = n.parent(0);
     Node* b = n.parent(1);
     if (a->requires_grad) a->AccumulateGrad(n.grad);
     if (b->requires_grad) b->AccumulateGrad(hybridgnn::Scale(n.grad, -1.0f));
   });
-  if (detail::Tracing()) TraceOpIl(OpKind::kSub, r, {a, b});
-  return r;
 }
 
 Var Mul(const Var& a, const Var& b) {
-  Var r = MakeOp(hybridgnn::Mul(a->value, b->value), {a, b}, [](Node& n) {
+  return MakeOp(hybridgnn::Mul(a->value, b->value), {a, b}, [](Node& n) {
     Node* a = n.parent(0);
     Node* b = n.parent(1);
     if (a->requires_grad) {
@@ -378,51 +302,39 @@ Var Mul(const Var& a, const Var& b) {
       b->AccumulateGrad(hybridgnn::Mul(n.grad, a->value));
     }
   });
-  if (detail::Tracing()) TraceOpIl(OpKind::kMul, r, {a, b});
-  return r;
 }
 
 Var AddRowBroadcast(const Var& a, const Var& bias) {
-  Var r = MakeOp(hybridgnn::AddRowBroadcast(a->value, bias->value), {a, bias},
-                 [](Node& n) {
-                   Node* a = n.parent(0);
-                   Node* bias = n.parent(1);
-                   if (a->requires_grad) a->AccumulateGrad(n.grad);
-                   if (bias->requires_grad) {
-                     bias->AccumulateGrad(hybridgnn::SumRows(n.grad));
-                   }
-                 });
-  if (detail::Tracing()) TraceOpIl(OpKind::kAddRowBroadcast, r, {a, bias});
-  return r;
+  return MakeOp(hybridgnn::AddRowBroadcast(a->value, bias->value), {a, bias},
+                [](Node& n) {
+                  Node* a = n.parent(0);
+                  Node* bias = n.parent(1);
+                  if (a->requires_grad) a->AccumulateGrad(n.grad);
+                  if (bias->requires_grad) {
+                    bias->AccumulateGrad(hybridgnn::SumRows(n.grad));
+                  }
+                });
 }
 
 Var Scale(const Var& a, float alpha) {
-  Var r = MakeOp(hybridgnn::Scale(a->value, alpha), {a}, [alpha](Node& n) {
+  return MakeOp(hybridgnn::Scale(a->value, alpha), {a}, [alpha](Node& n) {
     Node* a = n.parent(0);
     if (a->requires_grad) a->AccumulateGrad(hybridgnn::Scale(n.grad, alpha));
   });
-  if (detail::Tracing()) {
-    OpAttrs attrs;
-    attrs.alpha = alpha;
-    TraceOpIl(OpKind::kScale, r, {a}, attrs);
-  }
-  return r;
 }
 
 Var Neg(const Var& a) { return Scale(a, -1.0f); }
 
 Var Transpose(const Var& a) {
-  Var r = MakeOp(hybridgnn::Transpose(a->value), {a}, [](Node& n) {
+  return MakeOp(hybridgnn::Transpose(a->value), {a}, [](Node& n) {
     Node* a = n.parent(0);
     if (a->requires_grad) a->AccumulateGrad(hybridgnn::Transpose(n.grad));
   });
-  if (detail::Tracing()) TraceOpIl(OpKind::kTranspose, r, {a});
-  return r;
 }
 
 Var Sigmoid(const Var& a) {
   Tensor s = hybridgnn::Sigmoid(a->value);
-  Var r = MakeOp(std::move(s), {a}, [](Node& n) {
+  return MakeOp(std::move(s), {a}, [](Node& n) {
     Node* a = n.parent(0);
     if (!a->requires_grad) return;
     Tensor da = Tensor::Uninit(n.grad.rows(), n.grad.cols());
@@ -432,13 +344,11 @@ Var Sigmoid(const Var& a) {
     for (size_t i = 0; i < da.size(); ++i) d[i] = g[i] * sv[i] * (1.0f - sv[i]);
     a->AccumulateGrad(da);
   });
-  if (detail::Tracing()) TraceOpIl(OpKind::kSigmoid, r, {a});
-  return r;
 }
 
 Var Tanh(const Var& a) {
   Tensor t = hybridgnn::Tanh(a->value);
-  Var r = MakeOp(std::move(t), {a}, [](Node& n) {
+  return MakeOp(std::move(t), {a}, [](Node& n) {
     Node* a = n.parent(0);
     if (!a->requires_grad) return;
     Tensor da = Tensor::Uninit(n.grad.rows(), n.grad.cols());
@@ -448,12 +358,10 @@ Var Tanh(const Var& a) {
     for (size_t i = 0; i < da.size(); ++i) d[i] = g[i] * (1.0f - tv[i] * tv[i]);
     a->AccumulateGrad(da);
   });
-  if (detail::Tracing()) TraceOpIl(OpKind::kTanh, r, {a});
-  return r;
 }
 
 Var Relu(const Var& a) {
-  Var r = MakeOp(hybridgnn::Relu(a->value), {a}, [](Node& n) {
+  return MakeOp(hybridgnn::Relu(a->value), {a}, [](Node& n) {
     Node* a = n.parent(0);
     if (!a->requires_grad) return;
     Tensor da = Tensor::Uninit(n.grad.rows(), n.grad.cols());
@@ -463,13 +371,11 @@ Var Relu(const Var& a) {
     for (size_t i = 0; i < da.size(); ++i) d[i] = x[i] > 0.0f ? g[i] : 0.0f;
     a->AccumulateGrad(da);
   });
-  if (detail::Tracing()) TraceOpIl(OpKind::kRelu, r, {a});
-  return r;
 }
 
 Var LogSigmoid(const Var& a) {
   Tensor out = hybridgnn::LogSigmoid(a->value);
-  Var r = MakeOp(std::move(out), {a}, [](Node& n) {
+  return MakeOp(std::move(out), {a}, [](Node& n) {
     Node* a = n.parent(0);
     if (!a->requires_grad) return;
     Tensor da = Tensor::Uninit(n.grad.rows(), n.grad.cols());
@@ -482,13 +388,11 @@ Var LogSigmoid(const Var& a) {
     }
     a->AccumulateGrad(da);
   });
-  if (detail::Tracing()) TraceOpIl(OpKind::kLogSigmoid, r, {a});
-  return r;
 }
 
 Var SoftmaxRows(const Var& a) {
   Tensor s = hybridgnn::SoftmaxRows(a->value);
-  Var r = MakeOp(std::move(s), {a}, [](Node& n) {
+  return MakeOp(std::move(s), {a}, [](Node& n) {
     Node* a = n.parent(0);
     if (!a->requires_grad) return;
     // da_ij = s_ij * (g_ij - sum_k g_ik s_ik)
@@ -503,13 +407,11 @@ Var SoftmaxRows(const Var& a) {
     }
     a->AccumulateGrad(da);
   });
-  if (detail::Tracing()) TraceOpIl(OpKind::kSoftmaxRows, r, {a});
-  return r;
 }
 
 Var RowwiseDot(const Var& a, const Var& b) {
-  Var r = MakeOp(hybridgnn::RowwiseDot(a->value, b->value), {a, b},
-                 [](Node& n) {
+  return MakeOp(hybridgnn::RowwiseDot(a->value, b->value), {a, b},
+                [](Node& n) {
                   auto scatter = [&n](Node* dst, Node* other) {
                     Tensor d = Tensor::Uninit(dst->value.rows(),
                                               dst->value.cols());
@@ -525,13 +427,11 @@ Var RowwiseDot(const Var& a, const Var& b) {
                   Node* b = n.parent(1);
                   if (a->requires_grad) scatter(a, b);
                   if (b->requires_grad) scatter(b, a);
-                 });
-  if (detail::Tracing()) TraceOpIl(OpKind::kRowwiseDot, r, {a, b});
-  return r;
+                });
 }
 
 Var MeanRows(const Var& a) {
-  Var r = MakeOp(hybridgnn::MeanRows(a->value), {a}, [](Node& n) {
+  return MakeOp(hybridgnn::MeanRows(a->value), {a}, [](Node& n) {
     Node* a = n.parent(0);
     if (!a->requires_grad) return;
     const float inv = 1.0f / static_cast<float>(a->value.rows());
@@ -543,12 +443,10 @@ Var MeanRows(const Var& a) {
     }
     a->AccumulateGrad(da);
   });
-  if (detail::Tracing()) TraceOpIl(OpKind::kMeanRows, r, {a});
-  return r;
 }
 
 Var SumRows(const Var& a) {
-  Var r = MakeOp(hybridgnn::SumRows(a->value), {a}, [](Node& n) {
+  return MakeOp(hybridgnn::SumRows(a->value), {a}, [](Node& n) {
     Node* a = n.parent(0);
     if (!a->requires_grad) return;
     Tensor da = Tensor::Uninit(a->value.rows(), a->value.cols());
@@ -559,37 +457,31 @@ Var SumRows(const Var& a) {
     }
     a->AccumulateGrad(da);
   });
-  if (detail::Tracing()) TraceOpIl(OpKind::kSumRows, r, {a});
-  return r;
 }
 
 Var MeanAll(const Var& a) {
   const float inv = 1.0f / static_cast<float>(a->value.size());
   Tensor out(1, 1);
   out.At(0, 0) = static_cast<float>(a->value.Sum()) * inv;
-  Var r = MakeOp(std::move(out), {a}, [inv](Node& n) {
+  return MakeOp(std::move(out), {a}, [inv](Node& n) {
     Node* a = n.parent(0);
     if (!a->requires_grad) return;
     Tensor da = Tensor::Full(a->value.rows(), a->value.cols(),
                              n.grad.At(0, 0) * inv);
     a->AccumulateGrad(da);
   });
-  if (detail::Tracing()) TraceOpIl(OpKind::kMeanAll, r, {a});
-  return r;
 }
 
 Var SumAll(const Var& a) {
   Tensor out(1, 1);
   out.At(0, 0) = static_cast<float>(a->value.Sum());
-  Var r = MakeOp(std::move(out), {a}, [](Node& n) {
+  return MakeOp(std::move(out), {a}, [](Node& n) {
     Node* a = n.parent(0);
     if (!a->requires_grad) return;
     Tensor da = Tensor::Full(a->value.rows(), a->value.cols(),
                              n.grad.At(0, 0));
     a->AccumulateGrad(da);
   });
-  if (detail::Tracing()) TraceOpIl(OpKind::kSumAll, r, {a});
-  return r;
 }
 
 Var ConcatRows(std::span<const Var> parts) {
@@ -607,7 +499,7 @@ Var ConcatRows(std::span<const Var> parts) {
               out.RowPtr(at));
     at += p->value.rows();
   }
-  Var res = MakeOp(std::move(out), parts, [](Node& n) {
+  return MakeOp(std::move(out), parts, [](Node& n) {
     size_t at = 0;
     for (size_t i = 0; i < n.num_parents; ++i) {
       Node* p = n.parent(i);
@@ -621,8 +513,6 @@ Var ConcatRows(std::span<const Var> parts) {
       at += r;
     }
   });
-  if (detail::Tracing()) detail::TraceOp(OpKind::kConcatRows, res, parts);
-  return res;
 }
 
 Var ConcatCols(std::span<const Var> parts) {
@@ -642,7 +532,7 @@ Var ConcatCols(std::span<const Var> parts) {
       at += p->value.cols();
     }
   }
-  Var res = MakeOp(std::move(out), parts, [](Node& n) {
+  return MakeOp(std::move(out), parts, [](Node& n) {
     size_t at = 0;
     for (size_t i = 0; i < n.num_parents; ++i) {
       Node* p = n.parent(i);
@@ -658,8 +548,6 @@ Var ConcatCols(std::span<const Var> parts) {
       at += c;
     }
   });
-  if (detail::Tracing()) detail::TraceOp(OpKind::kConcatCols, res, parts);
-  return res;
 }
 
 Var ConcatRows(const std::vector<Var>& parts) {
@@ -684,7 +572,7 @@ Var SliceRows(const Var& a, size_t start, size_t count) {
   Tensor out = Tensor::Uninit(count, a->value.cols());
   std::copy(a->value.RowPtr(start), a->value.RowPtr(start) + out.size(),
             out.data());
-  Var r = MakeOp(std::move(out), {a}, [start](Node& n) {
+  return MakeOp(std::move(out), {a}, [start](Node& n) {
     Node* a = n.parent(0);
     if (!a->requires_grad) return;
     // Zero-initialized: only the sliced rows carry gradient.
@@ -693,12 +581,6 @@ Var SliceRows(const Var& a, size_t start, size_t count) {
               da.RowPtr(start));
     a->AccumulateGrad(da);
   });
-  if (detail::Tracing()) {
-    OpAttrs attrs;
-    attrs.start = start;
-    TraceOpIl(OpKind::kSliceRows, r, {a}, attrs);
-  }
-  return r;
 }
 
 namespace {
@@ -849,11 +731,6 @@ Var GatherRows(const Var& table, std::span<const int32_t> indices) {
                  ScatterGatherGrad(n, own.data(), own.size());
                });
   }
-  if (detail::Tracing()) {
-    OpAttrs attrs;
-    attrs.indices = indices;
-    TraceOpIl(OpKind::kGatherRows, r, {table}, attrs);
-  }
   return r;
 }
 
@@ -898,11 +775,6 @@ Var BceWithLogits(const Var& logits, const std::vector<float>& targets) {
                [backward, own = targets](Node& n) {
                  backward(n, own.data(), own.size());
                });
-  }
-  if (detail::Tracing()) {
-    OpAttrs attrs;
-    attrs.floats = targets;
-    TraceOpIl(OpKind::kBceWithLogits, r, {logits}, attrs);
   }
   return r;
 }

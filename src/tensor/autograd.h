@@ -41,96 +41,6 @@ namespace hybridgnn::ag {
 class Node;
 using Var = std::shared_ptr<Node>;
 
-/// Op identity exposed to plan tracing (src/plan). Every typed op wrapper in
-/// autograd.cc (and the segment ops in nn/sparse.cc) annotates the node it
-/// creates with one of these kinds; a node created through raw MakeOp with no
-/// annotation surfaces as kOpaque and poisons any active trace, forcing the
-/// caller back to eager execution for that graph.
-enum class OpKind : uint8_t {
-  kConstant,
-  kParam,
-  kMatMul,
-  kAdd,
-  kSub,
-  kMul,
-  kAddRowBroadcast,
-  kScale,
-  kTranspose,
-  kSigmoid,
-  kTanh,
-  kRelu,
-  kLogSigmoid,
-  kSoftmaxRows,
-  kRowwiseDot,
-  kMeanRows,
-  kSumRows,
-  kMeanAll,
-  kSumAll,
-  kConcatRows,
-  kConcatCols,
-  kSliceRows,
-  kGatherRows,
-  kBceWithLogits,
-  kSegmentSum,
-  kSegmentMean,
-  kSegmentMax,
-  kGatherRowsSegmented,
-  kEwChain,  // plan-internal fused elementwise chain; never recorded
-  kOpaque,
-};
-
-const char* OpKindName(OpKind kind);
-
-/// Scalar / array attributes attached to an op annotation. Spans reference
-/// the op's own stabilized storage (tape arrays or node-owned vectors) and
-/// are only valid for the duration of the OnOp call; sinks that need them
-/// later must copy.
-struct OpAttrs {
-  float alpha = 0.0f;               // Scale
-  size_t start = 0;                 // SliceRows
-  std::span<const int32_t> indices;   // GatherRows / GatherRowsSegmented
-  std::span<const size_t> indptr;     // segment ops
-  std::span<const float> floats;      // BceWithLogits targets
-};
-
-/// Observer for op construction on the current thread, installed by the plan
-/// recorder. OnNodeCreated fires for every node MakeOp/Constant builds (so a
-/// sink can detect un-annotated raw MakeOp calls); OnOp fires from the typed
-/// wrapper right after, identifying the op. See src/plan/recorder.h.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void OnNodeCreated(Node* node) = 0;
-  virtual void OnOp(OpKind kind, const Var& result,
-                    std::span<const Var> parents, const OpAttrs& attrs) = 0;
-  /// The tape this sink is recording, if any. TapeScope's destructor refuses
-  /// to rewind a tape that is still being recorded.
-  virtual const class Tape* tape() const { return nullptr; }
-};
-
-namespace detail {
-/// The thread's installed trace sink (nullptr almost always). Exposed as a
-/// thread_local so the per-op tracing hooks below compile to a single TLS
-/// load + branch when tracing is off.
-extern thread_local TraceSink* t_trace_sink;
-
-inline bool Tracing() { return t_trace_sink != nullptr; }
-
-inline void TraceNodeCreated(Node* node) {
-  if (t_trace_sink != nullptr) t_trace_sink->OnNodeCreated(node);
-}
-
-inline void TraceOp(OpKind kind, const Var& result,
-                    std::span<const Var> parents, const OpAttrs& attrs = {}) {
-  t_trace_sink->OnOp(kind, result, parents, attrs);
-}
-}  // namespace detail
-
-/// Installs `sink` as the thread's trace sink and returns the previous one
-/// (restore it when done). Passing nullptr disables tracing.
-TraceSink* SetTraceSink(TraceSink* sink);
-TraceSink* CurrentTraceSink();
-
 /// Type-erased backward closure: a plain function pointer plus a context
 /// object that lives either on the tape arena or on the heap (owned by the
 /// node). Replaces std::function to keep op construction allocation-free in
@@ -240,13 +150,6 @@ class Tape {
 
   size_t bytes_used() const;
   size_t bytes_reserved() const { return bytes_reserved_; }
-
-  /// Number of live Vars aliasing this tape's anchor (excludes the tape's
-  /// own reference). The plan recorder uses this to prove no traced Var
-  /// escaped past finalization.
-  size_t live_handles() const {
-    return static_cast<size_t>(anchor_.use_count()) - 1;
-  }
 
   /// Process-wide bytes currently reserved by all tape arenas. A flat curve
   /// across steps means every thread's arena has reached steady state.
@@ -368,7 +271,6 @@ Var MakeOp(Tensor value, std::span<const Var> parents, F&& backward) {
       };
       node->ctx_destroy_ = [](void* c) { delete static_cast<Fn*>(c); };
     }
-    detail::TraceNodeCreated(node.get());
     return node;
   }
   Node* node = tape->Create<Node>(std::move(value), req);
@@ -387,7 +289,6 @@ Var MakeOp(Tensor value, std::span<const Var> parents, F&& backward) {
       (*static_cast<Fn*>(c))(n);
     };
   }
-  detail::TraceNodeCreated(node);
   return tape->MakeVar(node);
 }
 

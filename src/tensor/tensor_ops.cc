@@ -36,15 +36,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void MatMulInto(const Tensor& a, const Tensor& b, Tensor* dst) {
-  HYBRIDGNN_CHECK(a.cols() == b.rows())
-      << "MatMul " << a.ShapeString() << " x " << b.ShapeString();
-  HYBRIDGNN_CHECK(dst->rows() == a.rows() && dst->cols() == b.cols())
-      << "MatMulInto dst " << dst->ShapeString();
-  dst->Zero();
-  MatMulAccum(a, b, *dst);
-}
-
 Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   HYBRIDGNN_CHECK(a.rows() == b.rows())
       << "MatMulTransA " << a.ShapeString() << " x " << b.ShapeString();
@@ -79,21 +70,6 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
 
 namespace {
 
-// The Into flavors tolerate dst aliasing an input: every loop reads its
-// operands at index i strictly before writing dst at i.
-template <typename F>
-void ZipInto(const Tensor& a, const Tensor& b, Tensor* dst, F f,
-             const char* what) {
-  HYBRIDGNN_CHECK(a.SameShape(b)) << what << " shape mismatch: "
-                                  << a.ShapeString() << " vs "
-                                  << b.ShapeString();
-  HYBRIDGNN_CHECK(dst->SameShape(a)) << what << "Into dst shape";
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = dst->data();
-  for (size_t i = 0; i < a.size(); ++i) pc[i] = f(pa[i], pb[i]);
-}
-
 template <typename F>
 Tensor Zip(const Tensor& a, const Tensor& b, F f, const char* what) {
   HYBRIDGNN_CHECK(a.SameShape(b)) << what << " shape mismatch: "
@@ -105,14 +81,6 @@ Tensor Zip(const Tensor& a, const Tensor& b, F f, const char* what) {
   float* pc = c.data();
   for (size_t i = 0; i < a.size(); ++i) pc[i] = f(pa[i], pb[i]);
   return c;
-}
-
-template <typename F>
-void MapInto(const Tensor& a, Tensor* dst, F f) {
-  HYBRIDGNN_CHECK(dst->SameShape(a)) << "MapInto dst shape";
-  const float* pa = a.data();
-  float* pc = dst->data();
-  for (size_t i = 0; i < a.size(); ++i) pc[i] = f(pa[i]);
 }
 
 template <typename F>
@@ -138,18 +106,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   return Zip(a, b, [](float x, float y) { return x * y; }, "Mul");
 }
 
-void AddInto(const Tensor& a, const Tensor& b, Tensor* dst) {
-  ZipInto(a, b, dst, [](float x, float y) { return x + y; }, "Add");
-}
-
-void SubInto(const Tensor& a, const Tensor& b, Tensor* dst) {
-  ZipInto(a, b, dst, [](float x, float y) { return x - y; }, "Sub");
-}
-
-void MulInto(const Tensor& a, const Tensor& b, Tensor* dst) {
-  ZipInto(a, b, dst, [](float x, float y) { return x * y; }, "Mul");
-}
-
 Tensor AddRowBroadcast(const Tensor& a, const Tensor& bias) {
   HYBRIDGNN_CHECK(bias.rows() == 1 && bias.cols() == a.cols())
       << "AddRowBroadcast bias " << bias.ShapeString() << " vs "
@@ -161,45 +117,18 @@ Tensor AddRowBroadcast(const Tensor& a, const Tensor& bias) {
   return c;
 }
 
-void AddRowBroadcastInto(const Tensor& a, const Tensor& bias, Tensor* dst) {
-  HYBRIDGNN_CHECK(bias.rows() == 1 && bias.cols() == a.cols())
-      << "AddRowBroadcast bias " << bias.ShapeString() << " vs "
-      << a.ShapeString();
-  HYBRIDGNN_CHECK(dst->SameShape(a)) << "AddRowBroadcastInto dst shape";
-  if (dst->data() != a.data()) {
-    std::copy(a.data(), a.data() + a.size(), dst->data());
-  }
-  for (size_t i = 0; i < a.rows(); ++i) {
-    kernels::Axpy(1.0f, bias.RowPtr(0), dst->RowPtr(i), a.cols());
-  }
-}
-
 Tensor Scale(const Tensor& a, float alpha) {
   Tensor c = a;
   kernels::Scale(alpha, c.data(), c.size());
   return c;
 }
 
-void ScaleInto(const Tensor& a, float alpha, Tensor* dst) {
-  HYBRIDGNN_CHECK(dst->SameShape(a)) << "ScaleInto dst shape";
-  if (dst->data() != a.data()) {
-    std::copy(a.data(), a.data() + a.size(), dst->data());
-  }
-  kernels::Scale(alpha, dst->data(), dst->size());
-}
-
 Tensor Transpose(const Tensor& a) {
   Tensor c = Tensor::Uninit(a.cols(), a.rows());
-  TransposeInto(a, &c);
-  return c;
-}
-
-void TransposeInto(const Tensor& a, Tensor* dst) {
-  HYBRIDGNN_CHECK(dst->rows() == a.cols() && dst->cols() == a.rows())
-      << "TransposeInto dst " << dst->ShapeString();
   for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < a.cols(); ++j) dst->At(j, i) = a.At(i, j);
+    for (size_t j = 0; j < a.cols(); ++j) c.At(j, i) = a.At(i, j);
   }
+  return c;
 }
 
 Tensor Sigmoid(const Tensor& a) {
@@ -214,26 +143,8 @@ Tensor Relu(const Tensor& a) {
   return Map(a, [](float x) { return x > 0.0f ? x : 0.0f; });
 }
 
-void SigmoidInto(const Tensor& a, Tensor* dst) {
-  MapInto(a, dst, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
-
-void TanhInto(const Tensor& a, Tensor* dst) {
-  MapInto(a, dst, [](float x) { return std::tanh(x); });
-}
-
-void ReluInto(const Tensor& a, Tensor* dst) {
-  MapInto(a, dst, [](float x) { return x > 0.0f ? x : 0.0f; });
-}
-
 Tensor LogSigmoid(const Tensor& a) {
   return Map(a, [](float x) {
-    return std::min(x, 0.0f) - std::log1p(std::exp(-std::abs(x)));
-  });
-}
-
-void LogSigmoidInto(const Tensor& a, Tensor* dst) {
-  MapInto(a, dst, [](float x) {
     return std::min(x, 0.0f) - std::log1p(std::exp(-std::abs(x)));
   });
 }
@@ -248,15 +159,9 @@ Tensor Exp(const Tensor& a) {
 
 Tensor SoftmaxRows(const Tensor& a) {
   Tensor c = Tensor::Uninit(a.rows(), a.cols());
-  SoftmaxRowsInto(a, &c);
-  return c;
-}
-
-void SoftmaxRowsInto(const Tensor& a, Tensor* dst) {
-  HYBRIDGNN_CHECK(dst->SameShape(a)) << "SoftmaxRowsInto dst shape";
   for (size_t i = 0; i < a.rows(); ++i) {
     const float* arow = a.RowPtr(i);
-    float* crow = dst->RowPtr(i);
+    float* crow = c.RowPtr(i);
     float mx = arow[0];
     for (size_t j = 1; j < a.cols(); ++j) mx = std::max(mx, arow[j]);
     float sum = 0.0f;
@@ -267,22 +172,16 @@ void SoftmaxRowsInto(const Tensor& a, Tensor* dst) {
     const float inv = 1.0f / sum;
     for (size_t j = 0; j < a.cols(); ++j) crow[j] *= inv;
   }
+  return c;
 }
 
 Tensor RowwiseDot(const Tensor& a, const Tensor& b) {
   HYBRIDGNN_CHECK(a.SameShape(b)) << "RowwiseDot shape mismatch";
   Tensor c = Tensor::Uninit(a.rows(), 1);
-  RowwiseDotInto(a, b, &c);
-  return c;
-}
-
-void RowwiseDotInto(const Tensor& a, const Tensor& b, Tensor* dst) {
-  HYBRIDGNN_CHECK(a.SameShape(b)) << "RowwiseDot shape mismatch";
-  HYBRIDGNN_CHECK(dst->rows() == a.rows() && dst->cols() == 1)
-      << "RowwiseDotInto dst " << dst->ShapeString();
   for (size_t i = 0; i < a.rows(); ++i) {
-    dst->At(i, 0) = kernels::Dot(a.RowPtr(i), b.RowPtr(i), a.cols());
+    c.At(i, 0) = kernels::Dot(a.RowPtr(i), b.RowPtr(i), a.cols());
   }
+  return c;
 }
 
 Tensor MeanRows(const Tensor& a) {
@@ -290,12 +189,6 @@ Tensor MeanRows(const Tensor& a) {
   Tensor c = SumRows(a);
   c.ScaleInPlace(1.0f / static_cast<float>(a.rows()));
   return c;
-}
-
-void MeanRowsInto(const Tensor& a, Tensor* dst) {
-  HYBRIDGNN_CHECK(a.rows() > 0) << "MeanRows of empty tensor";
-  SumRowsInto(a, dst);
-  dst->ScaleInPlace(1.0f / static_cast<float>(a.rows()));
 }
 
 Tensor SumRows(const Tensor& a) {
@@ -310,35 +203,16 @@ Tensor SumRows(const Tensor& a) {
   return c;
 }
 
-void SumRowsInto(const Tensor& a, Tensor* dst) {
-  HYBRIDGNN_CHECK(dst->rows() == 1 && dst->cols() == a.cols())
-      << "SumRowsInto dst " << dst->ShapeString();
-  dst->Zero();
-  float* crow = dst->RowPtr(0);
-  for (size_t i = 0; i < a.rows(); ++i) {
-    kernels::Axpy(1.0f, a.RowPtr(i), crow, a.cols());
-  }
-}
-
 Tensor GatherRows(const Tensor& table, std::span<const int32_t> indices) {
   Tensor c = Tensor::Uninit(indices.size(), table.cols());
-  GatherRowsInto(table, indices, &c);
-  return c;
-}
-
-void GatherRowsInto(const Tensor& table, std::span<const int32_t> indices,
-                    Tensor* dst) {
-  HYBRIDGNN_CHECK(dst->rows() == indices.size() &&
-                  dst->cols() == table.cols())
-      << "GatherRowsInto dst " << dst->ShapeString();
   for (size_t i = 0; i < indices.size(); ++i) {
     const int32_t r = indices[i];
     HYBRIDGNN_CHECK(r >= 0 && static_cast<size_t>(r) < table.rows())
         << "GatherRows index " << r << " out of range " << table.rows();
     const float* src = table.RowPtr(static_cast<size_t>(r));
-    float* d = dst->RowPtr(i);
-    std::copy(src, src + table.cols(), d);
+    std::copy(src, src + table.cols(), c.RowPtr(i));
   }
+  return c;
 }
 
 Tensor GatherRows(const Tensor& table, const std::vector<int32_t>& indices) {

@@ -73,35 +73,6 @@ Tensor ConcatCols(const std::vector<Tensor>& parts);
 /// Numerically stable elementwise log(sigmoid(x)): min(x,0) - log1p(e^-|x|).
 Tensor LogSigmoid(const Tensor& a);
 
-/// ---- Destination-passing variants ----
-///
-/// Each `XInto(args..., dst)` computes exactly what `X(args...)` returns —
-/// same loops, same summation order, bit-identical floats — but writes into
-/// a caller-owned, already-shaped `dst` instead of allocating. They are what
-/// the plan executor (src/plan) replays into its pre-planned step buffers so
-/// a compiled step performs zero allocations. The elementwise ones
-/// (Add/Sub/Mul/Scale/AddRowBroadcast/activations) tolerate `dst` aliasing
-/// an input of the same shape — the executor's inplacing pass relies on
-/// that; the shape-changing ones (MatMul/Transpose/reductions/gather) do
-/// not, and dst must be distinct storage.
-void MatMulInto(const Tensor& a, const Tensor& b, Tensor* dst);
-void AddInto(const Tensor& a, const Tensor& b, Tensor* dst);
-void SubInto(const Tensor& a, const Tensor& b, Tensor* dst);
-void MulInto(const Tensor& a, const Tensor& b, Tensor* dst);
-void AddRowBroadcastInto(const Tensor& a, const Tensor& bias, Tensor* dst);
-void ScaleInto(const Tensor& a, float alpha, Tensor* dst);
-void TransposeInto(const Tensor& a, Tensor* dst);
-void SigmoidInto(const Tensor& a, Tensor* dst);
-void TanhInto(const Tensor& a, Tensor* dst);
-void ReluInto(const Tensor& a, Tensor* dst);
-void LogSigmoidInto(const Tensor& a, Tensor* dst);
-void SoftmaxRowsInto(const Tensor& a, Tensor* dst);
-void RowwiseDotInto(const Tensor& a, const Tensor& b, Tensor* dst);
-void MeanRowsInto(const Tensor& a, Tensor* dst);
-void SumRowsInto(const Tensor& a, Tensor* dst);
-void GatherRowsInto(const Tensor& table, std::span<const int32_t> indices,
-                    Tensor* dst);
-
 /// L2-normalizes each row in place (rows with tiny norm are left unchanged).
 void L2NormalizeRowsInPlace(Tensor& a);
 

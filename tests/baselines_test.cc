@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "baselines/gatne.h"
 #include "baselines/registry.h"
@@ -8,6 +10,7 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
+#include "obs/metrics.h"
 
 namespace hybridgnn {
 namespace {
@@ -140,6 +143,48 @@ TEST_F(BaselinesTest, GatneEmbeddingsAreRelationSpecific) {
     }
   }
   EXPECT_GT(max_diff, 1e-6);
+}
+
+Gatne::Options SmallGatneOptions() {
+  Gatne::Options o;
+  o.epochs = 2;
+  o.corpus.num_walks_per_node = 2;
+  o.corpus.walk_length = 5;
+  o.corpus.window = 2;
+  o.max_pairs_per_epoch = 2000;
+  o.seed = 5;
+  return o;
+}
+
+TEST_F(BaselinesTest, GatneRejectsBadLearningRate) {
+  for (float lr : {0.0f, -1e-2f, std::nanf(""),
+                   std::numeric_limits<float>::infinity()}) {
+    Gatne::Options o = SmallGatneOptions();
+    o.learning_rate = lr;
+    Gatne model(o, dataset_->schemes);
+    EXPECT_EQ(model.Fit(split_->train_graph).code(),
+              StatusCode::kInvalidArgument)
+        << "lr " << lr;
+  }
+}
+
+// A diverging run must stop with a clean error, not hand back a garbage
+// model: at learning rate 1e30 the first Adam step blows the parameters up
+// and the next minibatch's loss is no longer finite.
+TEST_F(BaselinesTest, GatneNonFiniteLossFailsFitCleanly) {
+  Gatne::Options o = SmallGatneOptions();
+  o.learning_rate = 1e30f;
+  obs::Counter& nonfinite =
+      obs::GlobalRegistry().GetCounter("core/nonfinite_loss");
+  const uint64_t before = nonfinite.value();
+  Gatne model(o, dataset_->schemes);
+  const Status s = model.Fit(split_->train_graph);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("non-finite training loss"), std::string::npos)
+      << s.ToString();
+  EXPECT_NE(s.message().find("epoch "), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find("batch "), std::string::npos) << s.ToString();
+  EXPECT_EQ(nonfinite.value(), before + 1);
 }
 
 TEST_F(BaselinesTest, DeepWalkIsRelationBlind) {

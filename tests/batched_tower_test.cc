@@ -1,23 +1,26 @@
-// Differential tests of HybridGNN's batched tower (HybridGnn::ForwardSketches,
-// the only tower any Fit path builds) against the per-node reference tower
-// (ForwardNodeSketch), on the same sampled sketches:
+// Differential tests of the batched towers (HybridGnn::ForwardSketches and
+// Gatne::ForwardFrontiers, the only towers any Fit path builds) against the
+// per-node reference towers (ForwardNodeSketch, ForwardNodeFrontier), on the
+// same sampled sketches / frontiers:
 //   * forward rows and the minibatch loss are bit-identical on the scalar
 //     kernel backend: both towers run the same arithmetic on the same rows,
 //     only grouped differently. On AVX2 the batched attention logits are
-//     vector dot products where the per-node tower's dense MatMul chains
+//     vector dot products where the per-node towers' dense MatMuls chain
 //     axpys, so rows agree to kForwardTolerance;
 //   * every parameter gradient entry agrees to within kGradRelTolerance of
 //     the largest |entry| of that gradient plus kGradAbsTolerance: shared
 //     parameters now receive one summed contribution per op instead of one
 //     per node, so float accumulation order differs;
-// for the full model and each ablation that changes the tower's shape, at
-// 1 and 4 workers (per-worker GradSinkScopes reduced as Fit reduces them),
-// on the scalar and AVX2 kernel backends.
+// for HybridGNN's full model and each ablation that changes the tower's
+// shape, and for GATNE with and without its local scale, at 1 and 4 workers
+// (per-worker GradSinkScopes reduced as HybridGnn::Fit reduces them), on the
+// scalar and AVX2 kernel backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "baselines/gatne.h"
 #include "common/rng.h"
 #include "core/hybrid_gnn.h"
 #include "data/profiles.h"
@@ -76,6 +80,41 @@ struct HybridGnnTestPeer {
   }
 };
 
+/// Reaches GATNE's private sampling and tower entry points.
+struct GatneTestPeer {
+  static void Sample(const Gatne& m, const MultiplexHeteroGraph& g, NodeId v,
+                     Rng& rng, MinibatchFrontier* out) {
+    m.SampleNode(g, v, rng, out);
+  }
+  static ag::Var Batched(const Gatne& m, std::span<const NodeId> nodes,
+                         std::span<const MinibatchFrontier> frontiers) {
+    return m.ForwardFrontiers(nodes, frontiers);
+  }
+  static ag::Var PerNode(const Gatne& m, NodeId v,
+                         const MinibatchFrontier& f) {
+    return m.ForwardNodeFrontier(v, f);
+  }
+  static size_t NumRelations(const Gatne& m) { return m.num_relations_; }
+  /// Every trainable tensor of the model, tables first.
+  static std::vector<std::pair<std::string, ag::Var>> Params(const Gatne& m) {
+    std::vector<std::pair<std::string, ag::Var>> out;
+    out.emplace_back("base", m.base_->table());
+    out.emplace_back("context", m.context_->table());
+    out.emplace_back("edge_embed", m.edge_embed_->table());
+    for (size_t i = 0; i < m.attn_proj_->parameters().size(); ++i) {
+      out.emplace_back("attn_proj[" + std::to_string(i) + "]",
+                       m.attn_proj_->parameters()[i]);
+    }
+    for (size_t r = 0; r < m.attn_query_.size(); ++r) {
+      out.emplace_back("attn_query" + std::to_string(r), m.attn_query_[r]);
+    }
+    for (size_t r = 0; r < m.m_rel_.size(); ++r) {
+      out.emplace_back("m_rel" + std::to_string(r), m.m_rel_[r]);
+    }
+    return out;
+  }
+};
+
 namespace {
 
 using NodeSketch = HybridGnnTestPeer::NodeSketch;
@@ -96,32 +135,42 @@ struct LossRow {
   float label;
 };
 
+/// One model's two towers over a fixed list of n sampled entries (sketches
+/// or frontiers): the batched tower's [R * n, base] rows (row r * n + i is
+/// entry i's relation r), entry i's per-node [R, base] rows, and the
+/// model's trainable tensors with its three embedding tables first.
+struct Towers {
+  size_t n = 0;
+  size_t num_rel = 0;
+  std::function<ag::Var()> batched;
+  std::function<ag::Var(size_t)> per_node;
+  std::vector<std::pair<std::string, ag::Var>> params;
+};
+
 struct StepResult {
-  std::vector<Tensor> rows;  // per sketch: [R, base_dim] (1 worker only)
+  std::vector<Tensor> rows;  // per entry: [R, base_dim] (1 worker only)
   double loss = 0.0;
-  std::vector<Tensor> grads;  // parallel to HybridGnnTestPeer::Params
+  std::vector<Tensor> grads;  // parallel to Towers::params
 };
 
 /// Loss over `rows` from one tower: the batched tower's rows gathered out of
 /// its [R * n, base] output, or the per-node towers' rows sliced and
 /// concatenated as the node-at-a-time trainer assembled them.
-ag::Var StepLoss(const HybridGnn& m, std::span<const NodeSketch> sketches,
-                 std::span<const LossRow> rows, bool batched,
+ag::Var StepLoss(const Towers& t, std::span<const LossRow> rows, bool batched,
                  std::vector<Tensor>* forward_rows) {
   std::vector<float> labels;
   for (const LossRow& row : rows) labels.push_back(row.label);
-  const size_t n = sketches.size();
-  const size_t num_rel = HybridGnnTestPeer::NumRelations(m);
+  const size_t n = t.n;
   if (batched) {
-    ag::Var all = HybridGnnTestPeer::Batched(m, sketches);
+    ag::Var all = t.batched();
     if (forward_rows != nullptr) {
       for (size_t i = 0; i < n; ++i) {
-        Tensor t(num_rel, all->value.cols());
-        for (size_t r = 0; r < num_rel; ++r) {
-          std::memcpy(t.RowPtr(r), all->value.RowPtr(r * n + i),
-                      t.cols() * sizeof(float));
+        Tensor e(t.num_rel, all->value.cols());
+        for (size_t r = 0; r < t.num_rel; ++r) {
+          std::memcpy(e.RowPtr(r), all->value.RowPtr(r * n + i),
+                      e.cols() * sizeof(float));
         }
-        forward_rows->push_back(std::move(t));
+        forward_rows->push_back(std::move(e));
       }
     }
     std::vector<int32_t> lhs, rhs;
@@ -135,7 +184,7 @@ ag::Var StepLoss(const HybridGnn& m, std::span<const NodeSketch> sketches,
   }
   std::vector<ag::Var> built(n);
   for (size_t i = 0; i < n; ++i) {
-    built[i] = HybridGnnTestPeer::PerNode(m, sketches[i]);
+    built[i] = t.per_node(i);
     if (forward_rows != nullptr) forward_rows->push_back(built[i]->value);
   }
   std::vector<ag::Var> lhs, rhs;
@@ -151,15 +200,13 @@ ag::Var StepLoss(const HybridGnn& m, std::span<const NodeSketch> sketches,
 /// exactly as HybridGnn::Fit shards a batch: each worker backprops its
 /// slice of the loss rows under a private gradient sink, and the sinks are
 /// reduced into the parameter gradients weighted by element share.
-StepResult RunStep(const HybridGnn& m, std::span<const NodeSketch> sketches,
-                   std::span<const LossRow> rows, bool batched,
-                   size_t workers) {
-  const auto params = HybridGnnTestPeer::Params(m);
-  for (const auto& [name, p] : params) p->ZeroGrad();
+StepResult RunStep(const Towers& t, std::span<const LossRow> rows,
+                   bool batched, size_t workers) {
+  for (const auto& [name, p] : t.params) p->ZeroGrad();
   StepResult res;
   if (workers == 1) {
     ag::TapeScope tape;
-    ag::Var loss = StepLoss(m, sketches, rows, batched, &res.rows);
+    ag::Var loss = StepLoss(t, rows, batched, &res.rows);
     ag::Backward(loss);
     res.loss = loss->value.At(0, 0);
   } else {
@@ -172,13 +219,12 @@ StepResult RunStep(const HybridGnn& m, std::span<const NodeSketch> sketches,
         ag::TapeScope tape;
         const size_t lo = rows.size() * w / workers;
         const size_t hi = rows.size() * (w + 1) / workers;
-        ag::Var loss =
-            StepLoss(m, sketches, rows.subspan(lo, hi - lo), batched, nullptr);
+        ag::Var loss = StepLoss(t, rows.subspan(lo, hi - lo), batched, nullptr);
         ag::Backward(loss);
         losses[w] = loss->value.At(0, 0);
       });
     }
-    for (std::thread& t : threads) t.join();
+    for (std::thread& th : threads) th.join();
     for (size_t w = 0; w < workers; ++w) {
       const size_t share = rows.size() * (w + 1) / workers -
                            rows.size() * w / workers;
@@ -194,13 +240,86 @@ StepResult RunStep(const HybridGnn& m, std::span<const NodeSketch> sketches,
                   static_cast<double>(rows.size());
     }
   }
-  for (const auto& [name, p] : params) {
+  for (const auto& [name, p] : t.params) {
     res.grads.push_back(p->grad.empty()
                             ? Tensor(p->value.rows(), p->value.cols())
                             : p->grad);
     p->ZeroGrad();
   }
   return res;
+}
+
+/// 120 random loss rows over `n` entries and `num_rel` relations.
+std::vector<LossRow> RandomLossRows(size_t n, size_t num_rel, Rng& rng) {
+  std::vector<LossRow> rows(120);
+  for (LossRow& row : rows) {
+    row.lhs = rng.UniformUint64(n);
+    row.rhs = rng.UniformUint64(n);
+    row.rel = static_cast<RelationId>(rng.UniformUint64(num_rel));
+    row.label = rng.UniformUint64(2) == 0 ? 0.0f : 1.0f;
+  }
+  return rows;
+}
+
+/// The differential check: on every available kernel backend, at 1 and 4
+/// workers, the batched and per-node towers agree on forward rows and loss
+/// (bitwise on scalar) and on every parameter gradient (within tolerance).
+void ExpectTowersAgree(const Towers& t, std::span<const LossRow> rows) {
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::Avx2Available()) backends.push_back(kernels::Backend::kAvx2);
+  for (kernels::Backend backend : backends) {
+    kernels::ScopedBackend scoped(backend);
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(std::string(kernels::BackendName(backend)) + " workers=" +
+                   std::to_string(workers));
+      const StepResult batched = RunStep(t, rows, true, workers);
+      const StepResult per_node = RunStep(t, rows, false, workers);
+      const bool exact = backend == kernels::Backend::kScalar;
+      if (workers == 1) {
+        ASSERT_EQ(batched.rows.size(), per_node.rows.size());
+        for (size_t i = 0; i < batched.rows.size(); ++i) {
+          const Tensor& a = batched.rows[i];
+          const Tensor& b = per_node.rows[i];
+          ASSERT_TRUE(a.SameShape(b));
+          if (exact) {
+            EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)),
+                      0)
+                << "forward rows of entry " << i;
+          } else {
+            for (size_t j = 0; j < a.size(); ++j) {
+              ASSERT_NEAR(a.data()[j], b.data()[j], kForwardTolerance)
+                  << "forward rows of entry " << i;
+            }
+          }
+        }
+        if (exact) {
+          EXPECT_EQ(batched.loss, per_node.loss);
+        } else {
+          EXPECT_NEAR(batched.loss, per_node.loss, kForwardTolerance);
+        }
+      } else {
+        EXPECT_NEAR(batched.loss, per_node.loss, 1e-6);
+      }
+      size_t nonzero_tower_grads = 0;
+      for (size_t k = 0; k < t.params.size(); ++k) {
+        const Tensor& a = batched.grads[k];
+        const Tensor& b = per_node.grads[k];
+        ASSERT_TRUE(a.SameShape(b)) << t.params[k].first;
+        double scale = 0.0;
+        for (size_t i = 0; i < b.size(); ++i) {
+          scale = std::max(scale, std::abs(static_cast<double>(b.data()[i])));
+        }
+        if (scale > 0.0 && k >= 3) ++nonzero_tower_grads;
+        for (size_t i = 0; i < b.size(); ++i) {
+          ASSERT_NEAR(a.data()[i], b.data()[i],
+                      kGradRelTolerance * scale + kGradAbsTolerance)
+              << t.params[k].first << " entry " << i;
+        }
+      }
+      // The aggregation and attention branch must actually be exercised.
+      EXPECT_GT(nonzero_tower_grads, 2u);
+    }
+  }
 }
 
 struct TowerCase {
@@ -265,71 +384,18 @@ TEST_P(BatchedTowerTest, MatchesPerNodeTower) {
         i < 32 ? rng.UniformUint64(g.num_nodes()) : sketches[i - 32].v);
     HybridGnnTestPeer::Sample(model, v, rng, &sketches[i]);
   }
-  std::vector<LossRow> rows(120);
-  for (LossRow& row : rows) {
-    row.lhs = rng.UniformUint64(sketches.size());
-    row.rhs = rng.UniformUint64(sketches.size());
-    row.rel = static_cast<RelationId>(rng.UniformUint64(g.num_relations()));
-    row.label = rng.UniformUint64(2) == 0 ? 0.0f : 1.0f;
-  }
+  const std::vector<LossRow> rows =
+      RandomLossRows(sketches.size(), g.num_relations(), rng);
 
-  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
-  if (kernels::Avx2Available()) backends.push_back(kernels::Backend::kAvx2);
-  const auto params = HybridGnnTestPeer::Params(model);
-  for (kernels::Backend backend : backends) {
-    kernels::ScopedBackend scoped(backend);
-    for (size_t workers : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE(std::string(kernels::BackendName(backend)) + " workers=" +
-                   std::to_string(workers));
-      const StepResult batched = RunStep(model, sketches, rows, true, workers);
-      const StepResult per_node =
-          RunStep(model, sketches, rows, false, workers);
-      const bool exact = backend == kernels::Backend::kScalar;
-      if (workers == 1) {
-        ASSERT_EQ(batched.rows.size(), per_node.rows.size());
-        for (size_t i = 0; i < batched.rows.size(); ++i) {
-          const Tensor& a = batched.rows[i];
-          const Tensor& b = per_node.rows[i];
-          ASSERT_TRUE(a.SameShape(b));
-          if (exact) {
-            EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)),
-                      0)
-                << "forward rows of sketch " << i;
-          } else {
-            for (size_t j = 0; j < a.size(); ++j) {
-              ASSERT_NEAR(a.data()[j], b.data()[j], kForwardTolerance)
-                  << "forward rows of sketch " << i;
-            }
-          }
-        }
-        if (exact) {
-          EXPECT_EQ(batched.loss, per_node.loss);
-        } else {
-          EXPECT_NEAR(batched.loss, per_node.loss, kForwardTolerance);
-        }
-      } else {
-        EXPECT_NEAR(batched.loss, per_node.loss, 1e-6);
-      }
-      size_t nonzero_tower_grads = 0;
-      for (size_t k = 0; k < params.size(); ++k) {
-        const Tensor& a = batched.grads[k];
-        const Tensor& b = per_node.grads[k];
-        ASSERT_TRUE(a.SameShape(b)) << params[k].first;
-        double scale = 0.0;
-        for (size_t i = 0; i < b.size(); ++i) {
-          scale = std::max(scale, std::abs(static_cast<double>(b.data()[i])));
-        }
-        if (scale > 0.0 && k >= 3) ++nonzero_tower_grads;
-        for (size_t i = 0; i < b.size(); ++i) {
-          ASSERT_NEAR(a.data()[i], b.data()[i],
-                      kGradRelTolerance * scale + kGradAbsTolerance)
-              << params[k].first << " entry " << i;
-        }
-      }
-      // The aggregation and attention branch must actually be exercised.
-      EXPECT_GT(nonzero_tower_grads, 2u);
-    }
-  }
+  Towers t;
+  t.n = sketches.size();
+  t.num_rel = HybridGnnTestPeer::NumRelations(model);
+  t.batched = [&] { return HybridGnnTestPeer::Batched(model, sketches); };
+  t.per_node = [&](size_t i) {
+    return HybridGnnTestPeer::PerNode(model, sketches[i]);
+  };
+  t.params = HybridGnnTestPeer::Params(model);
+  ExpectTowersAgree(t, rows);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -347,6 +413,60 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TowerCase>& info) {
       return std::string(info.param.name);
     });
+
+// GATNE's batched tower against its per-node tower, with the default local
+// scale and without one (local_scale 1 skips the Scale op).
+TEST(GatneBatchedTowerTest, MatchesPerNodeTower) {
+  auto ds = MakeDataset("taobao", 0.1, 3);
+  ASSERT_TRUE(ds.ok());
+  const MultiplexHeteroGraph& g = ds->graph;
+  for (float local_scale : {0.5f, 1.0f}) {
+    SCOPED_TRACE("local_scale=" + std::to_string(local_scale));
+    Gatne::Options o;
+    o.base_dim = 16;
+    o.edge_dim = 8;
+    o.attn_hidden = 8;
+    o.fanout = 3;
+    o.epochs = 1;
+    o.batch_size = 64;
+    o.max_pairs_per_epoch = 256;
+    o.corpus.num_walks_per_node = 2;
+    o.corpus.walk_length = 4;
+    o.corpus.window = 2;
+    o.local_scale = local_scale;
+    // Keep the trained epoch: M_r starts at zero, and one step makes it
+    // non-zero so gradients reach the edge embeddings and attention.
+    o.restore_best = false;
+    o.seed = 29;
+    Gatne model(o, ds->schemes);
+    FitOptions opts;
+    opts.num_threads = 1;
+    ASSERT_TRUE(model.Fit(g, opts).ok());
+
+    // 40 frontiers of 32 nodes (some nodes sampled more than once) and 120
+    // loss rows over them.
+    Rng rng(7);
+    std::vector<NodeId> nodes(40);
+    std::vector<MinibatchFrontier> frontiers(nodes.size());
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      nodes[i] = static_cast<NodeId>(
+          i < 32 ? rng.UniformUint64(g.num_nodes()) : nodes[i - 32]);
+      GatneTestPeer::Sample(model, g, nodes[i], rng, &frontiers[i]);
+    }
+    const std::vector<LossRow> rows =
+        RandomLossRows(nodes.size(), g.num_relations(), rng);
+
+    Towers t;
+    t.n = nodes.size();
+    t.num_rel = GatneTestPeer::NumRelations(model);
+    t.batched = [&] { return GatneTestPeer::Batched(model, nodes, frontiers); };
+    t.per_node = [&](size_t i) {
+      return GatneTestPeer::PerNode(model, nodes[i], frontiers[i]);
+    };
+    t.params = GatneTestPeer::Params(model);
+    ExpectTowersAgree(t, rows);
+  }
+}
 
 // The blocked attention used by the batched tower is the per-set attention
 // on every block, value and input gradient bit for bit (scalar backend).
