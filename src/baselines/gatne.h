@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/minibatch_trainer.h"
 #include "eval/embedding_model.h"
 #include "graph/frontier.h"
 #include "graph/metapath.h"
@@ -58,42 +59,51 @@ class Gatne : public EmbeddingModel {
       : options_(options), schemes_(std::move(schemes)) {}
 
   std::string name() const override { return "GATNE"; }
-  /// options.num_threads parallelizes walk corpus, SGNS pretraining
-  /// (Hogwild; serial under options.deterministic) and the frozen
-  /// embedding cache. Fails with InvalidArgument when learning_rate is not
-  /// finite and positive, and with FailedPrecondition when a minibatch loss
-  /// is not finite.
+  /// Validates the options, builds the modules and trains them with the
+  /// MinibatchTrainer HybridGNN uses, one tower sample per cached row.
+  /// options.num_threads parallelizes the corpus, SGNS pretraining, the
+  /// minibatch epochs (data-parallel shards) and the cache;
+  /// options.deterministic keeps pretraining and epochs serial. Fails with
+  /// InvalidArgument when learning_rate is not finite and positive, and
+  /// with FailedPrecondition when a minibatch loss is not finite.
   Status Fit(const MultiplexHeteroGraph& g,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;
-  Tensor Embedding(NodeId v, RelationId r) const override;
+  Tensor Embedding(NodeId v, RelationId r) const override {
+    return cache_.Embedding(v, r);
+  }
   Tensor EmbeddingsFor(std::span<const std::pair<NodeId, RelationId>> queries)
-      const override;
+      const override {
+    return cache_.EmbeddingsFor(queries);
+  }
 
  private:
-  friend struct GatneTestPeer;  // differential tests of the two towers
+  friend class MinibatchTrainer;  // drives SampleNode and ForwardSketches
+  friend struct GatneTestPeer;    // differential tests of the two towers
 
-  /// Samples v's per-relation neighbor frontier (all the randomness the
-  /// tower consumes) and remaps its indices into edge-table rows. Sampling
-  /// is split from graph construction so a whole minibatch (or validation
-  /// chunk, or cache chunk) is sampled first, in the RNG order of the
-  /// node-at-a-time loop, and then built as one batched graph.
+  /// Node v's sampled per-relation neighbor frontier (one segment per
+  /// relation), its indices remapped into edge-table rows.
+  struct NodeSketch {
+    NodeId v = 0;
+    MinibatchFrontier frontier;
+  };
+
+  /// Samples v's frontier: all the randomness the tower consumes.
   void SampleNode(const MultiplexHeteroGraph& g, NodeId v, Rng& rng,
-                  MinibatchFrontier* out) const;
+                  NodeSketch* out) const;
 
-  /// The batched tower: e_{v,r} for every node and relation as one
-  /// [R * n, base_dim] Var, row r * n + i holding nodes[i]'s relation r
-  /// (frontiers[i] is nodes[i]'s sampled frontier; a node may appear more
-  /// than once). One frontier gather + segment mean, one attention
-  /// projection, the relation attention as block products and one block
-  /// product for all M_r. Consumes no randomness; on the scalar kernel
-  /// backend every row equals ForwardNodeFrontier's bit for bit.
-  ag::Var ForwardFrontiers(std::span<const NodeId> nodes,
-                           std::span<const MinibatchFrontier> frontiers) const;
+  /// The batched tower: e_{v,r} for every sketch and relation as one
+  /// [R * n, base_dim] Var, row r * n + i holding sketch i's relation r (a
+  /// node may appear in several sketches). One frontier gather + segment
+  /// mean, one attention projection, the relation attention as block
+  /// products and one block product for all M_r. Consumes no randomness;
+  /// on the scalar kernel backend every row equals ForwardNodeSketch's bit
+  /// for bit.
+  ag::Var ForwardSketches(std::span<const NodeSketch> sketches) const;
 
-  /// The per-node tower: one frontier -> [R, base_dim]. Kept only as the
+  /// The per-node tower: one sketch -> [R, base_dim]. Kept only as the
   /// reference the batched tower is tested against; no Fit path uses it.
-  ag::Var ForwardNodeFrontier(NodeId v, const MinibatchFrontier& f) const;
+  ag::Var ForwardNodeSketch(const NodeSketch& sk) const;
 
   Options options_;
   std::vector<MetapathScheme> schemes_;
@@ -106,8 +116,7 @@ class Gatne : public EmbeddingModel {
   std::vector<ag::Var> m_rel_;                  // per relation [edge, base]
 
   size_t num_relations_ = 0;
-  Tensor cache_;  // [(V * R), base_dim]
-  bool fitted_ = false;
+  RelationEmbeddingCache cache_;
 };
 
 }  // namespace hybridgnn

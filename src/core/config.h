@@ -78,7 +78,6 @@ struct HybridGnnConfig {
   bool use_hybrid_aggregation = true;
 
   uint64_t seed = 1;
-  bool verbose = false;
 
   /// Rejects inconsistent settings (zero dims, both flow sources disabled…).
   Status Validate() const;

@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "core/config.h"
+#include "core/minibatch_trainer.h"
 #include "eval/embedding_model.h"
 #include "graph/frontier.h"
 #include "graph/graph.h"
@@ -15,10 +16,6 @@
 #include "nn/aggregator.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
-#include "nn/linear.h"
-#include "nn/module.h"
-#include "sampling/negative_sampler.h"
-#include "tensor/optimizer.h"
 
 namespace hybridgnn {
 
@@ -33,7 +30,7 @@ namespace hybridgnn {
 ///   HybridGnn model(config, schemes);
 ///   model.Fit(train_graph);
 ///   Tensor e = model.Embedding(v, r);   // e*_{v,r}, 1 x base_dim
-class HybridGnn : public EmbeddingModel, public Module {
+class HybridGnn : public EmbeddingModel {
  public:
   /// `schemes` are the predefined intra-relationship metapath schemes PS_r
   /// (the dataset profile's P column). They are matched to (node, relation)
@@ -43,25 +40,26 @@ class HybridGnn : public EmbeddingModel, public Module {
 
   std::string name() const override { return "HybridGNN"; }
 
-  /// Builds the walk corpus, trains with Adam, then freezes and caches all
-  /// e*_{v,r} for fast scoring. With options.num_threads > 1 the corpus,
-  /// SGNS pretraining, minibatch epochs (per-worker gradient sinks reduced
-  /// on the main thread before each Adam step) and the embedding cache all
-  /// run on worker threads; options.deterministic keeps the racy stages
-  /// serial. num_threads <= 1 is the serial path: the same seed gives the
-  /// same bits on every run. Fails with FailedPrecondition when a
+  /// Validates the config, builds the modules and hands the tower to the
+  /// shared MinibatchTrainer (core/minibatch_trainer.h): walk corpus, SGNS
+  /// pretraining, minibatch epochs with early stopping, then the frozen
+  /// cache of every e*_{v,r}, each row the mean of four tower samples.
+  /// Threading and determinism follow the trainer; num_threads <= 1 gives
+  /// the same bits on every run. Fails with FailedPrecondition when a
   /// minibatch loss is not finite.
   Status Fit(const MultiplexHeteroGraph& train_graph,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;
 
-  /// Cached final embedding e*_{v,r} (valid after Fit).
-  Tensor Embedding(NodeId v, RelationId r) const override;
-
-  /// Batched lookup straight out of the frozen cache: one gather, no
-  /// per-query Tensor allocations.
+  /// Cached final embedding e*_{v,r}, and the batched lookup (valid after
+  /// Fit; a node or relation outside the fitted graph dies).
+  Tensor Embedding(NodeId v, RelationId r) const override {
+    return cache_.Embedding(v, r);
+  }
   Tensor EmbeddingsFor(std::span<const std::pair<NodeId, RelationId>> queries)
-      const override;
+      const override {
+    return cache_.EmbeddingsFor(queries);
+  }
 
   /// Mean attention received by each aggregation flow for (v, r): the
   /// column-means of the metapath-level attention matrix (Fig. 6). Order:
@@ -78,26 +76,34 @@ class HybridGnn : public EmbeddingModel, public Module {
   const HybridGnnConfig& config() const { return config_; }
 
  private:
+  friend class MinibatchTrainer;    // drives SampleNode and ForwardSketches
   friend struct HybridGnnTestPeer;  // differential tests of the two towers
 
   /// One sampled aggregation flow for a (node, relation) pair: the
   /// level-structured neighbor lists plus the aggregator that folds them.
-  /// Sampling is split from graph construction so a whole minibatch (or
-  /// validation pass, or cache chunk) is sampled first, in the RNG order of
-  /// the node-at-a-time loop, and then built as one batched graph.
+  /// Sampling is split from graph construction so the trainer samples a
+  /// whole minibatch in RNG order and then builds one batched graph.
   struct FlowSketch {
     std::vector<std::vector<NodeId>> levels;
     const MeanAggregator* agg = nullptr;
   };
-  /// All sampled flows for one node: per_rel[r] lists the flows FlowStack
-  /// would build for relation r (empty -> the self-embedding fallback).
+  /// All sampled flows for one node: per_rel[r] lists relation r's flows
+  /// (empty -> the self-embedding fallback).
   struct NodeSketch {
     NodeId v = 0;
     std::vector<std::vector<FlowSketch>> per_rel;
   };
 
-  /// Draws every random sample the node's tower consumes, in a fixed RNG
-  /// order, without building any graph.
+  /// Samples the aggregation flows of (v, r) into `out` (cleared first):
+  /// one per matching intra-relationship scheme, in scheme order (or the
+  /// relation-blind flow under the "w/o hybrid" ablation), then the
+  /// exploration flow when enabled.
+  void SampleRelationFlows(const MultiplexHeteroGraph& g, NodeId v,
+                           RelationId r, Rng& rng,
+                           std::vector<FlowSketch>* out) const;
+
+  /// Draws every random sample the node's tower consumes, relation by
+  /// relation, without building any graph.
   void SampleNode(const MultiplexHeteroGraph& g, NodeId v, Rng& rng,
                   NodeSketch* out) const;
 
@@ -119,9 +125,9 @@ class HybridGnn : public EmbeddingModel, public Module {
   ag::Var AggregateLevels(const MinibatchFrontier& f,
                           const MeanAggregator& agg) const;
 
-  /// The [m, edge_dim] stack of flow embeddings for (v, r).
-  ag::Var FlowStack(const MultiplexHeteroGraph& g, NodeId v, RelationId r,
-                    Rng& rng) const;
+  /// The [m, edge_dim] stack of one relation's sampled flows of node v
+  /// (v's initial edge embedding when there is none).
+  ag::Var FlowStack(const std::vector<FlowSketch>& flows, NodeId v) const;
 
   /// Metapath-level fusion of a flow stack -> [1, edge_dim]
   /// (attention-reweighted mean, or plain mean under the ablation).
@@ -141,10 +147,9 @@ class HybridGnn : public EmbeddingModel, public Module {
   std::vector<ag::Var> w_rel_;             // W_{v,r}       [edge, base]
 
   const MultiplexHeteroGraph* graph_ = nullptr;  // set during Fit
-  Tensor cache_;       // [(V * R), base_dim] final embeddings
+  RelationEmbeddingCache cache_;  // final e*_{v,r}
   size_t num_relations_ = 0;
   double last_epoch_loss_ = 0.0;
-  bool fitted_ = false;
 };
 
 }  // namespace hybridgnn

@@ -1,0 +1,318 @@
+#ifndef HYBRIDGNN_CORE_MINIBATCH_TRAINER_H_
+#define HYBRIDGNN_CORE_MINIBATCH_TRAINER_H_
+
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/parallel.h"
+#include "common/rng.h"
+#include "eval/embedding_model.h"
+#include "graph/metapath.h"
+#include "obs/metrics.h"
+#include "sampling/corpus.h"
+#include "sampling/negative_sampler.h"
+#include "tensor/autograd.h"
+
+namespace hybridgnn {
+
+/// Sketches per batched inference forward (validation chunk, embedding
+/// cache chunk): about 12 KB of activations each at base_dim 128 with four
+/// relations. Chunks of 2,048 left multi-MB pooled buffers and arena blocks
+/// between the heap's per-Fit allocations, and peak RSS on a repeated
+/// 8,400-node Fit grew by a third; at 512 it stays below the per-node
+/// tower's, and per-chunk op overhead is still negligible.
+inline constexpr size_t kForwardChunk = 512;
+
+/// The frozen [V * R, dim] table of e*_{v,r} rows (row v * R + r) a trained
+/// model serves from. Empty until a Fit fills it; every lookup checks the
+/// node and relation against the table's shape.
+class RelationEmbeddingCache {
+ public:
+  RelationEmbeddingCache() = default;
+  RelationEmbeddingCache(Tensor table, size_t num_relations)
+      : table_(std::move(table)), num_relations_(num_relations) {}
+
+  bool filled() const { return !table_.empty(); }
+  Tensor Embedding(NodeId v, RelationId r) const;
+  /// One [queries.size(), dim] gather.
+  Tensor EmbeddingsFor(
+      std::span<const std::pair<NodeId, RelationId>> queries) const;
+
+ private:
+  size_t Row(NodeId v, RelationId r) const;
+
+  Tensor table_;
+  size_t num_relations_ = 0;
+};
+
+/// The protocol settings the trainer reads. HybridGnnConfig and
+/// Gatne::Options name them alike; From copies them, and the model sets the
+/// rest. Not a user option.
+struct TrainerSpec {
+  std::string name;  // prefixes errors
+  CorpusOptions corpus;
+  size_t num_negatives{}, epochs{}, batch_size{}, max_pairs_per_epoch{};
+  size_t early_stopping_patience{};
+  double cross_negative_fraction{}, internal_val_fraction{};
+  float learning_rate{};
+  bool pretrain_base{}, freeze_pretrained{}, restore_best{};
+  uint64_t seed{};
+  uint64_t cache_seed = 0;   // seeds the cache's sampling streams
+  size_t cache_samples = 1;  // tower samples averaged per cached row
+
+  template <typename Config>
+  static TrainerSpec From(std::string name, const Config& c) {
+    return {.name = std::move(name),
+            .corpus = c.corpus,
+            .num_negatives = c.num_negatives,
+            .epochs = c.epochs,
+            .batch_size = c.batch_size,
+            .max_pairs_per_epoch = c.max_pairs_per_epoch,
+            .early_stopping_patience = c.early_stopping_patience,
+            .cross_negative_fraction = c.cross_negative_fraction,
+            .internal_val_fraction = c.internal_val_fraction,
+            .learning_rate = c.learning_rate,
+            .pretrain_base = c.pretrain_base,
+            .freeze_pretrained = c.freeze_pretrained,
+            .restore_best = c.restore_best,
+            .seed = c.seed};
+  }
+};
+
+/// A tower's parameters as the trainer sees them. Only what Adam steps can
+/// change during the epochs, so that is all the best-epoch snapshot holds.
+struct TowerParams {
+  TowerParams(ag::Var b, ag::Var c)
+      : base(std::move(b)), context(std::move(c)) {}
+
+  ag::Var base, context;  // [V, base_dim]; pretraining writes them
+  std::vector<ag::Var> trainable;  // every other parameter Adam steps
+
+  void Add(const std::vector<ag::Var>& ps) {
+    trainable.insert(trainable.end(), ps.begin(), ps.end());
+  }
+};
+
+/// The training protocol HybridGNN and GATNE share (paper Sec. III-E): the
+/// metapath walk corpus, relation-blind SGNS pretraining of the base and
+/// context tables, minibatch fine-tuning on the link objective against
+/// relationship-aware negatives with early stopping on an internal
+/// validation holdout and best-epoch restore, then the embedding cache.
+///
+/// With options.num_threads > 1 the corpus, pretraining, epochs
+/// (data-parallel shards, per-worker gradient sinks reduced on the main
+/// thread before each Adam step) and cache use worker threads;
+/// options.deterministic keeps pretraining and epochs serial. One thread
+/// gives the same bits on every run.
+class MinibatchTrainer {
+ public:
+  MinibatchTrainer(TrainerSpec spec, const FitOptions& options);
+
+  /// Trains `tower` on g and fills `cache` (cleared first). The tower type
+  /// has a `NodeSketch` with a `v` member, SampleNode(g, v, rng, NodeSketch*)
+  /// drawing all of a node's samples into a reused slot, and a batched
+  /// ForwardSketches(span<const NodeSketch>) returning one [R * n, base_dim]
+  /// Var, row r * n + i for sketch i. `rng` is the model's stream, already
+  /// past parameter initialization. Fails with FailedPrecondition when the
+  /// corpus is empty or a minibatch loss is not finite.
+  template <typename Tower>
+  Status Fit(const MultiplexHeteroGraph& g,
+             const std::vector<MetapathScheme>& schemes, const Tower& tower,
+             const TowerParams& params, Rng& rng,
+             RelationEmbeddingCache* cache);
+
+  double last_epoch_loss() const { return last_epoch_loss_; }
+
+ private:
+  struct BatchRow {
+    int lhs, rhs;  // endpoint sketch ordinals
+    RelationId rel;
+    float label;
+  };
+  /// (batch BCE, element count) of edges [start, end) with `rng`.
+  using BatchFn =
+      std::function<std::pair<double, size_t>(size_t, size_t, Rng&)>;
+
+  /// Corpus check, pretraining, the split and the fixed validation
+  /// negatives, in that RNG order.
+  Status Prepare(const MultiplexHeteroGraph& g,
+                 const std::vector<MetapathScheme>& schemes,
+                 const TowerParams& params, Rng& rng);
+  /// Epoch loop with early stopping and best-epoch restore.
+  Status RunEpochs(const BatchFn& run_batch,
+                   const std::function<double()>& validation_auc,
+                   const TowerParams& params, Rng& rng);
+
+  TrainerSpec spec_;
+  const FitOptions& options_;
+  size_t threads_;        // corpus and cache
+  size_t train_threads_;  // pretraining and epochs
+  std::unique_ptr<NegativeSampler> neg_sampler_;
+  std::vector<EdgeTriple> train_edges_, val_edges_;
+  std::vector<NodeId> val_negs_;  // two per validation edge
+  double last_epoch_loss_ = 0.0;
+};
+
+template <typename Tower>
+Status MinibatchTrainer::Fit(const MultiplexHeteroGraph& g,
+                             const std::vector<MetapathScheme>& schemes,
+                             const Tower& tower, const TowerParams& params,
+                             Rng& rng, RelationEmbeddingCache* cache) {
+  using Sketch = typename Tower::NodeSketch;
+  *cache = {};
+  HYBRIDGNN_RETURN_IF_ERROR(Prepare(g, schemes, params, rng));
+
+  std::vector<Sketch> val_sketches;
+  auto validation_auc = [&]() {
+    // src, dst and two negatives per edge, one forward per chunk.
+    Rng val_rng(spec_.seed ^ 0x7A11);
+    double wins = 0.0;
+    for (size_t lo = 0; lo < val_edges_.size(); lo += kForwardChunk / 4) {
+      const size_t hi = std::min(val_edges_.size(), lo + kForwardChunk / 4);
+      val_sketches.resize(4 * (hi - lo));
+      Sketch* sk = val_sketches.data();
+      for (size_t i = lo; i < hi; ++i) {
+        const EdgeTriple& e = val_edges_[i];
+        const NodeId* negs = &val_negs_[2 * i];
+        for (NodeId v : {e.src, e.dst, negs[0], negs[1]}) {
+          tower.SampleNode(g, v, val_rng, sk++);
+        }
+      }
+      ag::TapeScope tape;  // scoring-only graph, rewound per chunk
+      const ag::Var all = tower.ForwardSketches(val_sketches);
+      const Tensor& rows = all->value;
+      const size_t n = val_sketches.size();
+      for (size_t i = lo; i < hi; ++i) {
+        const size_t at = val_edges_[i].rel * n + 4 * (i - lo);
+        const float* u_row = rows.RowPtr(at);
+        const float* v_row = rows.RowPtr(at + 1);
+        const float* x_row = rows.RowPtr(at + 2);
+        const float* x2_row = rows.RowPtr(at + 3);
+        double pos = 0.0, neg = 0.0, neg2 = 0.0;
+        for (size_t j = 0; j < rows.cols(); ++j) {
+          pos += static_cast<double>(u_row[j]) * v_row[j];
+          neg += static_cast<double>(u_row[j]) * x_row[j];
+          neg2 += static_cast<double>(u_row[j]) * x2_row[j];
+        }
+        for (double ns : {neg, neg2}) {
+          wins += pos > ns ? 1.0 : (pos == ns ? 0.5 : 0.0);
+        }
+      }
+    }
+    return wins / (2.0 * static_cast<double>(val_edges_.size()));
+  };
+
+  auto run_batch = [&](size_t start, size_t end, Rng& brng) {
+    // Declared before every Var, so the arena rewinds after they die.
+    ag::TapeScope tape;
+    // Sample first, in a node-at-a-time loop's RNG order: a node's samples
+    // at its first reference, negatives in between. Thread-local scratch,
+    // sketch slots included, is reused across batches; a linear scan finds
+    // a batch's few hundred nodes faster than a hash map.
+    static thread_local std::vector<Sketch> sketches;
+    static thread_local std::vector<BatchRow> brows;
+    static thread_local std::vector<float> labels;
+    static thread_local std::vector<int32_t> lhs, rhs;
+    size_t n = 0;
+    brows.clear();
+    labels.clear();
+    lhs.clear();
+    rhs.clear();
+    auto node_ord = [&](NodeId v) -> int {
+      for (size_t i = 0; i < n; ++i) {
+        if (sketches[i].v == v) return static_cast<int>(i);
+      }
+      if (sketches.size() == n) sketches.emplace_back();
+      tower.SampleNode(g, v, brng, &sketches[n]);
+      return static_cast<int>(n++);
+    };
+    for (size_t i = start; i < end; ++i) {
+      const EdgeTriple& e = train_edges_[i];
+      const int src_ord = node_ord(e.src);
+      brows.push_back(BatchRow{src_ord, node_ord(e.dst), e.rel, 1.0f});
+      for (size_t k = 0; k < spec_.num_negatives; ++k) {
+        const NodeId x = neg_sampler_->SampleRelationAware(
+            e.src, e.dst, e.rel, spec_.cross_negative_fraction, brng);
+        brows.push_back(BatchRow{src_ord, node_ord(x), e.rel, 0.0f});
+      }
+    }
+    // Then one batched tower over the distinct nodes; each loss row gathers
+    // its endpoints' relation rows out of it.
+    for (const BatchRow& row : brows) {
+      labels.push_back(row.label);
+      lhs.push_back(static_cast<int32_t>(row.rel * n + row.lhs));
+      rhs.push_back(static_cast<int32_t>(row.rel * n + row.rhs));
+    }
+    ag::Var all =
+        tower.ForwardSketches(std::span<const Sketch>(sketches.data(), n));
+    ag::Var loss = ag::BceWithLogits(
+        ag::RowwiseDot(ag::GatherRows(all, lhs), ag::GatherRows(all, rhs)),
+        labels);
+    ag::Backward(loss);
+    return std::make_pair(static_cast<double>(loss->value.At(0, 0)),
+                          labels.size());
+  };
+
+  HYBRIDGNN_RETURN_IF_ERROR(RunEpochs(run_batch, validation_auc, params, rng));
+
+  // Freeze. Serial: one stream in node order. Parallel: a forked stream per
+  // node, so the cache is invariant to the thread count.
+  obs::ScopedTimer cache_timer(obs::Stage("core/embedding_cache"));
+  const size_t samples = spec_.cache_samples;
+  const size_t chunk_nodes = kForwardChunk / samples;
+  Tensor table(g.num_nodes() * g.num_relations(), params.base->value.cols());
+  const Rng cache_master(spec_.cache_seed);
+  Rng cache_rng(spec_.cache_seed);
+  auto cache_chunk = [&](size_t c, bool forked) {
+    const size_t lo = c * chunk_nodes;
+    const size_t hi = std::min(g.num_nodes(), lo + chunk_nodes);
+    std::vector<Sketch> sketches(samples * (hi - lo));
+    for (size_t v = lo; v < hi; ++v) {
+      Rng node_rng = forked ? cache_master.Fork(v) : Rng(0);
+      for (size_t s = 0; s < samples; ++s) {
+        tower.SampleNode(g, static_cast<NodeId>(v),
+                         forked ? node_rng : cache_rng,
+                         &sketches[samples * (v - lo) + s]);
+      }
+    }
+    ag::TapeScope tape;  // inference-only graph, rewound per chunk
+    const ag::Var all = tower.ForwardSketches(sketches);
+    const Tensor& rows = all->value;
+    // A chunk writes only its own nodes' rows, averaging in sample order;
+    // one sample is copied.
+    const size_t n = sketches.size();
+    const size_t num_rel = g.num_relations();
+    for (size_t v = lo; v < hi; ++v) {
+      for (size_t s = 0; s < samples; ++s) {
+        for (size_t r = 0; r < num_rel; ++r) {
+          const float* src = rows.RowPtr(r * n + samples * (v - lo) + s);
+          float* dst = table.RowPtr(v * num_rel + r);
+          for (size_t j = 0; j < table.cols(); ++j) {
+            dst[j] = samples == 1
+                         ? src[j]
+                         : dst[j] + src[j] / static_cast<float>(samples);
+          }
+        }
+      }
+    }
+  };
+  const size_t num_chunks = (g.num_nodes() + chunk_nodes - 1) / chunk_nodes;
+  if (threads_ > 1) {
+    RunParallel(threads_, num_chunks,
+                [&](size_t c) { cache_chunk(c, /*forked=*/true); });
+  } else {
+    for (size_t c = 0; c < num_chunks; ++c) cache_chunk(c, false);
+  }
+  *cache = RelationEmbeddingCache(std::move(table), g.num_relations());
+  options_.Report("cache", 1, 1);
+  return Status::OK();
+}
+
+}  // namespace hybridgnn
+
+#endif  // HYBRIDGNN_CORE_MINIBATCH_TRAINER_H_

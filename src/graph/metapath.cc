@@ -104,18 +104,4 @@ std::vector<MetapathScheme> DefaultSchemes(const MultiplexHeteroGraph& g,
   return out;
 }
 
-std::vector<const MetapathScheme*> SchemesForNode(
-    const std::vector<MetapathScheme>& all, const MultiplexHeteroGraph& g,
-    NodeId v, RelationId r) {
-  std::vector<const MetapathScheme*> out;
-  const NodeTypeId t = g.node_type(v);
-  for (const auto& s : all) {
-    if (s.source_type() == t && s.IsIntraRelationship() &&
-        s.relation() == r) {
-      out.push_back(&s);
-    }
-  }
-  return out;
-}
-
 }  // namespace hybridgnn

@@ -31,6 +31,12 @@ class MetapathScheme {
   bool IsIntraRelationship() const;
   /// The single relation of an intra-relationship scheme.
   RelationId relation() const { return relations_.front(); }
+  /// Whether this scheme is in rho(v) ∩ PS_r: intra-relationship under r
+  /// and starting at v's node type.
+  bool Matches(const MultiplexHeteroGraph& g, NodeId v, RelationId r) const {
+    return IsIntraRelationship() && relation() == r &&
+           source_type() == g.node_type(v);
+  }
 
   /// Validates all type/relation ids against `g`.
   Status Validate(const MultiplexHeteroGraph& g) const;
@@ -60,12 +66,6 @@ class MetapathScheme {
 /// a -r-> b -r-> a. Capped at `max_schemes_per_relation` per relation.
 std::vector<MetapathScheme> DefaultSchemes(const MultiplexHeteroGraph& g,
                                            size_t max_schemes_per_relation);
-
-/// Schemes from `all` whose source type matches phi(v) and whose relation
-/// set is {r} — the paper's rho(v) intersected with PS_r.
-std::vector<const MetapathScheme*> SchemesForNode(
-    const std::vector<MetapathScheme>& all, const MultiplexHeteroGraph& g,
-    NodeId v, RelationId r);
 
 }  // namespace hybridgnn
 

@@ -102,8 +102,7 @@ WalkCorpus BuildMetapathCorpus(const MultiplexHeteroGraph& g,
       // First matching scheme for (v, r), if any.
       const MetapathScheme* scheme = nullptr;
       for (const auto& s : schemes) {
-        if (s.IsIntraRelationship() && s.relation() == r &&
-            s.source_type() == g.node_type(v)) {
+        if (s.Matches(g, v, r)) {
           scheme = &s;
           break;
         }

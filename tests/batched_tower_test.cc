@@ -1,7 +1,7 @@
 // Differential tests of the batched towers (HybridGnn::ForwardSketches and
-// Gatne::ForwardFrontiers, the only towers any Fit path builds) against the
-// per-node reference towers (ForwardNodeSketch, ForwardNodeFrontier), on the
-// same sampled sketches / frontiers:
+// Gatne::ForwardSketches, the only towers any Fit path builds) against the
+// per-node reference towers (each model's ForwardNodeSketch), on the same
+// sampled sketches:
 //   * forward rows and the minibatch loss are bit-identical on the scalar
 //     kernel backend: both towers run the same arithmetic on the same rows,
 //     only grouped differently. On AVX2 the batched attention logits are
@@ -13,8 +13,8 @@
 //     per node, so float accumulation order differs;
 // for HybridGNN's full model and each ablation that changes the tower's
 // shape, and for GATNE with and without its local scale, at 1 and 4 workers
-// (per-worker GradSinkScopes reduced as HybridGnn::Fit reduces them), on the
-// scalar and AVX2 kernel backends.
+// (per-worker GradSinkScopes reduced as MinibatchTrainer reduces them), on
+// the scalar and AVX2 kernel backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,17 +82,18 @@ struct HybridGnnTestPeer {
 
 /// Reaches GATNE's private sampling and tower entry points.
 struct GatneTestPeer {
+  using NodeSketch = Gatne::NodeSketch;
+
   static void Sample(const Gatne& m, const MultiplexHeteroGraph& g, NodeId v,
-                     Rng& rng, MinibatchFrontier* out) {
+                     Rng& rng, NodeSketch* out) {
     m.SampleNode(g, v, rng, out);
   }
-  static ag::Var Batched(const Gatne& m, std::span<const NodeId> nodes,
-                         std::span<const MinibatchFrontier> frontiers) {
-    return m.ForwardFrontiers(nodes, frontiers);
+  static ag::Var Batched(const Gatne& m,
+                         std::span<const NodeSketch> sketches) {
+    return m.ForwardSketches(sketches);
   }
-  static ag::Var PerNode(const Gatne& m, NodeId v,
-                         const MinibatchFrontier& f) {
-    return m.ForwardNodeFrontier(v, f);
+  static ag::Var PerNode(const Gatne& m, const NodeSketch& sk) {
+    return m.ForwardNodeSketch(sk);
   }
   static size_t NumRelations(const Gatne& m) { return m.num_relations_; }
   /// Every trainable tensor of the model, tables first.
@@ -197,7 +198,7 @@ ag::Var StepLoss(const Towers& t, std::span<const LossRow> rows, bool batched,
 }
 
 /// One minibatch step with either tower, sharded over `workers` threads
-/// exactly as HybridGnn::Fit shards a batch: each worker backprops its
+/// exactly as MinibatchTrainer shards a batch: each worker backprops its
 /// slice of the loss rows under a private gradient sink, and the sinks are
 /// reduced into the parameter gradients weighted by element share.
 StepResult RunStep(const Towers& t, std::span<const LossRow> rows,
@@ -443,25 +444,24 @@ TEST(GatneBatchedTowerTest, MatchesPerNodeTower) {
     opts.num_threads = 1;
     ASSERT_TRUE(model.Fit(g, opts).ok());
 
-    // 40 frontiers of 32 nodes (some nodes sampled more than once) and 120
+    // 40 sketches of 32 nodes (some nodes sampled more than once) and 120
     // loss rows over them.
     Rng rng(7);
-    std::vector<NodeId> nodes(40);
-    std::vector<MinibatchFrontier> frontiers(nodes.size());
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      nodes[i] = static_cast<NodeId>(
-          i < 32 ? rng.UniformUint64(g.num_nodes()) : nodes[i - 32]);
-      GatneTestPeer::Sample(model, g, nodes[i], rng, &frontiers[i]);
+    std::vector<GatneTestPeer::NodeSketch> sketches(40);
+    for (size_t i = 0; i < sketches.size(); ++i) {
+      const NodeId v = static_cast<NodeId>(
+          i < 32 ? rng.UniformUint64(g.num_nodes()) : sketches[i - 32].v);
+      GatneTestPeer::Sample(model, g, v, rng, &sketches[i]);
     }
     const std::vector<LossRow> rows =
-        RandomLossRows(nodes.size(), g.num_relations(), rng);
+        RandomLossRows(sketches.size(), g.num_relations(), rng);
 
     Towers t;
-    t.n = nodes.size();
+    t.n = sketches.size();
     t.num_rel = GatneTestPeer::NumRelations(model);
-    t.batched = [&] { return GatneTestPeer::Batched(model, nodes, frontiers); };
+    t.batched = [&] { return GatneTestPeer::Batched(model, sketches); };
     t.per_node = [&](size_t i) {
-      return GatneTestPeer::PerNode(model, nodes[i], frontiers[i]);
+      return GatneTestPeer::PerNode(model, sketches[i]);
     };
     t.params = GatneTestPeer::Params(model);
     ExpectTowersAgree(t, rows);

@@ -5,7 +5,9 @@
 //     thread count > 1 produces the same corpus);
 //   * FitOptions{num_threads: N, deterministic: true} is run-to-run
 //     reproducible for fixed (seed, N);
-//   * EmbeddingsFor matches the per-node Embedding loop.
+//   * EmbeddingsFor matches the per-node Embedding loop, and a lookup past
+//     the fitted nodes dies;
+// for both models MinibatchTrainer drives (HybridGNN and GATNE).
 //
 // Since the kernel layer (src/kernels) the golden comparisons additionally
 // pin the *scalar* dispatch path: under HYBRIDGNN_KERNELS=scalar the library
@@ -13,15 +15,19 @@
 // has to land metric-identical within the documented tolerance (reductions
 // are reassociated; see DESIGN.md §11).
 #include <cmath>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baselines/gatne.h"
 #include "core/hybrid_gnn.h"
+#include "data/profiles.h"
 #include "graph/metapath.h"
 #include "kernels/kernels.h"
+#include "obs/metrics.h"
 #include "sampling/corpus.h"
 #include "sampling/negative_sampler.h"
 #include "sampling/sgns.h"
@@ -95,6 +101,54 @@ TEST(DeterminismTest, SerialFitMatchesPreParallelGolden) {
   for (size_t j = 0; j < 16; ++j) {
     EXPECT_EQ(e00.At(0, j), kGoldenV0R0[j]) << "v0 r0 col " << j;
     EXPECT_EQ(e51.At(0, j), kGoldenV5R1[j]) << "v5 r1 col " << j;
+  }
+}
+
+Gatne::Options TinyGatneOptions() {
+  Gatne::Options o;
+  o.base_dim = 16;
+  o.edge_dim = 4;
+  o.attn_hidden = 8;
+  o.epochs = 2;
+  o.batch_size = 64;
+  o.max_pairs_per_epoch = 500;
+  o.corpus.num_walks_per_node = 3;
+  o.corpus.walk_length = 4;
+  o.corpus.window = 2;
+  o.fanout = 3;
+  // Keep the last trained epoch so the rows pin the minibatch loop, not
+  // just the pretrained base.
+  o.restore_best = false;
+  o.seed = 123;
+  return o;
+}
+
+// GATNE's serial scalar path, pinned before its training loop moved into
+// the shared minibatch trainer; the merge had to keep these bits.
+constexpr float kGatneGoldenV0R0[16] = {
+    0.0977262855f,  0.0965082943f,  0.0846781135f,  0.0639013052f,
+    0.0139951855f,  0.0765111744f,  0.0742191151f,  -0.0527634583f,
+    0.014815338f,   0.0352367125f,  -0.0220955126f, 0.0211372338f,
+    -0.0798211768f, 0.0958211571f,  0.117750369f,   -0.0217444524f};
+constexpr float kGatneGoldenV5R1[16] = {
+    0.027696196f,   0.0690883696f,  0.0593080148f,   0.0416777581f,
+    0.00027778931f, 0.05205632f,    0.0533673763f,   0.0156488363f,
+    0.017611742f,   0.0112320539f,  -0.0268753301f,  -0.00671874965f,
+    -0.0683321506f, 0.0363533571f,  0.0803765357f,   0.00473324629f};
+
+TEST(DeterminismTest, GatneSerialFitMatchesGolden) {
+  kernels::ScopedBackend scalar(kernels::Backend::kScalar);
+  MultiplexHeteroGraph g = testing::SmallBipartite();
+  Gatne model(TinyGatneOptions(), TinySchemes(g));
+  FitOptions opts;
+  opts.num_threads = 1;
+  ASSERT_TRUE(model.Fit(g, opts).ok());
+  Tensor e00 = model.Embedding(0, 0);
+  Tensor e51 = model.Embedding(5, 1);
+  ASSERT_EQ(e00.cols(), 16u);
+  for (size_t j = 0; j < 16; ++j) {
+    EXPECT_EQ(e00.At(0, j), kGatneGoldenV0R0[j]) << "v0 r0 col " << j;
+    EXPECT_EQ(e51.At(0, j), kGatneGoldenV5R1[j]) << "v5 r1 col " << j;
   }
 }
 
@@ -205,49 +259,80 @@ TEST(DeterminismTest, ParallelCorpusMatchesSerialShape) {
   }
 }
 
+// The two models MinibatchTrainer drives, by name. On the taobao graph
+// below, TinyConfig's and TinyGatneOptions' 32-edge minibatches are large
+// enough to split into shards at 4 workers.
+std::unique_ptr<EmbeddingModel> MakeTrainedModel(
+    const std::string& name, const std::vector<MetapathScheme>& schemes) {
+  if (name == "GATNE") {
+    return std::make_unique<Gatne>(TinyGatneOptions(), schemes);
+  }
+  return std::make_unique<HybridGnn>(TinyConfig(), schemes);
+}
+
+uint64_t MinibatchCount() {
+  return obs::GlobalRegistry().GetCounter("core/minibatches").value();
+}
+
 TEST(DeterminismTest, DeterministicParallelFitIsReproducible) {
-  MultiplexHeteroGraph g = testing::SmallBipartite();
+  auto ds = MakeDataset("taobao", 0.1, 3);
+  ASSERT_TRUE(ds.ok());
+  const MultiplexHeteroGraph& g = ds->graph;
   FitOptions opts;
   opts.num_threads = 4;
   opts.deterministic = true;
-  HybridGnn a(TinyConfig(), TinySchemes(g));
-  HybridGnn b(TinyConfig(), TinySchemes(g));
-  ASSERT_TRUE(a.Fit(g, opts).ok());
-  ASSERT_TRUE(b.Fit(g, opts).ok());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (RelationId r = 0; r < g.num_relations(); ++r) {
-      Tensor ea = a.Embedding(v, r);
-      Tensor eb = b.Embedding(v, r);
-      for (size_t j = 0; j < ea.cols(); ++j) {
-        ASSERT_EQ(ea.At(0, j), eb.At(0, j))
-            << "deterministic fit diverged at v" << v << " r" << r;
+  for (const std::string name : {"HybridGNN", "GATNE"}) {
+    SCOPED_TRACE(name);
+    auto a = MakeTrainedModel(name, ds->schemes);
+    auto b = MakeTrainedModel(name, ds->schemes);
+    const uint64_t before = MinibatchCount();
+    ASSERT_TRUE(a->Fit(g, opts).ok());
+    EXPECT_GT(MinibatchCount(), before);
+    ASSERT_TRUE(b->Fit(g, opts).ok());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      for (RelationId r = 0; r < g.num_relations(); ++r) {
+        Tensor ea = a->Embedding(v, r);
+        Tensor eb = b->Embedding(v, r);
+        for (size_t j = 0; j < ea.cols(); ++j) {
+          ASSERT_EQ(ea.At(0, j), eb.At(0, j))
+              << "deterministic fit diverged at v" << v << " r" << r;
+        }
       }
     }
   }
 }
 
+// Without `deterministic`, 4 threads run the data-parallel minibatch
+// shards (the TSan sweep runs this test for both models).
 TEST(DeterminismTest, ParallelFitProducesFiniteEmbeddingsAndProgress) {
-  MultiplexHeteroGraph g = testing::SmallBipartite();
-  FitOptions opts;
-  opts.num_threads = 4;
-  std::vector<std::string> phases;
-  opts.progress_callback = [&](const FitProgress& p) {
-    phases.push_back(p.phase);
-  };
-  HybridGnn model(TinyConfig(), TinySchemes(g));
-  ASSERT_TRUE(model.Fit(g, opts).ok());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (RelationId r = 0; r < g.num_relations(); ++r) {
-      Tensor e = model.Embedding(v, r);
-      for (size_t j = 0; j < e.cols(); ++j) {
-        ASSERT_TRUE(std::isfinite(e.At(0, j))) << "v" << v << " r" << r;
+  auto ds = MakeDataset("taobao", 0.1, 3);
+  ASSERT_TRUE(ds.ok());
+  const MultiplexHeteroGraph& g = ds->graph;
+  for (const std::string name : {"HybridGNN", "GATNE"}) {
+    SCOPED_TRACE(name);
+    FitOptions opts;
+    opts.num_threads = 4;
+    std::vector<std::string> phases;
+    opts.progress_callback = [&](const FitProgress& p) {
+      phases.push_back(p.phase);
+    };
+    auto model = MakeTrainedModel(name, ds->schemes);
+    const uint64_t before = MinibatchCount();
+    ASSERT_TRUE(model->Fit(g, opts).ok());
+    EXPECT_GT(MinibatchCount(), before);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      for (RelationId r = 0; r < g.num_relations(); ++r) {
+        Tensor e = model->Embedding(v, r);
+        for (size_t j = 0; j < e.cols(); ++j) {
+          ASSERT_TRUE(std::isfinite(e.At(0, j))) << "v" << v << " r" << r;
+        }
       }
     }
+    // corpus, pretrain, >=1 epoch, cache.
+    EXPECT_GE(phases.size(), 4u);
+    EXPECT_EQ(phases.front(), "corpus");
+    EXPECT_EQ(phases.back(), "cache");
   }
-  // corpus, pretrain, >=1 epoch, cache.
-  EXPECT_GE(phases.size(), 4u);
-  EXPECT_EQ(phases.front(), "corpus");
-  EXPECT_EQ(phases.back(), "cache");
 }
 
 // The AVX2 path reassociates the dot-product reductions, so it cannot be
@@ -316,6 +401,24 @@ TEST(DeterminismTest, EmbeddingsForMatchesPerNodeLoop) {
     for (size_t j = 0; j < row.cols(); ++j) {
       EXPECT_EQ(batched.At(i, j), row.At(0, j)) << "query " << i;
     }
+  }
+}
+
+// A lookup outside the fitted graph's nodes dies on the cache's shape check
+// instead of reading past the table.
+TEST(DeterminismDeathTest, LookupOfOutOfRangeNodeDies) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  MultiplexHeteroGraph g = testing::SmallBipartite();
+  const NodeId past = static_cast<NodeId>(g.num_nodes());
+  const std::pair<NodeId, RelationId> queries[] = {{0, 0}, {past, 1}};
+  for (const std::string name : {"HybridGNN", "GATNE"}) {
+    SCOPED_TRACE(name);
+    auto model = MakeTrainedModel(name, TinySchemes(g));
+    FitOptions opts;
+    opts.num_threads = 1;
+    ASSERT_TRUE(model->Fit(g, opts).ok());
+    EXPECT_DEATH(model->Embedding(past, 0), "outside");
+    EXPECT_DEATH(model->EmbeddingsFor(queries), "outside");
   }
 }
 

@@ -88,18 +88,25 @@ TEST(DefaultSchemesTest, RespectsCap) {
   EXPECT_EQ(schemes.size(), 2u);  // one per relation
 }
 
-TEST(SchemesForNodeTest, FiltersBySourceTypeAndRelation) {
+TEST(MetapathSchemeTest, MatchesBySourceTypeAndRelation) {
   MultiplexHeteroGraph g = SmallBipartite();
   auto schemes = DefaultSchemes(g, 8);
-  auto for_user_view = SchemesForNode(schemes, g, 0, 0);
-  for (const auto* s : for_user_view) {
-    EXPECT_EQ(s->source_type(), g.node_type(0));
-    EXPECT_EQ(s->relation(), 0);
-  }
-  EXPECT_EQ(for_user_view.size(), 1u);
-  auto for_item_buy = SchemesForNode(schemes, g, 4, 1);
-  EXPECT_EQ(for_item_buy.size(), 1u);
-  EXPECT_EQ(for_item_buy[0]->source_type(), 1);
+  auto matching = [&](NodeId v, RelationId r) {
+    size_t count = 0;
+    for (const auto& s : schemes) {
+      if (!s.Matches(g, v, r)) continue;
+      EXPECT_EQ(s.source_type(), g.node_type(v));
+      EXPECT_EQ(s.relation(), r);
+      ++count;
+    }
+    return count;
+  };
+  EXPECT_EQ(matching(0, 0), 1u);  // user under view
+  EXPECT_EQ(matching(4, 1), 1u);  // item under buy
+  // An inter-relationship scheme matches no single relation.
+  MetapathScheme inter({0, 1, 0}, {0, 1});
+  EXPECT_FALSE(inter.Matches(g, 0, 0));
+  EXPECT_FALSE(inter.Matches(g, 0, 1));
 }
 
 }  // namespace
