@@ -1,9 +1,7 @@
 #!/usr/bin/env bash
 # Builds the full tier-1 test suite under AddressSanitizer + UBSan and runs
 # it through ctest. Any report (heap overflow, use-after-free, UB) fails the
-# script; a clean exit means the suite is ASan/UBSan-clean. The full suite
-# includes arena_test, so tensor-pool recycling and tape-arena rewinds get
-# ASan coverage (stale-buffer reads would surface here, not in release).
+# script; a clean exit means the suite is ASan/UBSan-clean.
 #
 # Usage: scripts/asan_check.sh [build-dir]   (default: build-asan)
 set -euo pipefail

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # One-shot CI gate: configure + build + full ctest suite, then the
-# ThreadSanitizer and AddressSanitizer sweeps, then the micro_autograd
-# allocation gate (steady-state training steps must stay allocation-free).
-# Exits non-zero on the first failing stage, so `scripts/ci_check.sh &&
-# git push` is a safe habit.
+# ThreadSanitizer and AddressSanitizer sweeps, then the micro-bench gates
+# (streaming refresh, quantized serving, ANN retrieval). Exits non-zero on
+# the first failing stage, so `scripts/ci_check.sh && git push` is a safe
+# habit.
 #
 # Usage: scripts/ci_check.sh [build-dir]   (default: build)
 # The sanitizer stages use their own build trees (build-tsan, build-asan);
@@ -25,10 +25,6 @@ scripts/tsan_check.sh
 
 echo "=== ci_check: AddressSanitizer sweep ==="
 scripts/asan_check.sh
-
-echo "=== ci_check: allocation-free training-step gate ==="
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target micro_autograd
-"$BUILD_DIR/bench/micro_autograd" --gate
 
 echo "=== ci_check: streaming refresh gate (speedup + freshness) ==="
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target micro_stream

@@ -24,8 +24,8 @@ cmake -B "$BUILD_DIR" -S . \
 # RecommendService (multi-client Submit + dispatcher + scoring pool);
 # service_stress_test hammers the same service with producer threads while
 # cross-checking every response against a direct recommender call.
-# arena_test exercises the tape arena + tensor pool from concurrent workers
-# backpropagating over shared parameters (visit marks, buffer migration);
+# autograd_test backpropagates from concurrent workers over shared
+# parameters under per-worker gradient sinks (Backward's visit marks);
 # sparse_aggregate_test adds the frontier gather/segment-reduce backward
 # under the same multi-worker grad-sink pattern. live_store_test drives
 # concurrent ingest-publish against reader threads pinning snapshots
@@ -36,7 +36,7 @@ cmake -B "$BUILD_DIR" -S . \
 # reader threads traversing a published HNSW index against the writer
 # patching/rebuilding its successor.
 TESTS=(threadpool_test sampling_test determinism_test serve_test obs_test
-       service_stress_test arena_test sparse_aggregate_test
+       service_stress_test autograd_test sparse_aggregate_test
        stream_test live_store_test ann_test batched_tower_test)
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TESTS[@]}"
 

@@ -59,7 +59,7 @@ ag::Var Gatne::ForwardSketches(std::span<const NodeSketch> sketches) const {
   const size_t num_rel = num_relations_;
   HYBRIDGNN_CHECK(n > 0) << "ForwardSketches of no sketches";
   // Per-thread scratch, reused across calls; the ops below copy the index
-  // and segment arrays they keep into the tape.
+  // and segment arrays their backwards keep.
   static thread_local MinibatchFrontier all;
   static thread_local std::vector<int32_t> idx;
 

@@ -126,7 +126,7 @@ ag::Var HybridGnn::ForwardSketches(std::span<const NodeSketch> sketches) const {
   const size_t num_rel = num_relations_;
   HYBRIDGNN_CHECK(n > 0) << "ForwardSketches of no sketches";
   // Per-thread scratch, reused across calls; every op below copies the
-  // index and segment arrays it keeps into the tape.
+  // index and segment arrays its backward keeps.
   struct FlowRef {
     const FlowSketch* flow;
     size_t group;
@@ -385,7 +385,6 @@ std::vector<double> HybridGnn::MetapathAttentionScores(NodeId v,
   Rng rng(config_.seed ^ (0x9E37ULL * (v + 1)) ^ r);
   std::vector<FlowSketch> flows;
   SampleRelationFlows(*graph_, v, r, rng, &flows);
-  ag::TapeScope tape;
   ag::Var stack = FlowStack(flows, v);
   const size_t m = stack->value.rows();
   std::vector<double> scores(m, 1.0 / static_cast<double>(m));

@@ -8,7 +8,6 @@
 #include "common/threadpool.h"
 #include "sampling/sgns.h"
 #include "tensor/optimizer.h"
-#include "tensor/pool.h"
 
 namespace hybridgnn {
 
@@ -145,11 +144,6 @@ Status MinibatchTrainer::RunEpochs(
       obs::GlobalRegistry().GetGauge("core/last_epoch_loss");
   static obs::Counter& nonfinite_counter =
       obs::GlobalRegistry().GetCounter("core/nonfinite_loss");
-  // Bytes newly fetched from the OS/heap by the last training step (pool
-  // misses + arena block growth). Flatlines at zero once pools and tapes
-  // are warm; the arena_test reuse case asserts exactly that.
-  static obs::Gauge& step_alloc_gauge =
-      obs::GlobalRegistry().GetGauge("core/step_alloc_bytes");
   for (size_t epoch = 0; epoch < spec_.epochs; ++epoch) {
     obs::ScopedTimer epoch_timer(epoch_stage);
     rng.Shuffle(train_edges_);
@@ -161,8 +155,6 @@ Status MinibatchTrainer::RunEpochs(
     size_t batches = 0;
     for (size_t start = 0; start < use_edges; start += edge_batch) {
       const size_t end = std::min(use_edges, start + edge_batch);
-      const uint64_t alloc_before =
-          pool::MissBytes() + ag::Tape::TotalReservedBytes();
       double batch_loss = 0.0;
       if (pool == nullptr || end - start < 2 * train_threads_) {
         batch_loss = run_batch(start, end, rng).first;
@@ -207,8 +199,6 @@ Status MinibatchTrainer::RunEpochs(
       }
       optimizer.Step();
       optimizer.ZeroGrad();
-      step_alloc_gauge.Set(static_cast<double>(
-          pool::MissBytes() + ag::Tape::TotalReservedBytes() - alloc_before));
       epoch_loss += batch_loss;
       ++batches;
     }

@@ -22,10 +22,9 @@ namespace hybridgnn {
 
 /// Sketches per batched inference forward (validation chunk, embedding
 /// cache chunk): about 12 KB of activations each at base_dim 128 with four
-/// relations. Chunks of 2,048 left multi-MB pooled buffers and arena blocks
-/// between the heap's per-Fit allocations, and peak RSS on a repeated
-/// 8,400-node Fit grew by a third; at 512 it stays below the per-node
-/// tower's, and per-chunk op overhead is still negligible.
+/// relations, so one chunk's graph holds about 6 MB at a time. That bounds
+/// the transient memory an inference pass adds to peak RSS, and per-chunk
+/// op overhead is already negligible at this size.
 inline constexpr size_t kForwardChunk = 512;
 
 /// The frozen [V * R, dim] table of e*_{v,r} rows (row v * R + r) a trained
@@ -183,7 +182,6 @@ Status MinibatchTrainer::Fit(const MultiplexHeteroGraph& g,
           tower.SampleNode(g, v, val_rng, sk++);
         }
       }
-      ag::TapeScope tape;  // scoring-only graph, rewound per chunk
       const ag::Var all = tower.ForwardSketches(val_sketches);
       const Tensor& rows = all->value;
       const size_t n = val_sketches.size();
@@ -208,8 +206,6 @@ Status MinibatchTrainer::Fit(const MultiplexHeteroGraph& g,
   };
 
   auto run_batch = [&](size_t start, size_t end, Rng& brng) {
-    // Declared before every Var, so the arena rewinds after they die.
-    ag::TapeScope tape;
     // Sample first, in a node-at-a-time loop's RNG order: a node's samples
     // at its first reference, negatives in between. Thread-local scratch,
     // sketch slots included, is reused across batches; a linear scan finds
@@ -280,7 +276,6 @@ Status MinibatchTrainer::Fit(const MultiplexHeteroGraph& g,
                          &sketches[samples * (v - lo) + s]);
       }
     }
-    ag::TapeScope tape;  // inference-only graph, rewound per chunk
     const ag::Var all = tower.ForwardSketches(sketches);
     const Tensor& rows = all->value;
     // A chunk writes only its own nodes' rows, averaging in sample order;

@@ -21,8 +21,8 @@ namespace hybridgnn {
 ///
 /// Producers (sampling/neighbor_sampler.h) fill a frontier once per flow
 /// and reuse the buffers across minibatches; the autograd ops copy what
-/// they need into the tape arena, so a thread_local scratch frontier is
-/// safe to rebuild per flow.
+/// they need into their backward closures, so a thread_local scratch
+/// frontier is safe to rebuild per flow.
 struct MinibatchFrontier {
   std::vector<size_t> indptr{0};
   std::vector<int32_t> indices;

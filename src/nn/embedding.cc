@@ -17,8 +17,8 @@ ag::Var EmbeddingTable::Forward(const std::vector<int32_t>& indices) const {
 
 ag::Var EmbeddingTable::ForwardNodes(const std::vector<NodeId>& nodes) const {
   // Reused per-thread scratch for the NodeId -> int32 widening; GatherRows
-  // copies the span into the tape arena (or an owned vector off-tape), so
-  // the buffer is free to be overwritten by the next call.
+  // copies the span into the op, so the buffer is free to be overwritten
+  // by the next call.
   static thread_local std::vector<int32_t> idx;
   idx.assign(nodes.begin(), nodes.end());
   return ag::GatherRows(table_, std::span<const int32_t>(idx));

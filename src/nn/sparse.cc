@@ -24,17 +24,7 @@ Tensor SpDense(const SparseMatrix& s, const Tensor& x) {
 ag::Var SpMMImpl(const SparseMatrix& fwd, const SparseMatrix& bwd,
                  const ag::Var& x) {
   Tensor out = SpDense(fwd, x->value);
-  if (ag::Tape::Current() != nullptr) {
-    // Tape mode: the backward runs before the enclosing TapeScope ends, and
-    // relation operators outlive every training scope, so borrow the CSR
-    // instead of copying it each minibatch.
-    const SparseMatrix* b = &bwd;
-    return ag::MakeOp(std::move(out), {x}, [b](ag::Node& n) {
-      ag::Node* x = n.parent(0);
-      if (x->requires_grad) x->AccumulateGrad(SpDense(*b, n.grad));
-    });
-  }
-  // Heap mode: copy the (small) CSR for backward lifetime safety.
+  // Copy the (small) CSR so the graph may outlive the operator.
   return ag::MakeOp(std::move(out), {x},
                     [bwd_copy = bwd](ag::Node& n) {
                       ag::Node* x = n.parent(0);
@@ -52,15 +42,6 @@ void CheckFrontierCoversBlock(const MinibatchFrontier& f, const Tensor& x) {
                   f.indptr.back() == x.rows())
       << "frontier indptr [0.." << (f.indptr.empty() ? 0 : f.indptr.back())
       << ") does not tile a " << x.rows() << "-row block";
-}
-
-// Copies a frontier's indptr where the backward closure can reach it: the
-// tape arena in tape mode (callers reuse thread_local scratch frontiers, so
-// the op must not alias them), the closure's own vector in heap mode.
-const size_t* StableIndptr(const MinibatchFrontier& f, ag::Tape* tape) {
-  size_t* p = tape->AllocateArray<size_t>(f.indptr.size());
-  std::memcpy(p, f.indptr.data(), f.indptr.size() * sizeof(size_t));
-  return p;
 }
 
 // ---- Backward bodies of the segment ops -----------------------------------
@@ -169,13 +150,8 @@ ag::Var SegmentReduceOp(const ag::Var& x, const MinibatchFrontier& f,
     kernel(x->value.rows() > 0 ? x->value.RowPtr(0) : nullptr, dim,
            f.indptr.data(), segs, out.RowPtr(0));
   }
-  if (ag::Tape* tape = ag::Tape::Current()) {
-    const size_t* indptr = StableIndptr(f, tape);
-    return ag::MakeOp(std::move(out), {x},
-                      [indptr, segs, grad](ag::Node& n) {
-                        grad(n, indptr, segs);
-                      });
-  }
+  // The closure copies the indptr: callers reuse thread_local scratch
+  // frontiers, so the op must not alias them.
   return ag::MakeOp(std::move(out), {x}, [own = f.indptr, grad](ag::Node& n) {
     grad(n, own.data(), own.size() - 1);
   });
@@ -196,16 +172,6 @@ ag::Var SegmentMax(const ag::Var& x, const MinibatchFrontier& f) {
   const size_t segs = f.num_segments();
   const size_t dim = x->value.cols();
   Tensor out = Tensor::Uninit(segs, dim);
-  if (ag::Tape* tape = ag::Tape::Current()) {
-    uint32_t* argmax = tape->AllocateArray<uint32_t>(segs * dim);
-    if (segs > 0) {
-      kernels::SegmentMax(x->value.rows() > 0 ? x->value.RowPtr(0) : nullptr,
-                          dim, f.indptr.data(), segs, out.RowPtr(0), argmax);
-    }
-    return ag::MakeOp(std::move(out), {x}, [argmax, segs](ag::Node& n) {
-      SegmentMaxGrad(n, argmax, segs);
-    });
-  }
   std::vector<uint32_t> argmax(segs * dim);
   if (segs > 0) {
     kernels::SegmentMax(x->value.rows() > 0 ? x->value.RowPtr(0) : nullptr,
@@ -224,16 +190,6 @@ ag::Var GatherRowsSegmented(const ag::Var& table, const MinibatchFrontier& f) {
       << "frontier indptr/indices mismatch: " << f.indptr.back() << " vs "
       << f.indices.size();
   Tensor out = hybridgnn::GatherRows(table->value, f.indices);
-  const size_t segs = f.num_segments();
-  if (ag::Tape* tape = ag::Tape::Current()) {
-    const size_t* indptr = StableIndptr(f, tape);
-    int32_t* idx = tape->AllocateArray<int32_t>(f.indices.size());
-    std::memcpy(idx, f.indices.data(), f.indices.size() * sizeof(int32_t));
-    return ag::MakeOp(std::move(out), {table},
-                      [idx, indptr, segs](ag::Node& n) {
-                        SegmentedScatterGrad(n, idx, indptr, segs);
-                      });
-  }
   return ag::MakeOp(std::move(out), {table},
                     [own_idx = f.indices, own_ptr = f.indptr](ag::Node& n) {
                       SegmentedScatterGrad(n, own_idx.data(), own_ptr.data(),

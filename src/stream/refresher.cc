@@ -154,9 +154,9 @@ size_t IncrementalRefresher::TrainPairs(std::vector<SkipGramPair>& pairs,
         const size_t q = m * negs_per_pair;
 
         // Gather the touched rows into minibatch tensors, differentiate the
-        // SGNS objective on the arena tape, and scatter -lr * grad straight
-        // back into staging. Centers appear twice (against contexts and
-        // against negatives), so their update is the sum of both grads.
+        // SGNS objective, and scatter -lr * grad straight back into
+        // staging. Centers appear twice (against contexts and against
+        // negatives), so their update is the sum of both grads.
         Tensor c_val(m, dim), x_val(m, dim), cr_val(q, dim), n_val(q, dim);
         for (size_t i = 0; i < m; ++i) {
           const float* c_row = live_->Row(rel, centers[i]);
@@ -171,7 +171,6 @@ size_t IncrementalRefresher::TrainPairs(std::vector<SkipGramPair>& pairs,
           }
         }
         {
-          ag::TapeScope scope;
           ag::Var c = ag::Param(std::move(c_val));
           ag::Var x = ag::Param(std::move(x_val));
           ag::Var cr = q > 0 ? ag::Param(std::move(cr_val)) : ag::Var();

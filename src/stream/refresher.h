@@ -43,7 +43,7 @@ struct RefreshOptions {
   size_t num_negatives = 0;
   /// Epochs over the regenerated pair set.
   size_t sgd_rounds = 2;
-  /// Pairs per tape-backed SGNS minibatch.
+  /// Pairs per SGNS minibatch.
   size_t minibatch = 256;
   float learning_rate = 0.05f;
   /// Optional post-SGNS smoothing: each dirty row is blended toward the
@@ -68,7 +68,7 @@ struct IngestStats {
 /// DynamicGraphOverlay, localizes the damage (dirty frontier = touched
 /// nodes + K-hop neighborhoods), regenerates short walks from dirty roots
 /// only, replays bounded SGNS updates against the LiveEmbeddingStore's
-/// staging tables on the arena tape, and publishes a fresh snapshot.
+/// staging tables, and publishes a fresh snapshot.
 /// Everything outside the dirty region keeps its bits; cost scales with the
 /// delta, not the graph.
 ///

@@ -1,137 +1,17 @@
 #include "tensor/autograd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstring>
-#include <new>
 
 #include "common/logging.h"
 #include "kernels/kernels.h"
-#include "obs/metrics.h"
 #include "tensor/tensor_ops.h"
 
 namespace hybridgnn::ag {
 
 namespace {
 thread_local GradSinkScope::Sink* g_grad_sink = nullptr;
-thread_local Tape* g_current_tape = nullptr;
-
-// Process-wide bytes reserved by live tape arenas (blocks are only freed
-// when a thread's tape dies with the thread).
-std::atomic<uint64_t> g_tape_reserved_bytes{0};
-
-constexpr size_t kTapeBlockSize = size_t{256} << 10;  // 256 KiB
-
-/// The calling thread's arena, created on first use and reused by every
-/// TapeScope on the thread for its whole lifetime — this is what makes
-/// steady-state epochs allocation-free even though scopes come and go.
-Tape& ThreadLocalTape() {
-  static thread_local Tape tape;
-  return tape;
-}
-
 }  // namespace
-
-// ----- Tape -----
-
-Tape::Tape() : anchor_(std::make_shared<char>(0)) {}
-
-Tape::~Tape() {
-  Rewind(Mark{0, 0, 0, 0});
-  for (const Block& b : blocks_) {
-    ::operator delete(b.ptr, std::align_val_t{64});
-  }
-  g_tape_reserved_bytes.fetch_sub(bytes_reserved_,
-                                  std::memory_order_relaxed);
-}
-
-Tape* Tape::Current() { return g_current_tape; }
-
-void Tape::AddBlock(size_t min_size) {
-  size_t size = blocks_.empty() ? kTapeBlockSize : blocks_.back().size * 2;
-  size = std::min<size_t>(size, size_t{8} << 20);
-  size = std::max(size, min_size);
-  char* ptr = static_cast<char*>(::operator new(size, std::align_val_t{64}));
-  blocks_.push_back(Block{ptr, size});
-  bytes_reserved_ += size;
-  g_tape_reserved_bytes.fetch_add(size, std::memory_order_relaxed);
-  static obs::Counter& arena_bytes =
-      obs::GlobalRegistry().GetCounter("tensor/arena_bytes");
-  arena_bytes.Add(size);
-}
-
-void* Tape::Allocate(size_t bytes, size_t align) {
-  HYBRIDGNN_CHECK(align <= 64 && (align & (align - 1)) == 0)
-      << "unsupported arena alignment " << align;
-  if (bytes == 0) bytes = 1;
-  while (true) {
-    if (cur_block_ < blocks_.size()) {
-      Block& b = blocks_[cur_block_];
-      const size_t off = (cur_off_ + align - 1) & ~(align - 1);
-      if (off + bytes <= b.size) {
-        cur_off_ = off + bytes;
-        return b.ptr + off;
-      }
-      // Current block exhausted: move to the next (possibly pre-existing
-      // from an earlier high-water mark) block.
-      if (cur_block_ + 1 < blocks_.size()) {
-        ++cur_block_;
-        cur_off_ = 0;
-        continue;
-      }
-    }
-    AddBlock(bytes);
-    cur_block_ = blocks_.size() - 1;
-    cur_off_ = 0;
-  }
-}
-
-size_t Tape::bytes_used() const {
-  size_t used = cur_off_;
-  for (size_t i = 0; i < cur_block_ && i < blocks_.size(); ++i) {
-    used += blocks_[i].size;
-  }
-  return used;
-}
-
-uint64_t Tape::TotalReservedBytes() {
-  return g_tape_reserved_bytes.load(std::memory_order_relaxed);
-}
-
-void Tape::Rewind(const Mark& mark) {
-  // Newest-first: objects may reference older ones (a closure reading its
-  // node's parents), so tear down in reverse construction order.
-  for (size_t i = dtors_.size(); i > mark.dtor_count; --i) {
-    const DtorEntry& e = dtors_[i - 1];
-    e.fn(e.obj);
-  }
-  dtors_.resize(mark.dtor_count);
-  retained_.resize(mark.retained_count);
-  cur_block_ = mark.block_idx;
-  cur_off_ = mark.block_off;
-}
-
-// ----- TapeScope -----
-
-TapeScope::TapeScope()
-    : tape_(&ThreadLocalTape()),
-      prev_current_(g_current_tape),
-      mark_(tape_->Position()) {
-  g_current_tape = tape_;
-}
-
-TapeScope::~TapeScope() {
-  tape_->Rewind(mark_);
-  g_current_tape = prev_current_;
-  if (prev_current_ == nullptr) {
-    // Outermost scope: every Var handed out by this tape aliased anchor_;
-    // any survivor would now dangle into rewound arena memory. Fail loudly
-    // instead of corrupting silently.
-    HYBRIDGNN_CHECK(tape_->anchor_.use_count() == 1)
-        << "a tape-allocated ag::Var outlived its TapeScope";
-  }
-}
 
 // ----- GradSinkScope -----
 
@@ -181,19 +61,22 @@ Tensor& Node::GradAccumulator() {
 }
 
 Var Constant(Tensor value) {
-  Var out;
-  if (Tape* tape = Tape::Current()) {
-    Node* node = tape->Create<Node>(std::move(value), /*requires_grad=*/false);
-    node->on_tape = true;
-    out = tape->MakeVar(node);
-  } else {
-    out = std::make_shared<Node>(std::move(value), /*requires_grad=*/false);
-  }
-  return out;
+  return std::make_shared<Node>(std::move(value), /*requires_grad=*/false);
 }
 
 Var Param(Tensor value) {
   return std::make_shared<Node>(std::move(value), /*requires_grad=*/true);
+}
+
+Var MakeOp(Tensor value, std::span<const Var> parents, BackwardFn backward) {
+  bool req = false;
+  for (const Var& p : parents) req |= p->requires_grad;
+  auto node = std::make_shared<Node>(std::move(value), req);
+  if (req) {
+    node->parents_.assign(parents.begin(), parents.end());
+    node->backward_ = std::move(backward);
+  }
+  return node;
 }
 
 // ----- Backward -----
@@ -233,7 +116,7 @@ void Backward(const Var& root) {
     root->visit_mark = epoch;
     while (!s.stack.empty()) {
       auto& [node, next_child] = s.stack.back();
-      if (next_child < node->num_parents) {
+      if (next_child < node->num_parents()) {
         Node* child = node->parent(next_child);
         ++next_child;
         if (child->has_backward() && child->visit_mark != epoch) {
@@ -259,9 +142,7 @@ void Backward(const Var& root) {
 // ----- Ops -----
 //
 // Backward closures read their operands through n.parent(i) instead of
-// capturing Vars: ownership is handled by the node (heap mode) or the tape
-// (arena mode), and captureless or small trivially-destructible closures
-// cost nothing to place in the arena.
+// capturing Vars: the node already owns its parents.
 
 Var MatMul(const Var& a, const Var& b) {
   Tensor out = hybridgnn::MatMul(a->value, b->value);
@@ -501,7 +382,7 @@ Var ConcatRows(std::span<const Var> parts) {
   }
   return MakeOp(std::move(out), parts, [](Node& n) {
     size_t at = 0;
-    for (size_t i = 0; i < n.num_parents; ++i) {
+    for (size_t i = 0; i < n.num_parents(); ++i) {
       Node* p = n.parent(i);
       const size_t r = p->value.rows();
       if (p->requires_grad) {
@@ -534,7 +415,7 @@ Var ConcatCols(std::span<const Var> parts) {
   }
   return MakeOp(std::move(out), parts, [](Node& n) {
     size_t at = 0;
-    for (size_t i = 0; i < n.num_parents; ++i) {
+    for (size_t i = 0; i < n.num_parents(); ++i) {
       Node* p = n.parent(i);
       const size_t c = p->value.cols();
       if (p->requires_grad) {
@@ -715,23 +596,12 @@ void ScatterGatherGrad(Node& n, const int32_t* indices, size_t count) {
 
 Var GatherRows(const Var& table, std::span<const int32_t> indices) {
   Tensor out = hybridgnn::GatherRows(table->value, indices);
-  Var r;
-  if (Tape* tape = Tape::Current()) {
-    // Copy the indices into the arena so the caller can reuse its scratch.
-    int32_t* stable = tape->AllocateArray<int32_t>(indices.size());
-    std::memcpy(stable, indices.data(), indices.size() * sizeof(int32_t));
-    r = MakeOp(std::move(out), {table},
-               [stable, count = indices.size()](Node& n) {
-                 ScatterGatherGrad(n, stable, count);
-               });
-  } else {
-    r = MakeOp(std::move(out), {table},
-               [own = std::vector<int32_t>(indices.begin(),
-                                           indices.end())](Node& n) {
-                 ScatterGatherGrad(n, own.data(), own.size());
-               });
-  }
-  return r;
+  // Copy the indices so the caller can reuse its scratch.
+  return MakeOp(std::move(out), {table},
+                [own = std::vector<int32_t>(indices.begin(),
+                                            indices.end())](Node& n) {
+                  ScatterGatherGrad(n, own.data(), own.size());
+                });
 }
 
 Var GatherRows(const Var& table, std::vector<int32_t> indices) {
@@ -752,31 +622,19 @@ Var BceWithLogits(const Var& logits, const std::vector<float>& targets) {
   }
   Tensor out(1, 1);
   out.At(0, 0) = static_cast<float>(loss / static_cast<double>(m));
-  auto backward = [](Node& n, const float* tgt, size_t count) {
+  return MakeOp(std::move(out), {logits}, [targets](Node& n) {
     Node* logits = n.parent(0);
     if (!logits->requires_grad) return;
+    const size_t count = targets.size();
     const float scale = n.grad.At(0, 0) / static_cast<float>(count);
     Tensor d = Tensor::Uninit(count, 1);
     for (size_t i = 0; i < count; ++i) {
       const float x = logits->value.At(i, 0);
       const float s = 1.0f / (1.0f + std::exp(-x));
-      d.At(i, 0) = scale * (s - tgt[i]);
+      d.At(i, 0) = scale * (s - targets[i]);
     }
     logits->AccumulateGrad(d);
-  };
-  Var r;
-  if (Tape* tape = Tape::Current()) {
-    float* stable = tape->AllocateArray<float>(m);
-    std::memcpy(stable, targets.data(), m * sizeof(float));
-    r = MakeOp(std::move(out), {logits},
-               [backward, stable, m](Node& n) { backward(n, stable, m); });
-  } else {
-    r = MakeOp(std::move(out), {logits},
-               [backward, own = targets](Node& n) {
-                 backward(n, own.data(), own.size());
-               });
-  }
-  return r;
+  });
 }
 
 Var SgnsLoss(const Var& pos, const Var& neg) {

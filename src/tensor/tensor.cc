@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <new>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -9,9 +10,21 @@
 
 namespace hybridgnn {
 
-Tensor::Tensor(size_t rows, size_t cols, UninitTag) : rows_(rows), cols_(cols) {
-  data_ = pool::Acquire(rows * cols, &cap_class_);
+float* Tensor::Allocate(size_t n) {
+  if (n == 0) return nullptr;
+  return static_cast<float*>(
+      ::operator new(n * sizeof(float), std::align_val_t{64}));
 }
+
+void Tensor::FreeBuffer() {
+  if (data_ != nullptr) {
+    ::operator delete(data_, std::align_val_t{64});
+    data_ = nullptr;
+  }
+}
+
+Tensor::Tensor(size_t rows, size_t cols, UninitTag)
+    : rows_(rows), cols_(cols), data_(Allocate(rows * cols)) {}
 
 Tensor::Tensor(size_t rows, size_t cols) : Tensor(rows, cols, UninitTag{}) {
   if (data_ != nullptr) std::memset(data_, 0, size() * sizeof(float));
@@ -36,8 +49,8 @@ Tensor::Tensor(const Tensor& other) : Tensor(other.rows_, other.cols_,
 Tensor& Tensor::operator=(const Tensor& other) {
   if (this == &other) return *this;
   // Reuse the existing buffer when the element count matches: parameter
-  // restores and cached-row writes then copy in place instead of cycling
-  // buffers through the pool.
+  // restores and cached-row writes then copy in place instead of
+  // reallocating.
   if (size() == other.size() && data_ != nullptr) {
     rows_ = other.rows_;
     cols_ = other.cols_;
@@ -47,7 +60,7 @@ Tensor& Tensor::operator=(const Tensor& other) {
   FreeBuffer();
   rows_ = other.rows_;
   cols_ = other.cols_;
-  data_ = pool::Acquire(size(), &cap_class_);
+  data_ = Allocate(size());
   if (data_ != nullptr) {
     std::memcpy(data_, other.data_, size() * sizeof(float));
   }

@@ -2,12 +2,9 @@
 #define HYBRIDGNN_TENSOR_TENSOR_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "tensor/pool.h"
 
 namespace hybridgnn {
 
@@ -15,11 +12,10 @@ namespace hybridgnn {
 /// This is the only numeric container in the library; all models (HybridGNN
 /// and baselines) compute on it. Copyable and movable.
 ///
-/// Backing storage comes from the thread-local TensorPool (tensor/pool.h):
-/// small and medium buffers are recycled through size-bucketed free lists so
-/// the training hot loop reaches a zero-allocation steady state, while large
-/// buffers (embedding tables, caches) are exact-sized heap allocations.
-/// `Uninit` skips the zero fill for outputs that are fully overwritten.
+/// Each tensor owns one exact-sized, 64-byte-aligned heap buffer (plain
+/// aligned `::operator new`, so allocation-counting overrides see every
+/// tensor). `Uninit` skips the zero fill for outputs that are fully
+/// overwritten.
 class Tensor {
  public:
   /// Empty 0x0 tensor.
@@ -32,13 +28,9 @@ class Tensor {
   Tensor(const Tensor& other);
   Tensor& operator=(const Tensor& other);
   Tensor(Tensor&& other) noexcept
-      : rows_(other.rows_),
-        cols_(other.cols_),
-        data_(other.data_),
-        cap_class_(other.cap_class_) {
+      : rows_(other.rows_), cols_(other.cols_), data_(other.data_) {
     other.rows_ = other.cols_ = 0;
     other.data_ = nullptr;
-    other.cap_class_ = pool::kUnpooledClass;
   }
   Tensor& operator=(Tensor&& other) noexcept {
     if (this != &other) {
@@ -46,10 +38,8 @@ class Tensor {
       rows_ = other.rows_;
       cols_ = other.cols_;
       data_ = other.data_;
-      cap_class_ = other.cap_class_;
       other.rows_ = other.cols_ = 0;
       other.data_ = nullptr;
-      other.cap_class_ = pool::kUnpooledClass;
     }
     return *this;
   }
@@ -118,17 +108,13 @@ class Tensor {
   struct UninitTag {};
   Tensor(size_t rows, size_t cols, UninitTag);
 
-  void FreeBuffer() {
-    if (data_ != nullptr) {
-      pool::Release(data_, cap_class_);
-      data_ = nullptr;
-    }
-  }
+  /// 64-byte-aligned buffer for `n` floats; nullptr when n == 0.
+  static float* Allocate(size_t n);
+  void FreeBuffer();
 
   size_t rows_ = 0;
   size_t cols_ = 0;
   float* data_ = nullptr;
-  uint8_t cap_class_ = pool::kUnpooledClass;
 };
 
 }  // namespace hybridgnn

@@ -206,7 +206,6 @@ StepResult RunStep(const Towers& t, std::span<const LossRow> rows,
   for (const auto& [name, p] : t.params) p->ZeroGrad();
   StepResult res;
   if (workers == 1) {
-    ag::TapeScope tape;
     ag::Var loss = StepLoss(t, rows, batched, &res.rows);
     ag::Backward(loss);
     res.loss = loss->value.At(0, 0);
@@ -217,7 +216,6 @@ StepResult RunStep(const Towers& t, std::span<const LossRow> rows,
     for (size_t w = 0; w < workers; ++w) {
       threads.emplace_back([&, w] {
         ag::GradSinkScope sink(&sinks[w]);
-        ag::TapeScope tape;
         const size_t lo = rows.size() * w / workers;
         const size_t hi = rows.size() * (w + 1) / workers;
         ag::Var loss = StepLoss(t, rows.subspan(lo, hi - lo), batched, nullptr);

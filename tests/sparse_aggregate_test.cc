@@ -5,8 +5,8 @@
 // GatherRowsSegmented -> SegmentMean -> aggregator fold — must be
 // bit-identical to the pre-redesign per-node composition (one
 // GatherRows+MeanRows per level, folded through the same aggregator), for
-// values AND gradients, in heap mode and on the pooled tape, single-threaded
-// and under the data-parallel GradSinkScope pattern. The kernel-level tests
+// values AND gradients, single-threaded and under the data-parallel
+// GradSinkScope pattern. The kernel-level tests
 // additionally pin the scalar/AVX2 backends bitwise against each other
 // (segment reductions are add chains in fixed row order; see kernels.h).
 #include <gtest/gtest.h>
@@ -25,7 +25,6 @@
 #include "sampling/neighbor_sampler.h"
 #include "tensor/autograd.h"
 #include "tensor/init.h"
-#include "tensor/pool.h"
 
 namespace hybridgnn {
 namespace {
@@ -285,28 +284,19 @@ std::vector<float> Floats(const Tensor& t) {
   return out;
 }
 
-CaseResult RunCase(bool use_frontier, bool arena, uint64_t seed) {
-  pool::PoolScope pool(arena);
+CaseResult RunCase(bool use_frontier, uint64_t seed) {
   Rng rng(seed);
   Tensor init(kNodes, kDim);
   UniformInit(init, rng, -0.8f, 0.8f);
   Var table = ag::Param(std::move(init));
   MeanAggregator agg(kDim, rng);
   const auto levels = TestLevels(seed ^ 0xBEEF);
-  auto run = [&]() {
-    Var rep = use_frontier ? FrontierPath(table, agg, levels)
-                           : ReferencePath(table, agg, levels);
-    Var loss = ag::SumAll(ag::RowwiseDot(rep, rep));
-    ag::Backward(loss);
-    return Floats(loss->value);
-  };
+  Var rep = use_frontier ? FrontierPath(table, agg, levels)
+                         : ReferencePath(table, agg, levels);
+  Var loss = ag::SumAll(ag::RowwiseDot(rep, rep));
+  ag::Backward(loss);
   CaseResult r;
-  if (arena) {
-    ag::TapeScope tape;
-    r.loss = run();
-  } else {
-    r.loss = run();
-  }
+  r.loss = Floats(loss->value);
   r.grads.push_back(Floats(table->grad));
   for (const Var& p : agg.parameters()) r.grads.push_back(Floats(p->grad));
   return r;
@@ -333,20 +323,9 @@ void ExpectExactlyEqual(const CaseResult& a, const CaseResult& b,
 
 TEST(SparseAggregateTest, FrontierMatchesPerNodeReferenceHeap) {
   for (uint64_t seed : {11ull, 222ull, 3333ull}) {
-    CaseResult ref = RunCase(/*use_frontier=*/false, /*arena=*/false, seed);
-    CaseResult fro = RunCase(/*use_frontier=*/true, /*arena=*/false, seed);
+    CaseResult ref = RunCase(/*use_frontier=*/false, seed);
+    CaseResult fro = RunCase(/*use_frontier=*/true, seed);
     ExpectExactlyEqual(ref, fro, "heap");
-  }
-}
-
-TEST(SparseAggregateTest, FrontierMatchesPerNodeReferencePooledTape) {
-  for (uint64_t seed : {11ull, 222ull, 3333ull}) {
-    CaseResult ref = RunCase(/*use_frontier=*/false, /*arena=*/true, seed);
-    CaseResult fro = RunCase(/*use_frontier=*/true, /*arena=*/true, seed);
-    ExpectExactlyEqual(ref, fro, "tape");
-    // And tape-vs-heap on the frontier path itself.
-    CaseResult heap = RunCase(/*use_frontier=*/true, /*arena=*/false, seed);
-    ExpectExactlyEqual(heap, fro, "frontier tape vs heap");
   }
 }
 
@@ -370,7 +349,6 @@ TEST(SparseAggregateTest, BackendsAgreeOnSegmentOps) {
       const auto levels = TestLevels(7);
       MinibatchFrontier f;
       BuildLevelFrontier(levels, &f);
-      ag::TapeScope tape;
       Var out = reduce(GatherRowsSegmented(table, f), f);
       ag::Backward(ag::SumAll(out));
       out_bits[b] = Bits(out->value);
@@ -382,7 +360,7 @@ TEST(SparseAggregateTest, BackendsAgreeOnSegmentOps) {
 }
 
 // Data-parallel pattern from HybridGnn::Fit: 4 workers backprop private
-// tape-scoped frontier graphs over shared leaves under per-worker grad
+// frontier graphs over shared leaves under per-worker grad
 // sinks, reduced in worker order. The reference runs the SAME sink-and-
 // reduce protocol serially with the per-node composition — within each
 // worker the fused scatter must reproduce the per-level chains, and the
@@ -407,7 +385,6 @@ TEST(SparseAggregateTest, FourWorkersMatchSerialReference) {
   std::vector<ag::GradSinkScope::Sink> ref_sinks(kWorkers);
   for (size_t w = 0; w < kWorkers; ++w) {
     ag::GradSinkScope sink_scope(&ref_sinks[w]);
-    ag::TapeScope tape;
     Var rep = ReferencePath(table, agg, worker_levels[w]);
     ag::Backward(ag::SumAll(ag::RowwiseDot(rep, rep)));
   }
@@ -423,7 +400,6 @@ TEST(SparseAggregateTest, FourWorkersMatchSerialReference) {
   for (size_t w = 0; w < kWorkers; ++w) {
     threads.emplace_back([&, w]() {
       ag::GradSinkScope sink_scope(&sinks[w]);
-      ag::TapeScope tape;
       Var rep = FrontierPath(table, agg, worker_levels[w]);
       ag::Backward(ag::SumAll(ag::RowwiseDot(rep, rep)));
     });
