@@ -1,17 +1,19 @@
-// Parallel-pipeline throughput: walk-corpus generation, Hogwild SGNS, and
-// batched evaluation at 1/2/4/8 worker threads on the Taobao profile.
-// Reports walks/s and pairs/s plus speedup over the 1-thread row, and
-// verifies that the parallel corpus is invariant to the thread count
-// (content hash equality across all rows with threads > 1).
+// Parallel-pipeline throughput: skip-gram pair-stream fill, Hogwild SGNS
+// on the stream, and batched evaluation at 1/2/4/8 worker threads on the
+// Taobao profile. Reports pairs/s plus speedup over the 1-thread row. Each
+// worker draws its share of one pass from its own forked Rng stream, the
+// way SgnsEmbedder::Train splits an epoch.
 //
 // Note: speedups only materialize with as many physical cores as workers;
 // on a single-core host all rows collapse to ~1x (scheduling overhead
 // included), which is expected.
+#include <atomic>
 #include <cstdio>
 
 #include "baselines/deepwalk.h"
 #include "bench_json.h"
 #include "bench_util.h"
+#include "common/parallel.h"
 #include "common/timer.h"
 #include "sampling/corpus.h"
 #include "sampling/negative_sampler.h"
@@ -19,25 +21,6 @@
 
 namespace hybridgnn::bench {
 namespace {
-
-uint64_t HashCorpus(const WalkCorpus& corpus) {
-  // FNV-1a over walk contents and pair triples.
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](uint64_t x) {
-    h ^= x;
-    h *= 1099511628211ULL;
-  };
-  for (const auto& walk : corpus.walks) {
-    mix(walk.size());
-    for (NodeId v : walk) mix(v);
-  }
-  for (const auto& p : corpus.pairs) {
-    mix(p.center);
-    mix(p.context);
-    mix(p.rel);
-  }
-  return h;
-}
 
 void Run() {
   BenchEnv env = GetBenchEnv();
@@ -51,33 +34,35 @@ void Run() {
   co.num_walks_per_node = 6;
   co.walk_length = 8;
   co.window = 3;
+  const PairStream stream = PairStream::Uniform(g, co, /*edge_copies=*/2);
+  const size_t pass = stream.pairs_per_pass();
+  const size_t walks = stream.walks_per_pass();
+  std::printf("one pass: %zu walks, %zu pairs\n\n", walks, pass);
 
   NegativeSampler sampler(g);
   BenchReport report("micro_parallel");
   const size_t threads_axis[] = {1, 2, 4, 8};
 
-  std::printf("%-8s %12s %12s %12s %10s %10s\n", "threads", "corpus_ms",
-              "walks/s", "sgns_ms", "pairs/s", "eval_ms");
-  double corpus_base = 0.0, sgns_base = 0.0, eval_base = 0.0;
-  uint64_t parallel_hash = 0;
-  bool hash_ok = true;
+  std::printf("%-8s %12s %12s %12s %10s %10s\n", "threads", "stream_ms",
+              "pairs/s", "sgns_ms", "pairs/s", "eval_ms");
+  double stream_base = 0.0, sgns_base = 0.0, eval_base = 0.0;
   for (size_t threads : threads_axis) {
-    // --- corpus ---
-    co.num_threads = threads;
-    Rng rng(1234);
+    // --- stream fill: draw one pass, split across workers ---
+    const Rng master(1234);
+    std::atomic<size_t> drawn{0};
     Timer t;
-    WalkCorpus corpus =
-        BuildMetapathCorpus(g, prep.dataset.schemes, co, rng);
-    const double corpus_ms = t.ElapsedMillis();
-    if (threads > 1) {
-      const uint64_t h = HashCorpus(corpus);
-      if (parallel_hash == 0) {
-        parallel_hash = h;
-      } else if (h != parallel_hash) {
-        hash_ok = false;
-      }
-    }
-    // --- SGNS ---
+    RunParallel(threads, threads, [&](size_t w) {
+      Rng wrng = master.Fork(w + 1);
+      PairStream::Reader reader(
+          stream, pass * (w + 1) / threads - pass * w / threads,
+          walks * (w + 1) / threads - walks * w / threads, wrng);
+      SkipGramPair p;
+      size_t n = 0;
+      while (reader.Next(&p)) ++n;
+      drawn += n;
+    });
+    const double stream_ms = t.ElapsedMillis();
+    // --- SGNS: one full pass of the stream ---
     SgnsOptions so;
     so.dim = 64;
     so.epochs = 1;
@@ -86,7 +71,7 @@ void Run() {
     Rng srng(55);
     SgnsEmbedder emb(g.num_nodes(), so.dim, srng);
     t.Reset();
-    emb.Train(corpus.pairs, sampler, so, srng);
+    HYBRIDGNN_CHECK_OK(emb.Train(stream, sampler, so, srng));
     const double sgns_ms = t.ElapsedMillis();
     // --- evaluation (batched scoring + parallel query ranking) ---
     EvalOptions eo;
@@ -105,31 +90,27 @@ void Run() {
     const double eval_ms = t.ElapsedMillis();
 
     if (threads == 1) {
-      corpus_base = corpus_ms;
+      stream_base = stream_ms;
       sgns_base = sgns_ms;
       eval_base = eval_ms;
     }
-    const double walks_per_s =
-        corpus_ms > 0 ? 1e3 * corpus.walks.size() / corpus_ms : 0;
-    const double pairs_per_s =
-        sgns_ms > 0 ? 1e3 * corpus.pairs.size() / sgns_ms : 0;
-    report.AddStage("corpus", threads, corpus_ms, walks_per_s);
-    report.AddStage("sgns", threads, sgns_ms, pairs_per_s);
+    const double stream_pairs_per_s =
+        stream_ms > 0 ? 1e3 * static_cast<double>(drawn) / stream_ms : 0;
+    const double sgns_pairs_per_s =
+        sgns_ms > 0 ? 1e3 * static_cast<double>(pass) / sgns_ms : 0;
+    report.AddStage("stream", threads, stream_ms, stream_pairs_per_s);
+    report.AddStage("sgns", threads, sgns_ms, sgns_pairs_per_s);
     report.AddStage("eval", threads, eval_ms, 0.0);
     std::printf("%-8zu %9.1f ms %12.0f %9.1f ms %10.0f %7.1f ms\n", threads,
-                corpus_ms, walks_per_s, sgns_ms, pairs_per_s, eval_ms);
+                stream_ms, stream_pairs_per_s, sgns_ms, sgns_pairs_per_s,
+                eval_ms);
     if (threads != 1) {
       std::printf("%-8s %9.2fx %12s %9.2fx %10s %7.2fx\n", "",
-                  corpus_ms > 0 ? corpus_base / corpus_ms : 0.0, "",
+                  stream_ms > 0 ? stream_base / stream_ms : 0.0, "",
                   sgns_ms > 0 ? sgns_base / sgns_ms : 0.0, "",
                   eval_ms > 0 ? eval_base / eval_ms : 0.0);
     }
   }
-  std::printf("\nparallel corpus thread-count invariance: %s\n",
-              hash_ok ? "OK (identical for all thread counts > 1)"
-                      : "FAILED — corpora differ across thread counts!");
-  HYBRIDGNN_CHECK(hash_ok);
-  report.set_result_hash(parallel_hash);
   report.Write();
 }
 

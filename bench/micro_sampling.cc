@@ -1,5 +1,6 @@
 // Micro-benchmarks of the sampling substrate: alias tables, walks,
-// randomized inter-relationship exploration, corpus generation.
+// randomized inter-relationship exploration, negative sampling, the
+// skip-gram pair stream.
 
 #include <benchmark/benchmark.h>
 
@@ -92,20 +93,28 @@ void BM_NegativeSampling(benchmark::State& state) {
 }
 BENCHMARK(BM_NegativeSampling);
 
-void BM_MetapathCorpus(benchmark::State& state) {
+// Draws one pass of the pretraining stream (uniform walks plus two edge
+// copies): the sampling cost SGNS pretraining pays per pair.
+void BM_PairStream(benchmark::State& state) {
   const auto& ds = KuaishouDataset();
   CorpusOptions options;
   options.num_walks_per_node = 1;
   options.walk_length = 6;
   options.window = 2;
+  const PairStream stream =
+      PairStream::Uniform(ds.graph, options, /*edge_copies=*/2);
   Rng rng(7);
+  size_t pairs = 0;
   for (auto _ : state) {
-    WalkCorpus corpus =
-        BuildMetapathCorpus(ds.graph, ds.schemes, options, rng);
-    benchmark::DoNotOptimize(corpus.pairs.size());
+    PairStream::Reader reader(stream, stream.pairs_per_pass(),
+                              stream.walks_per_pass(), rng);
+    SkipGramPair p{};
+    while (reader.Next(&p)) ++pairs;
+    benchmark::DoNotOptimize(p);
   }
+  state.SetItemsProcessed(static_cast<int64_t>(pairs));
 }
-BENCHMARK(BM_MetapathCorpus);
+BENCHMARK(BM_PairStream);
 
 }  // namespace
 }  // namespace hybridgnn

@@ -11,8 +11,8 @@
 //   hybridgnn_cli stats --graph g.txt
 //
 // --metrics-out dumps the process-wide observability registry
-// (obs/metrics.h) — stage timers such as sampling/walk_corpus and
-// core/sgns_epoch, plus counters — as JSON after the command finishes.
+// (obs/metrics.h) — stage timers such as core/sgns_epoch and
+// core/epoch, plus counters — as JSON after the command finishes.
 //
 // --save freezes the fitted model's embedding tables to a `.hgc` checkpoint
 // (serve/checkpoint.h); --load skips training entirely and evaluates or

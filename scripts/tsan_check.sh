@@ -19,9 +19,11 @@ cmake -B "$BUILD_DIR" -S . \
 # Only the tests exercising the parallel pipeline — full suite under TSan is
 # slow and the rest is single-threaded. determinism_test runs the shared
 # MinibatchTrainer's sharded epochs for both HybridGNN and GATNE at four
-# workers (per-worker gradient sinks, one reduction per Adam step), plus the
-# parallel corpus and embedding cache. serve_test covers the concurrent
-# RecommendService (multi-client Submit + dispatcher + scoring pool);
+# workers (per-worker gradient sinks, one reduction per Adam step), plus
+# Hogwild SGNS pretraining (each worker drawing pairs from its own stream)
+# and the embedding cache; sampling_test trains Hogwild SGNS directly.
+# serve_test covers the concurrent RecommendService (multi-client Submit +
+# dispatcher + scoring pool);
 # service_stress_test hammers the same service with producer threads while
 # cross-checking every response against a direct recommender call.
 # autograd_test backpropagates from concurrent workers over shared

@@ -6,20 +6,17 @@ namespace hybridgnn {
 
 Status DeepWalk::Fit(const MultiplexHeteroGraph& g,
                      const FitOptions& options) {
-  const size_t threads = options.threads();
   Rng rng(options_.seed);
-  CorpusOptions corpus_opts = options_.corpus;
-  corpus_opts.num_threads = threads;
-  WalkCorpus corpus = BuildUniformCorpus(g, corpus_opts, rng);
-  if (corpus.pairs.empty()) {
-    return Status::FailedPrecondition("DeepWalk: empty walk corpus");
-  }
+  // A pure walk model, as in the paper: no direct-edge pairs.
+  const PairStream stream =
+      PairStream::Uniform(g, options_.corpus, /*edge_copies=*/0);
   options.Report("corpus", 1, 1);
   NegativeSampler sampler(g);
   SgnsOptions sgns = options_.sgns;
-  sgns.num_threads = options.deterministic ? 1 : threads;
+  sgns.num_threads = options.deterministic ? 1 : options.threads();
   SgnsEmbedder embedder(g.num_nodes(), sgns.dim, rng);
-  embedder.Train(corpus.pairs, sampler, sgns, rng);
+  const Status st = embedder.Train(stream, sampler, sgns, rng);
+  if (!st.ok()) return Status(st.code(), "DeepWalk: " + st.message());
   embeddings_ = embedder.embeddings();
   options.Report("train", 1, 1);
   fitted_ = true;

@@ -9,8 +9,10 @@
 
 namespace hybridgnn {
 
-/// DeepWalk (Perozzi et al., KDD 2014): uniform random walks + skip-gram.
-/// Node and edge types are ignored, as in the paper's baseline setup.
+/// DeepWalk (Perozzi et al., KDD 2014): skip-gram over pairs drawn from
+/// uniform random walks (sampling/corpus.h's PairStream, no direct-edge
+/// pairs). Node and edge types are ignored, as in the paper's baseline
+/// setup.
 class DeepWalk : public EmbeddingModel {
  public:
   struct Options {
@@ -22,8 +24,11 @@ class DeepWalk : public EmbeddingModel {
   explicit DeepWalk(const Options& options) : options_(options) {}
 
   std::string name() const override { return "DeepWalk"; }
-  /// options.num_threads feeds both walk generation (reproducible parallel
-  /// streams) and Hogwild SGNS; options.deterministic keeps SGNS serial.
+  /// options.num_threads runs Hogwild SGNS, each worker drawing its own
+  /// walks; options.deterministic keeps it serial. Fails with
+  /// InvalidArgument on a bad SGNS learning rate and with
+  /// FailedPrecondition when the graph has no edge or the tables go
+  /// non-finite.
   Status Fit(const MultiplexHeteroGraph& g,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;

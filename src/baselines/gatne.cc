@@ -162,7 +162,7 @@ Status Gatne::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
   TrainerSpec spec = TrainerSpec::From(name(), options_);
   spec.cache_seed = options_.seed ^ 0xDEFACE;
   return MinibatchTrainer(std::move(spec), options)
-      .Fit(g, schemes_, *this, params, rng, &cache_);
+      .Fit(g, *this, params, rng, &cache_);
 }
 
 }  // namespace hybridgnn

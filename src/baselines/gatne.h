@@ -41,7 +41,7 @@ class Gatne : public EmbeddingModel {
     size_t max_pairs_per_epoch = 20000;
     float learning_rate = 1e-2f;
     /// Pretrain base/context tables with manual-SGD skip-gram on a
-    /// relation-blind uniform corpus (as in the GATNE reference
+    /// relation-blind uniform-walk pairs (as in the GATNE reference
     /// implementation) and freeze them during end-to-end training.
     bool pretrain_base = true;
     bool freeze_pretrained = false;
@@ -61,11 +61,12 @@ class Gatne : public EmbeddingModel {
   std::string name() const override { return "GATNE"; }
   /// Validates the options, builds the modules and trains them with the
   /// MinibatchTrainer HybridGNN uses, one tower sample per cached row.
-  /// options.num_threads parallelizes the corpus, SGNS pretraining, the
+  /// options.num_threads parallelizes SGNS pretraining, the
   /// minibatch epochs (data-parallel shards) and the cache;
   /// options.deterministic keeps pretraining and epochs serial. Fails with
   /// InvalidArgument when learning_rate is not finite and positive, and
-  /// with FailedPrecondition when a minibatch loss is not finite.
+  /// with FailedPrecondition when the graph has no edge or training goes
+  /// non-finite.
   Status Fit(const MultiplexHeteroGraph& g,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;

@@ -6,21 +6,16 @@ namespace hybridgnn {
 
 Status Node2Vec::Fit(const MultiplexHeteroGraph& g,
                      const FitOptions& options) {
-  const size_t threads = options.threads();
   Rng rng(options_.seed);
-  CorpusOptions corpus_opts = options_.corpus;
-  corpus_opts.num_threads = threads;
-  WalkCorpus corpus =
-      BuildNode2VecCorpus(g, corpus_opts, options_.p, options_.q, rng);
-  if (corpus.pairs.empty()) {
-    return Status::FailedPrecondition("node2vec: empty walk corpus");
-  }
+  const PairStream stream =
+      PairStream::Node2Vec(g, options_.corpus, options_.p, options_.q);
   options.Report("corpus", 1, 1);
   NegativeSampler sampler(g);
   SgnsOptions sgns = options_.sgns;
-  sgns.num_threads = options.deterministic ? 1 : threads;
+  sgns.num_threads = options.deterministic ? 1 : options.threads();
   SgnsEmbedder embedder(g.num_nodes(), sgns.dim, rng);
-  embedder.Train(corpus.pairs, sampler, sgns, rng);
+  const Status st = embedder.Train(stream, sampler, sgns, rng);
+  if (!st.ok()) return Status(st.code(), "node2vec: " + st.message());
   embeddings_ = embedder.embeddings();
   options.Report("train", 1, 1);
   fitted_ = true;

@@ -9,8 +9,13 @@
 
 namespace hybridgnn {
 
-/// node2vec (Grover & Leskovec, KDD 2016): second-order biased walks with
-/// return parameter p and in-out parameter q, then skip-gram. Relation-blind.
+/// node2vec (Grover & Leskovec, KDD 2016): skip-gram over pairs drawn from
+/// second-order biased walks with return parameter p and in-out parameter q
+/// (sampling/corpus.h's PairStream, no direct-edge pairs). Relation-blind.
+/// options.num_threads runs Hogwild SGNS, each worker drawing its own
+/// walks; options.deterministic keeps it serial. Fails with InvalidArgument
+/// on a bad SGNS learning rate and with FailedPrecondition when the graph
+/// has no edge or the tables go non-finite.
 class Node2Vec : public EmbeddingModel {
  public:
   struct Options {

@@ -17,7 +17,7 @@ namespace hybridgnn {
 struct ModelBudget {
   /// Multiplies epochs / optimization steps of every model (1.0 = default).
   double effort = 1.0;
-  /// Random-walk corpus shared by walk-based models.
+  /// Random-walk settings shared by walk-based models.
   size_t num_walks = 6;
   size_t walk_length = 8;
   size_t window = 3;

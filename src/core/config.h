@@ -38,7 +38,7 @@ struct HybridGnnConfig {
   size_t epochs = 10;
   size_t batch_size = 128;
   /// Initialize the base/context tables with a fast manual-SGD skip-gram
-  /// pass over a relation-blind uniform-walk corpus before end-to-end
+  /// pass over relation-blind uniform-walk pairs before end-to-end
   /// training (GATNE's reference implementation pretrains its base
   /// embeddings the same way). The base captures global proximity; the
   /// aggregation machinery then learns relation-specific corrections.
@@ -63,7 +63,8 @@ struct HybridGnnConfig {
   /// to keep the final epoch (mainly for tests/diagnostics).
   bool restore_best = true;
 
-  /// Random-walk corpus parameters (paper: 20 walks, length 10, window 5).
+  /// Pretraining walk-pair stream parameters (paper: 20 walks, length 10,
+  /// window 5).
   CorpusOptions corpus;
 
   // ---- Ablation switches (Table VII) ----

@@ -374,7 +374,7 @@ Status HybridGnn::Fit(const MultiplexHeteroGraph& g,
   // four samples to reduce inference variance.
   spec.cache_samples = 4;
   MinibatchTrainer trainer(std::move(spec), options);
-  const Status status = trainer.Fit(g, schemes_, *this, params, rng, &cache_);
+  const Status status = trainer.Fit(g, *this, params, rng, &cache_);
   last_epoch_loss_ = trainer.last_epoch_loss();
   return status;
 }

@@ -23,8 +23,8 @@ namespace hybridgnn {
 /// via (1) randomized inter-relationship exploration, (2) hybrid aggregation
 /// flows over intra-relationship metapath-guided neighbors plus exploration
 /// neighbors, and (3) hierarchical (metapath-level, then relationship-level)
-/// self-attention. Trained with skip-gram over metapath-based random walks
-/// and heterogeneous negative sampling.
+/// self-attention. Pretrained with skip-gram over random-walk pairs, then
+/// trained on the link objective with heterogeneous negative sampling.
 ///
 /// Usage:
 ///   HybridGnn model(config, schemes);
@@ -41,12 +41,13 @@ class HybridGnn : public EmbeddingModel {
   std::string name() const override { return "HybridGNN"; }
 
   /// Validates the config, builds the modules and hands the tower to the
-  /// shared MinibatchTrainer (core/minibatch_trainer.h): walk corpus, SGNS
-  /// pretraining, minibatch epochs with early stopping, then the frozen
-  /// cache of every e*_{v,r}, each row the mean of four tower samples.
+  /// shared MinibatchTrainer (core/minibatch_trainer.h): SGNS pretraining
+  /// on a walk-pair stream, minibatch epochs with early stopping, then the
+  /// frozen cache of every e*_{v,r}, each row the mean of four tower
+  /// samples.
   /// Threading and determinism follow the trainer; num_threads <= 1 gives
-  /// the same bits on every run. Fails with FailedPrecondition when a
-  /// minibatch loss is not finite.
+  /// the same bits on every run. Fails with FailedPrecondition when the
+  /// graph has no edge or training goes non-finite.
   Status Fit(const MultiplexHeteroGraph& train_graph,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;

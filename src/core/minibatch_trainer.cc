@@ -11,6 +11,13 @@
 
 namespace hybridgnn {
 
+namespace {
+
+// Copies of each edge SGNS pretraining mixes in with its walk pairs.
+constexpr size_t kPretrainEdgeCopies = 2;
+
+}  // namespace
+
 size_t RelationEmbeddingCache::Row(NodeId v, RelationId r) const {
   HYBRIDGNN_CHECK(filled()) << "Fit() must succeed before an embedding lookup";
   const size_t row = static_cast<size_t>(v) * num_relations_ + r;
@@ -44,13 +51,9 @@ MinibatchTrainer::MinibatchTrainer(TrainerSpec spec, const FitOptions& options)
       train_threads_(options.deterministic ? 1 : threads_) {}
 
 Status MinibatchTrainer::Prepare(const MultiplexHeteroGraph& g,
-                                 const std::vector<MetapathScheme>& schemes,
                                  const TowerParams& params, Rng& rng) {
-  // Only the emptiness check reads the metapath corpus, but building it
-  // advances `rng`, and every later draw depends on that.
-  CorpusOptions corpus_opts = spec_.corpus;
-  corpus_opts.num_threads = threads_;
-  if (BuildMetapathCorpus(g, schemes, corpus_opts, rng).pairs.empty()) {
+  // Without an edge no walk can start, so there is no skip-gram pair.
+  if (g.edges().empty()) {
     return Status::FailedPrecondition(spec_.name +
                                       ": no skip-gram pairs generated");
   }
@@ -58,27 +61,18 @@ Status MinibatchTrainer::Prepare(const MultiplexHeteroGraph& g,
   neg_sampler_ = std::make_unique<NegativeSampler>(g);
 
   if (spec_.pretrain_base) {
-    // Relation-blind uniform corpus plus the direct edges: the base
+    // Relation-blind uniform walks plus the direct edges: the base
     // captures global proximity; relation-specific structure is learned on
     // top of it.
-    CorpusOptions pre_corpus = corpus_opts;
-    pre_corpus.direct_edge_copies = 2;
-    WalkCorpus uniform = BuildUniformCorpus(g, pre_corpus, rng);
-    uniform.pairs.reserve(uniform.pairs.size() +
-                          2 * pre_corpus.direct_edge_copies *
-                              g.edges().size());
-    for (size_t copy = 0; copy < pre_corpus.direct_edge_copies; ++copy) {
-      for (const auto& e : g.edges()) {
-        uniform.pairs.push_back(SkipGramPair{e.src, e.dst, e.rel});
-        uniform.pairs.push_back(SkipGramPair{e.dst, e.src, e.rel});
-      }
-    }
     SgnsOptions pre;
     pre.dim = params.base->value.cols();
     pre.negatives = spec_.num_negatives;
     pre.num_threads = train_threads_;
     SgnsEmbedder pretrainer(g.num_nodes(), pre.dim, rng);
-    pretrainer.Train(uniform.pairs, *neg_sampler_, pre, rng);
+    const Status st = pretrainer.Train(
+        PairStream::Uniform(g, spec_.corpus, kPretrainEdgeCopies),
+        *neg_sampler_, pre, rng);
+    if (!st.ok()) return Status(st.code(), spec_.name + ": " + st.message());
     params.base->value = pretrainer.embeddings();
     params.context->value = pretrainer.contexts();
     options_.Report("pretrain", 1, 1);

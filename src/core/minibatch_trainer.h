@@ -12,7 +12,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "eval/embedding_model.h"
-#include "graph/metapath.h"
 #include "obs/metrics.h"
 #include "sampling/corpus.h"
 #include "sampling/negative_sampler.h"
@@ -97,15 +96,16 @@ struct TowerParams {
   }
 };
 
-/// The training protocol HybridGNN and GATNE share (paper Sec. III-E): the
-/// metapath walk corpus, relation-blind SGNS pretraining of the base and
-/// context tables, minibatch fine-tuning on the link objective against
-/// relationship-aware negatives with early stopping on an internal
-/// validation holdout and best-epoch restore, then the embedding cache.
+/// The training protocol HybridGNN and GATNE share (paper Sec. III-E):
+/// relation-blind SGNS pretraining of the base and context tables on pairs
+/// drawn from uniform walks and the direct edges, minibatch fine-tuning on
+/// the link objective against relationship-aware negatives with early
+/// stopping on an internal validation holdout and best-epoch restore, then
+/// the embedding cache.
 ///
-/// With options.num_threads > 1 the corpus, pretraining, epochs
+/// With options.num_threads > 1 pretraining (Hogwild), the epochs
 /// (data-parallel shards, per-worker gradient sinks reduced on the main
-/// thread before each Adam step) and cache use worker threads;
+/// thread before each Adam step) and the cache use worker threads;
 /// options.deterministic keeps pretraining and epochs serial. One thread
 /// gives the same bits on every run.
 class MinibatchTrainer {
@@ -118,10 +118,10 @@ class MinibatchTrainer {
   /// ForwardSketches(span<const NodeSketch>) returning one [R * n, base_dim]
   /// Var, row r * n + i for sketch i. `rng` is the model's stream, already
   /// past parameter initialization. Fails with FailedPrecondition when the
-  /// corpus is empty or a minibatch loss is not finite.
+  /// graph has no edge or a pretrained table or minibatch loss is not
+  /// finite.
   template <typename Tower>
-  Status Fit(const MultiplexHeteroGraph& g,
-             const std::vector<MetapathScheme>& schemes, const Tower& tower,
+  Status Fit(const MultiplexHeteroGraph& g, const Tower& tower,
              const TowerParams& params, Rng& rng,
              RelationEmbeddingCache* cache);
 
@@ -137,11 +137,10 @@ class MinibatchTrainer {
   using BatchFn =
       std::function<std::pair<double, size_t>(size_t, size_t, Rng&)>;
 
-  /// Corpus check, pretraining, the split and the fixed validation
+  /// Edge check, pretraining, the split and the fixed validation
   /// negatives, in that RNG order.
-  Status Prepare(const MultiplexHeteroGraph& g,
-                 const std::vector<MetapathScheme>& schemes,
-                 const TowerParams& params, Rng& rng);
+  Status Prepare(const MultiplexHeteroGraph& g, const TowerParams& params,
+                 Rng& rng);
   /// Epoch loop with early stopping and best-epoch restore.
   Status RunEpochs(const BatchFn& run_batch,
                    const std::function<double()>& validation_auc,
@@ -149,7 +148,7 @@ class MinibatchTrainer {
 
   TrainerSpec spec_;
   const FitOptions& options_;
-  size_t threads_;        // corpus and cache
+  size_t threads_;        // cache
   size_t train_threads_;  // pretraining and epochs
   std::unique_ptr<NegativeSampler> neg_sampler_;
   std::vector<EdgeTriple> train_edges_, val_edges_;
@@ -159,12 +158,11 @@ class MinibatchTrainer {
 
 template <typename Tower>
 Status MinibatchTrainer::Fit(const MultiplexHeteroGraph& g,
-                             const std::vector<MetapathScheme>& schemes,
                              const Tower& tower, const TowerParams& params,
                              Rng& rng, RelationEmbeddingCache* cache) {
   using Sketch = typename Tower::NodeSketch;
   *cache = {};
-  HYBRIDGNN_RETURN_IF_ERROR(Prepare(g, schemes, params, rng));
+  HYBRIDGNN_RETURN_IF_ERROR(Prepare(g, params, rng));
 
   std::vector<Sketch> val_sketches;
   auto validation_auc = [&]() {

@@ -36,8 +36,7 @@ struct FitOptions {
   /// (Hogwild SGNS, racy minibatch gradient order) falls back to its serial
   /// schedule, so repeated runs with the same seed and the same
   /// `num_threads` produce bit-identical models. Stages that are
-  /// reproducible in parallel (walk corpus, frozen-embedding cache) stay
-  /// parallel.
+  /// reproducible in parallel (the frozen-embedding cache) stay parallel.
   bool deterministic = false;
 
   /// Invoked from the main training thread at stage boundaries / epoch

@@ -58,7 +58,7 @@ struct RegistrySnapshot {
 
 /// Process-wide table of named counters, gauges, and stage-latency
 /// histograms. Names follow the `subsystem/stage` scheme (e.g.
-/// "sampling/walk_corpus", "core/gather", "serve/requests").
+/// "core/sgns_epoch", "core/gather", "serve/requests").
 ///
 /// Get*() registers on first use and returns a reference that stays valid
 /// for the registry's lifetime — entries are never removed, so hot paths can
@@ -100,7 +100,7 @@ LatencyHistogram& Stage(std::string_view name);
 
 /// RAII stage span: records the elapsed wall time into `hist` when it goes
 /// out of scope. Usage:
-///   obs::ScopedTimer timer(obs::Stage("sampling/walk_corpus"));
+///   obs::ScopedTimer timer(obs::Stage("core/sgns_epoch"));
 class ScopedTimer {
  public:
   explicit ScopedTimer(LatencyHistogram& hist)

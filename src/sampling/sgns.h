@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "graph/types.h"
 #include "sampling/corpus.h"
 #include "sampling/negative_sampler.h"
@@ -18,15 +19,17 @@ struct SgnsOptions {
   size_t negatives = 5;
   float learning_rate = 0.025f;
   size_t epochs = 2;
-  /// Pair cap per epoch (0 = all pairs).
+  /// Pairs drawn per epoch (0 = no cap). An epoch also ends after one pass
+  /// of the stream: PairStream::pairs_per_pass() pairs, or its
+  /// walks_per_pass() walks, whichever comes first.
   size_t max_pairs_per_epoch = 200000;
-  /// Worker threads for Train. 1 (the default) runs the original serial
-  /// SGD loop, bit-identical to the seed implementation; 0 defers to
-  /// HYBRIDGNN_THREADS. With more than one thread the shuffled pair order
-  /// is sharded across workers which update emb_/ctx_ rows lock-free
-  /// (Hogwild, Recht et al. 2011): sparse updates rarely collide, and
-  /// word2vec-family systems tolerate the occasional lost write. Results
-  /// are then nondeterministic run-to-run.
+  /// Worker threads for Train. 1 (the default) draws and trains every pair
+  /// from the caller's Rng, so a fixed seed gives the same bits on every
+  /// run; 0 defers to HYBRIDGNN_THREADS. With more than one thread each
+  /// worker draws its share of the epoch from its own forked stream and
+  /// updates emb_/ctx_ rows lock-free (Hogwild, Recht et al. 2011): sparse
+  /// updates rarely collide, and word2vec-family systems tolerate the
+  /// occasional lost write. Results are then nondeterministic run-to-run.
   size_t num_threads = 1;
 };
 
@@ -38,10 +41,12 @@ class SgnsEmbedder {
  public:
   SgnsEmbedder(size_t num_nodes, size_t dim, Rng& rng);
 
-  /// Runs `opts.epochs` passes over `pairs` (shuffled each epoch).
-  void Train(const std::vector<SkipGramPair>& pairs,
-             const NegativeSampler& sampler, const SgnsOptions& opts,
-             Rng& rng);
+  /// Runs `opts.epochs` epochs of pairs drawn from `stream`, the learning
+  /// rate decaying linearly within each. Fails with InvalidArgument on a
+  /// non-finite or non-positive learning rate, and with FailedPrecondition
+  /// when the stream has no pairs or a table is non-finite after an epoch.
+  Status Train(const PairStream& stream, const NegativeSampler& sampler,
+               const SgnsOptions& opts, Rng& rng);
 
   /// One SGD update on a (center, context) pair plus `negatives` noise draws.
   void Update(NodeId center, NodeId context, const NegativeSampler& sampler,

@@ -1,16 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "baselines/deepwalk.h"
 #include "baselines/gatne.h"
+#include "baselines/node2vec.h"
 #include "baselines/registry.h"
 #include "data/profiles.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "obs/metrics.h"
+#include "test_util.h"
 
 namespace hybridgnn {
 namespace {
@@ -187,6 +193,27 @@ TEST_F(BaselinesTest, GatneNonFiniteLossFailsFitCleanly) {
   EXPECT_EQ(nonfinite.value(), before + 1);
 }
 
+// With no walk pairs (window 0 or walk length 0) the pretraining stream
+// still holds the direct edges: GATNE pretrains on the two copies of every
+// edge, two epochs of them, and fits.
+TEST_F(BaselinesTest, GatnePretrainsOnEdgesWithoutWalkPairs) {
+  obs::Counter& trained =
+      obs::GlobalRegistry().GetCounter("core/sgns_pairs_trained");
+  const size_t edge_pairs = 2 * 2 * split_->train_graph.edges().size();
+  for (const auto& [window, walk_length] :
+       {std::pair<size_t, size_t>{0, 5}, {2, 0}}) {
+    Gatne::Options o = SmallGatneOptions();
+    o.corpus.window = window;
+    o.corpus.walk_length = walk_length;
+    const uint64_t before = trained.value();
+    Gatne model(o, dataset_->schemes);
+    const Status s = model.Fit(split_->train_graph);
+    ASSERT_TRUE(s.ok()) << "window " << window << ", walk length "
+                        << walk_length << ": " << s.ToString();
+    EXPECT_EQ(trained.value() - before, 2 * edge_pairs);
+  }
+}
+
 TEST_F(BaselinesTest, DeepWalkIsRelationBlind) {
   auto model = CreateModel("DeepWalk", dataset_->schemes, 5, TinyBudget());
   ASSERT_TRUE(model.ok());
@@ -210,6 +237,52 @@ TEST_F(BaselinesTest, ModelsFailGracefullyOnDegenerateInput) {
     auto model = CreateModel(name, {}, 1, TinyBudget());
     ASSERT_TRUE(model.ok());
     EXPECT_FALSE((*model)->Fit(*edgeless).ok()) << name;
+  }
+}
+
+// The walk-based models draw skip-gram pairs from walks, and an edgeless
+// graph has none: each Fit must fail its precondition rather than spin.
+TEST_F(BaselinesTest, WalkModelsFailPreconditionOnEdgelessGraph) {
+  GraphBuilder b;
+  const NodeTypeId user = b.AddNodeType("user").value();
+  const NodeTypeId item = b.AddNodeType("item").value();
+  ASSERT_TRUE(b.AddRelation("view").ok());
+  ASSERT_TRUE(b.AddRelation("buy").ok());
+  ASSERT_TRUE(b.AddNodes(user, 4).ok());
+  ASSERT_TRUE(b.AddNodes(item, 3).ok());
+  auto edgeless = b.Build();
+  ASSERT_TRUE(edgeless.ok());
+  const std::vector<MetapathScheme> schemes = {
+      testing::UiuScheme(*edgeless, 0), testing::UiuScheme(*edgeless, 1)};
+  for (const std::string name : {"DeepWalk", "node2vec", "GATNE",
+                                 "HybridGNN"}) {
+    auto model = CreateModel(name, schemes, 1, TinyBudget());
+    ASSERT_TRUE(model.ok());
+    const Status st = (*model)->Fit(*edgeless);
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition)
+        << name << ": " << st.ToString();
+  }
+}
+
+// An SGNS learning rate this large overflows the tables within the first
+// epoch; both SGNS-only baselines must say so instead of returning NaNs.
+TEST_F(BaselinesTest, SgnsBaselinesFailCleanlyOnNonFiniteTables) {
+  DeepWalk::Options dw;
+  dw.corpus.num_walks_per_node = 2;
+  dw.corpus.walk_length = 5;
+  dw.corpus.window = 2;
+  dw.sgns.learning_rate = 1e30f;
+  Node2Vec::Options n2v;
+  n2v.corpus = dw.corpus;
+  n2v.sgns = dw.sgns;
+  DeepWalk deepwalk(dw);
+  Node2Vec node2vec(n2v);
+  for (EmbeddingModel* model :
+       std::initializer_list<EmbeddingModel*>{&deepwalk, &node2vec}) {
+    const Status st = model->Fit(split_->train_graph);
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+    EXPECT_EQ(st.message().rfind(model->name() + ": ", 0), 0u)
+        << st.message();
   }
 }
 

@@ -166,15 +166,24 @@ TEST_P(ProfilePropertyTest, CorpusPairsReferenceRealNodes) {
   options.num_walks_per_node = 1;
   options.walk_length = 4;
   options.window = 2;
-  WalkCorpus corpus = BuildMetapathCorpus(g, dataset_.schemes, options, rng);
-  ASSERT_FALSE(corpus.pairs.empty());
-  for (const auto& p : corpus.pairs) {
+  const PairStream stream =
+      PairStream::Uniform(g, options, /*edge_copies=*/2);
+  PairStream::Reader reader(stream, stream.pairs_per_pass(),
+                            stream.walks_per_pass(), rng);
+  SkipGramPair p;
+  size_t drawn = 0;
+  while (reader.Next(&p)) {
+    ++drawn;
     ASSERT_LT(p.center, g.num_nodes());
     ASSERT_LT(p.context, g.num_nodes());
+    // Walk pairs are relation-blind; edge pairs carry their edge's
+    // relation and are real edges. Walks may revisit nodes (cycles), so
+    // center == context is legal for walk pairs.
+    if (p.rel == kInvalidRelation) continue;
     ASSERT_LT(p.rel, g.num_relations());
-    // Walks may revisit nodes (cycles), so center == context is legal for
-    // windowed pairs; direct-edge pairs are always distinct endpoints.
+    ASSERT_TRUE(g.HasEdge(p.center, p.context, p.rel));
   }
+  EXPECT_GT(drawn, 0u);
 }
 
 TEST_P(ProfilePropertyTest, StatsAreInternallyConsistent) {

@@ -1,5 +1,6 @@
 // Statistical goodness-of-fit tests for the sampling primitives: Walker's
-// alias method (sampling/alias.cc) and the heterogeneous negative sampler.
+// alias method (sampling/alias.cc), the heterogeneous negative sampler and
+// the skip-gram pair stream (sampling/corpus.cc).
 // Each test draws at least one million samples with a fixed seed and runs a
 // Pearson chi-squared test against the target distribution; critical values
 // are hardcoded at significance alpha = 0.001, so a correct sampler with
@@ -10,11 +11,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/rng.h"
 #include "sampling/alias.h"
+#include "sampling/corpus.h"
 #include "sampling/negative_sampler.h"
+#include "sampling/walker.h"
 #include "test_util.h"
 
 namespace hybridgnn {
@@ -185,6 +189,130 @@ TEST(NegativeSamplerStatsTest, SampleAnyCoversAllNodesByDegreeMass) {
   for (size_t i = 0; i < kDraws; ++i) ++counts[sampler.SampleAny(rng)];
   const double chi2 = ChiSquared(counts, Normalize(weights), kDraws);
   EXPECT_LT(chi2, kChi2Crit_df6) << "global negative sampling is biased";
+}
+
+// ---------- Skip-gram pair stream ----------
+//
+// The stream replaces a materialized corpus: num_walks_per_node walks from
+// every non-isolated node, their window pairs, and `edge_copies` copies
+// of every edge in both directions. The reference below builds that
+// corpus (with the walker primitives directly) again and again with one
+// running Rng; the stream draws as many passes, each ended by its walk cap
+// so no pass is cut mid-walk. A two-sample chi-squared test of homogeneity
+// compares their (center, context) histograms.
+
+using WalkFn = std::function<std::vector<NodeId>(NodeId, Rng&)>;
+
+constexpr size_t kPasses = 3000;
+
+std::vector<uint64_t> ReferenceHistogram(const MultiplexHeteroGraph& g,
+                                         const CorpusOptions& options,
+                                         size_t edge_copies,
+                                         const WalkFn& walk, Rng& rng) {
+  const size_t n = g.num_nodes();
+  std::vector<uint64_t> counts(n * n, 0);
+  std::vector<SkipGramPair> pairs;
+  for (size_t pass = 0; pass < kPasses; ++pass) {
+    pairs.clear();
+    for (NodeId v = 0; v < n; ++v) {
+      if (g.TotalDegree(v) == 0) continue;
+      for (size_t w = 0; w < options.num_walks_per_node; ++w) {
+        HarvestPairs(walk(v, rng), options.window, kInvalidRelation, pairs);
+      }
+    }
+    for (size_t c = 0; c < edge_copies; ++c) {
+      for (const EdgeTriple& e : g.edges()) {
+        pairs.push_back({e.src, e.dst, e.rel});
+        pairs.push_back({e.dst, e.src, e.rel});
+      }
+    }
+    for (const SkipGramPair& p : pairs) ++counts[p.center * n + p.context];
+  }
+  return counts;
+}
+
+std::vector<uint64_t> StreamHistogram(const MultiplexHeteroGraph& g,
+                                      const PairStream& stream, Rng& rng) {
+  const size_t n = g.num_nodes();
+  std::vector<uint64_t> counts(n * n, 0);
+  for (size_t pass = 0; pass < kPasses; ++pass) {
+    PairStream::Reader reader(stream, SIZE_MAX, stream.walks_per_pass(),
+                              rng);
+    SkipGramPair p;
+    while (reader.Next(&p)) ++counts[p.center * n + p.context];
+  }
+  return counts;
+}
+
+/// Upper alpha = 0.001 critical value of chi-squared with `df` degrees of
+/// freedom (Wilson-Hilferty; within 1% of the exact value for df >= 10).
+double Chi2Critical(size_t df) {
+  const double k = static_cast<double>(df);
+  const double z = 3.0902;  // standard normal upper 0.001 quantile
+  const double t = 1.0 - 2.0 / (9.0 * k) + z * std::sqrt(2.0 / (9.0 * k));
+  return k * t * t * t;
+}
+
+/// Two-sample chi-squared test of homogeneity; fails when the histograms
+/// differ at alpha = 0.001.
+void ExpectSameDistribution(const std::vector<uint64_t>& a,
+                            const std::vector<uint64_t>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  double na = 0.0, nb = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    na += static_cast<double>(a[i]);
+    nb += static_cast<double>(b[i]);
+  }
+  const double ka = std::sqrt(nb / na), kb = std::sqrt(na / nb);
+  double chi2 = 0.0;
+  size_t buckets = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] + b[i] == 0) continue;
+    const double d = static_cast<double>(a[i]) * ka -
+                     static_cast<double>(b[i]) * kb;
+    chi2 += d * d / static_cast<double>(a[i] + b[i]);
+    ++buckets;
+  }
+  ASSERT_GE(buckets, 11u);
+  EXPECT_LT(chi2, Chi2Critical(buckets - 1))
+      << "stream and materialized corpus differ over " << buckets
+      << " (center, context) buckets, " << na << " vs " << nb << " pairs";
+}
+
+CorpusOptions StatsCorpus() {
+  CorpusOptions options;
+  options.num_walks_per_node = 3;
+  options.walk_length = 4;
+  options.window = 2;
+  return options;
+}
+
+TEST(PairStreamStatsTest, UniformWalksWithEdgeCopiesMatchCorpus) {
+  MultiplexHeteroGraph g = testing::SmallBipartite();
+  const CorpusOptions options = StatsCorpus();
+  Rng ref_rng(1007), stream_rng(1008);
+  const auto reference = ReferenceHistogram(
+      g, options, /*edge_copies=*/2,
+      [&](NodeId v, Rng& rng) {
+        return UniformWalk(g, v, options.walk_length, rng);
+      },
+      ref_rng);
+  const PairStream stream = PairStream::Uniform(g, options, 2);
+  ExpectSameDistribution(reference, StreamHistogram(g, stream, stream_rng));
+}
+
+TEST(PairStreamStatsTest, Node2VecWalksMatchCorpus) {
+  MultiplexHeteroGraph g = testing::SmallBipartite();
+  const CorpusOptions options = StatsCorpus();
+  Rng ref_rng(1009), stream_rng(1010);
+  const auto reference = ReferenceHistogram(
+      g, options, /*edge_copies=*/0,
+      [&](NodeId v, Rng& rng) {
+        return Node2VecWalk(g, v, options.walk_length, 0.5, 2.0, rng);
+      },
+      ref_rng);
+  const PairStream stream = PairStream::Node2Vec(g, options, 0.5, 2.0);
+  ExpectSameDistribution(reference, StreamHistogram(g, stream, stream_rng));
 }
 
 }  // namespace

@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/graph.h"
+#include "obs/metrics.h"
 #include "sampling/alias.h"
 #include "sampling/corpus.h"
 #include "sampling/exploration.h"
@@ -313,67 +318,118 @@ TEST(CorpusTest, HarvestPairsWindow) {
   }
 }
 
-TEST(CorpusTest, MetapathCorpusTagsRelations) {
-  MultiplexHeteroGraph g = SmallBipartite();
-  Rng rng(20);
-  auto schemes = DefaultSchemes(g, 4);
+CorpusOptions TinyCorpus() {
   CorpusOptions options;
   options.num_walks_per_node = 3;
   options.walk_length = 4;
   options.window = 2;
-  WalkCorpus corpus = BuildMetapathCorpus(g, schemes, options, rng);
-  EXPECT_FALSE(corpus.pairs.empty());
-  std::set<RelationId> rels;
-  for (const auto& p : corpus.pairs) rels.insert(p.rel);
-  EXPECT_EQ(rels.size(), g.num_relations());
+  return options;
 }
 
-TEST(CorpusTest, UniformCorpusIsRelationBlind) {
+std::vector<SkipGramPair> DrawPass(const PairStream& stream, Rng& rng) {
+  std::vector<SkipGramPair> pairs;
+  PairStream::Reader reader(stream, stream.pairs_per_pass(),
+                            stream.walks_per_pass(), rng);
+  SkipGramPair p;
+  while (reader.Next(&p)) pairs.push_back(p);
+  return pairs;
+}
+
+TEST(PairStreamTest, PassMatchesMaterializedCorpusSize) {
   MultiplexHeteroGraph g = SmallBipartite();
+  const PairStream stream = PairStream::Uniform(g, TinyCorpus(), 2);
+  // Every node has an edge, and a 4-step walk has 2+3+4+3+2 window pairs.
+  EXPECT_EQ(stream.walks_per_pass(), 3 * g.num_nodes());
+  const size_t walk_pairs = stream.walks_per_pass() * 14;
+  const size_t edge_pairs = 2 * 2 * g.num_edges();
+  EXPECT_EQ(stream.pairs_per_pass(), walk_pairs + edge_pairs);
+  EXPECT_DOUBLE_EQ(stream.edge_share(),
+                   static_cast<double>(edge_pairs) /
+                       static_cast<double>(walk_pairs + edge_pairs));
+  // Without edges, the walk cap ends the pass after exactly the walks'
+  // pairs: uniform walks from non-isolated nodes never end early.
+  const PairStream bare = PairStream::Uniform(g, TinyCorpus(), 0);
+  EXPECT_EQ(bare.edge_share(), 0.0);
   Rng rng(21);
-  CorpusOptions options;
-  options.num_walks_per_node = 2;
-  options.walk_length = 4;
-  options.window = 2;
-  WalkCorpus corpus = BuildUniformCorpus(g, options, rng);
-  EXPECT_FALSE(corpus.pairs.empty());
-  for (const auto& p : corpus.pairs) EXPECT_EQ(p.rel, kInvalidRelation);
-}
-
-TEST(CorpusTest, Node2VecCorpusNonEmpty) {
-  MultiplexHeteroGraph g = SmallBipartite();
-  Rng rng(22);
-  CorpusOptions options;
-  options.num_walks_per_node = 2;
-  options.walk_length = 4;
-  options.window = 2;
-  WalkCorpus corpus = BuildNode2VecCorpus(g, options, 0.5, 2.0, rng);
-  EXPECT_FALSE(corpus.pairs.empty());
-  EXPECT_FALSE(corpus.walks.empty());
-}
-
-TEST(CorpusTest, ParallelCorpusWellFormed) {
-  MultiplexHeteroGraph g = SmallBipartite();
-  Rng rng(25);
-  CorpusOptions options;
-  options.num_walks_per_node = 3;
-  options.walk_length = 4;
-  options.window = 2;
-  options.num_threads = 4;
-  WalkCorpus corpus = BuildMetapathCorpus(g, {UiuScheme(g, 0)}, options, rng);
-  EXPECT_FALSE(corpus.walks.empty());
-  EXPECT_FALSE(corpus.pairs.empty());
-  for (const auto& walk : corpus.walks) {
-    EXPECT_GE(walk.size(), 2u);
-    for (NodeId v : walk) EXPECT_LT(v, g.num_nodes());
+  PairStream::Reader reader(bare, SIZE_MAX, bare.walks_per_pass(), rng);
+  SkipGramPair p;
+  size_t drawn = 0;
+  while (reader.Next(&p)) {
+    EXPECT_EQ(p.rel, kInvalidRelation);
+    ++drawn;
   }
-  // Same corpus shape as the serial path: one unit per (start, relation)
-  // with degree > 0, each yielding up to num_walks_per_node walks.
-  Rng rng2(25);
-  CorpusOptions serial = options;
-  serial.num_threads = 1;
-  WalkCorpus sc = BuildMetapathCorpus(g, {UiuScheme(g, 0)}, serial, rng2);
-  EXPECT_EQ(corpus.walks.size(), sc.walks.size());
+  EXPECT_EQ(drawn, walk_pairs);
+}
+
+TEST(PairStreamTest, EdgePairsAreGraphEdges) {
+  MultiplexHeteroGraph g = SmallBipartite();
+  const PairStream stream = PairStream::Uniform(g, TinyCorpus(), 2);
+  Rng rng(22);
+  size_t edges = 0;
+  for (const SkipGramPair& p : DrawPass(stream, rng)) {
+    ASSERT_LT(p.center, g.num_nodes());
+    ASSERT_LT(p.context, g.num_nodes());
+    if (p.rel == kInvalidRelation) continue;
+    EXPECT_TRUE(g.HasEdge(p.center, p.context, p.rel));
+    ++edges;
+  }
+  EXPECT_GT(edges, 0u);
+}
+
+TEST(PairStreamTest, EdgeOnlyStreamWithoutWalkPairs) {
+  MultiplexHeteroGraph g = SmallBipartite();
+  CorpusOptions no_window = TinyCorpus();
+  no_window.window = 0;
+  CorpusOptions no_walks = TinyCorpus();  // also a zero walk cap
+  no_walks.num_walks_per_node = 0;
+  for (const CorpusOptions& options : {no_window, no_walks}) {
+    const PairStream stream = PairStream::Uniform(g, options, 2);
+    EXPECT_EQ(stream.pairs_per_pass(), 2 * 2 * g.num_edges());
+    EXPECT_EQ(stream.edge_share(), 1.0);
+    Rng rng(25);
+    const std::vector<SkipGramPair> pairs = DrawPass(stream, rng);
+    EXPECT_EQ(pairs.size(), stream.pairs_per_pass());
+    for (const SkipGramPair& p : pairs) {
+      EXPECT_TRUE(g.HasEdge(p.center, p.context, p.rel));
+    }
+    // Without edge copies either, the stream is empty.
+    EXPECT_EQ(PairStream::Uniform(g, options, 0).pairs_per_pass(), 0u);
+  }
+}
+
+TEST(PairStreamTest, SameSeedSameStream) {
+  MultiplexHeteroGraph g = SmallBipartite();
+  const PairStream stream = PairStream::Node2Vec(g, TinyCorpus(), 0.5, 2.0);
+  auto draw = [&](uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::pair<NodeId, NodeId>> out;
+    for (const SkipGramPair& p : DrawPass(stream, rng)) {
+      out.emplace_back(p.center, p.context);
+    }
+    return out;
+  };
+  const auto a = draw(23);
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a, draw(23));
+  EXPECT_NE(a, draw(24));
+}
+
+TEST(PairStreamTest, EdgelessGraphYieldsNothing) {
+  GraphBuilder b;
+  const NodeTypeId t = b.AddNodeType("node").value();
+  ASSERT_TRUE(b.AddRelation("rel").ok());
+  ASSERT_TRUE(b.AddNodes(t, 4).ok());
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  const PairStream stream = PairStream::Uniform(*g, TinyCorpus(), 2);
+  EXPECT_EQ(stream.walks_per_pass(), 0u);
+  EXPECT_EQ(stream.pairs_per_pass(), 0u);
+  Rng rng(24);
+  EXPECT_TRUE(DrawPass(stream, rng).empty());
+  NegativeSampler sampler(*g);
+  SgnsEmbedder emb(g->num_nodes(), 4, rng);
+  const Status st = emb.Train(stream, sampler, SgnsOptions{}, rng);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
 }
 
 TEST(SgnsTest, HogwildTrainProducesFiniteEmbeddings) {
@@ -383,20 +439,53 @@ TEST(SgnsTest, HogwildTrainProducesFiniteEmbeddings) {
   options.num_walks_per_node = 4;
   options.walk_length = 5;
   options.window = 2;
-  WalkCorpus corpus = BuildUniformCorpus(g, options, rng);
   NegativeSampler sampler(g);
   SgnsOptions so;
   so.dim = 8;
   so.epochs = 3;
   so.num_threads = 4;
   SgnsEmbedder emb(g.num_nodes(), so.dim, rng);
-  emb.Train(corpus.pairs, sampler, so, rng);
+  ASSERT_TRUE(
+      emb.Train(PairStream::Uniform(g, options, 2), sampler, so, rng).ok());
   for (size_t v = 0; v < g.num_nodes(); ++v) {
     for (size_t j = 0; j < so.dim; ++j) {
       EXPECT_TRUE(std::isfinite(emb.embeddings().At(v, j)));
       EXPECT_TRUE(std::isfinite(emb.contexts().At(v, j)));
     }
   }
+}
+
+TEST(SgnsTest, RejectsBadLearningRate) {
+  MultiplexHeteroGraph g = SmallBipartite();
+  const PairStream stream = PairStream::Uniform(g, TinyCorpus(), 2);
+  NegativeSampler sampler(g);
+  for (float lr : {0.0f, -0.1f, std::nanf(""), INFINITY}) {
+    Rng rng(27);
+    SgnsOptions so;
+    so.dim = 4;
+    so.learning_rate = lr;
+    SgnsEmbedder emb(g.num_nodes(), so.dim, rng);
+    const Status st = emb.Train(stream, sampler, so, rng);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << lr;
+  }
+}
+
+TEST(SgnsTest, NonFiniteTablesFailNamingTheEpoch) {
+  MultiplexHeteroGraph g = SmallBipartite();
+  const PairStream stream = PairStream::Uniform(g, TinyCorpus(), 2);
+  NegativeSampler sampler(g);
+  Rng rng(28);
+  SgnsOptions so;
+  so.dim = 4;
+  so.learning_rate = 1e30f;
+  SgnsEmbedder emb(g.num_nodes(), so.dim, rng);
+  obs::Counter& nonfinite =
+      obs::GlobalRegistry().GetCounter("core/nonfinite_loss");
+  const uint64_t before = nonfinite.value();
+  const Status st = emb.Train(stream, sampler, so, rng);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_NE(st.message().find("epoch 0"), std::string::npos) << st.message();
+  EXPECT_EQ(nonfinite.value(), before + 1);
 }
 
 // ---------- Layered sampler ----------
