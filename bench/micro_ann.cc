@@ -181,8 +181,7 @@ int Main(int argc, char** argv) {
   const double build_ms = SecondsSince(t_build) * 1000.0;
   if (!approx.ann_enabled() || approx.ann_indexes()[0] == nullptr) {
     std::fprintf(stderr,
-                 "FATAL: ANN did not enable (HYBRIDGNN_ANN=off in the "
-                 "environment, or rows below ann_min_rows?)\n");
+                 "FATAL: ANN did not enable (rows below ann_min_rows?)\n");
     return 1;
   }
   const AnnIndex& index = *approx.ann_indexes()[0];

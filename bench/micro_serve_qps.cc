@@ -1,8 +1,8 @@
 // Micro benchmark for the quantized serving path and admission control:
 //
 //   scan:     exact top-k QPS over one embedding table, measured per store
-//             dtype (fp32 / fp16 / int8) through TopKRecommender, plus
-//             recall@10 of each quantized store against the fp32 exact
+//             dtype (fp32 / int8) through TopKRecommender, plus
+//             recall@10 of the int8 store against the fp32 exact
 //             ranking on the same queries; an int8+ANN column tracks the
 //             quantization x candidate-generation composition (the ANN
 //             gate itself lives in bench/micro_ann);
@@ -240,9 +240,8 @@ int Main(int argc, char** argv) {
   }
 
   EmbeddingStore f32 = MakeStore(rows, dim);
-  auto f16 = EmbeddingStore::Quantized(f32, StoreDType::kF16);
-  auto i8 = EmbeddingStore::Quantized(f32, StoreDType::kI8);
-  if (!f16.ok() || !i8.ok()) {
+  auto i8 = EmbeddingStore::Quantized(f32);
+  if (!i8.ok()) {
     std::fprintf(stderr, "FATAL: quantization failed\n");
     return 1;
   }
@@ -254,7 +253,6 @@ int Main(int argc, char** argv) {
   TopKOptions options;
   options.num_threads = 1;  // single-thread scan: dtype is the only variable
   TopKRecommender rec_f32(&f32, nullptr, options);
-  TopKRecommender rec_f16(&*f16, nullptr, options);
   TopKRecommender rec_i8(&*i8, nullptr, options);
   // Quantization x ANN composition: the sublinear candidate generator in
   // front of the int8 re-rank kernels (the full bar is bench/micro_ann;
@@ -268,22 +266,17 @@ int Main(int argc, char** argv) {
   const auto queries = MakeQueries(num_queries, rows);
   const double kMinSeconds = 0.4;
   ScanResult scan_f32 = MeasureScan(rec_f32, queries, kMinSeconds);
-  ScanResult scan_f16 = MeasureScan(rec_f16, queries, kMinSeconds);
   ScanResult scan_i8 = MeasureScan(rec_i8, queries, kMinSeconds);
   ScanResult scan_i8_ann = MeasureScan(rec_i8_ann, queries, kMinSeconds);
 
-  const double recall_f16 = RecallAt10(scan_f32.topk, scan_f16.topk);
   const double recall_i8 = RecallAt10(scan_f32.topk, scan_i8.topk);
   const double recall_i8_ann = RecallAt10(scan_f32.topk, scan_i8_ann.topk);
-  const double speedup_f16 = scan_f16.qps / scan_f32.qps;
   const double speedup_i8 = scan_i8.qps / scan_f32.qps;
   const double speedup_i8_ann = scan_i8_ann.qps / scan_f32.qps;
 
   std::printf("  fp32 exact scan : %9.0f qps (recall@10 1.0000 by "
               "definition)\n",
               scan_f32.qps);
-  std::printf("  fp16 scan       : %9.0f qps (%.2fx, recall@10 %.4f)\n",
-              scan_f16.qps, speedup_f16, recall_f16);
   std::printf("  int8 scan       : %9.0f qps (%.2fx, recall@10 %.4f, "
               "gate >= 2x at >= 0.95)\n",
               scan_i8.qps, speedup_i8, recall_i8);
@@ -308,7 +301,7 @@ int Main(int argc, char** argv) {
               overload.p99_bound_ms);
 
   uint64_t hash = 1469598103934665603ull;
-  for (double v : {recall_f16, recall_i8}) {
+  for (double v : {recall_i8, recall_i8_ann}) {
     uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
     hash = (hash ^ bits) * 1099511628211ull;
@@ -316,10 +309,8 @@ int Main(int argc, char** argv) {
 
   bench::BenchReport report("micro_serve_qps");
   report.AddStage("fp32_qps", 1, 0.0, scan_f32.qps);
-  report.AddStage("fp16_qps", 1, 0.0, scan_f16.qps);
   report.AddStage("int8_qps", 1, 0.0, scan_i8.qps);
   report.AddStage("int8_ann_qps", 1, 0.0, scan_i8_ann.qps);
-  report.AddStage("fp16_recall_at_10", 1, 0.0, recall_f16);
   report.AddStage("int8_recall_at_10", 1, 0.0, recall_i8);
   report.AddStage("int8_ann_recall_at_10", 1, 0.0, recall_i8_ann);
   report.AddStage("int8_speedup", 1, 0.0, speedup_i8);

@@ -4,7 +4,7 @@
 //
 //   hybridgnn_serve --graph g.txt [--model HybridGNN] [--seed N]
 //                   [--load ckpt.hgc] [--save ckpt.hgc] [--copy 1]
-//                   [--quantize fp16|int8]
+//                   [--quantize fp32|int8]
 //                   [--ann 1] [--ef-search 64] [--over-fetch 4]
 //                   [--k 10] [--cosine 1] [--threads N]
 //                   [--window-ms 1.0] [--max-batch 64]
@@ -13,11 +13,12 @@
 //                   [--stream-khops 1] [--stream-lr 0.05]
 //                   [--metrics-out metrics.json]
 //
-// --quantize converts the (loaded or freshly trained) fp32 store to a
-// compressed serving copy scanned in place by the dequant-and-score
-// kernels: fp16 halves memory traffic, int8 quarters it at a small
-// recall cost (see DESIGN.md section 15). With --save the checkpoint is
-// written after conversion, so the file on disk is a v2 quantized `.hgc`.
+// --quantize int8 converts the (loaded or freshly trained) fp32 store to a
+// per-row int8 serving copy scanned in place by the dequant-and-score
+// kernel: a quarter of the memory traffic at a small recall cost (see
+// DESIGN.md section 15); fp32 (the default) keeps the store as is. With
+// --save the checkpoint is written after conversion, so the file on disk
+// is a v2 int8 `.hgc`.
 // Incompatible with --stream (the live refresher trains on fp32 rows).
 //
 // --ann builds an HNSW index per relation at startup (and rebuilds or
@@ -26,9 +27,8 @@
 // table; the pool is re-ranked through the exact scoring kernels, so
 // result semantics are unchanged (see DESIGN.md section 17). --ef-search
 // is the search beam width / pool floor, --over-fetch multiplies k into
-// the pool so exclusion filters don't starve the top-k. HYBRIDGNN_ANN=
-// on|off overrides --ann at runtime; small tables always take the exact
-// scan.
+// the pool so exclusion filters don't starve the top-k. Small tables
+// always take the exact scan.
 //
 // --deadline-ms / --max-queue / --cache are the admission controls:
 // default per-request deadline, load-shedding queue cap, and warm
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   if (!flags.count("graph")) {
     std::fprintf(stderr,
                  "usage: %s --graph <file> [--model NAME] [--load ckpt.hgc] "
-                 "[--save ckpt.hgc] [--copy 1] [--quantize fp16|int8] "
+                 "[--save ckpt.hgc] [--copy 1] [--quantize fp32|int8] "
                  "[--ann 1] [--ef-search N] [--over-fetch N] "
                  "[--k N] [--cosine 1] "
                  "[--threads N] [--window-ms F] [--max-batch N] "
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
     }
     auto dtype = ParseStoreDType(flags["quantize"]);
     if (!dtype.ok()) return Fail(dtype.status());
-    auto quantized = EmbeddingStore::Quantized(*store, *dtype);
+    auto quantized = EmbeddingStore::Quantized(*store);
     if (!quantized.ok()) return Fail(quantized.status());
     store = std::make_shared<EmbeddingStore>(std::move(quantized).value());
     std::printf("quantized store to %s (%zux less table memory)\n",

@@ -1,10 +1,12 @@
 #include "baselines/line.h"
 
 #include <cmath>
+#include <string>
 
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "kernels/kernels.h"
+#include "obs/metrics.h"
 #include "tensor/init.h"
 #include "tensor/tensor_ops.h"
 
@@ -63,6 +65,12 @@ void LineUpdateEdge(Tensor& first, Tensor& second, Tensor& second_ctx,
 Status Line::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
   const auto& edges = g.edges();
   if (edges.empty()) return Status::FailedPrecondition("LINE: no edges");
+  if (!std::isfinite(options_.learning_rate) ||
+      options_.learning_rate <= 0.0f) {
+    return Status::InvalidArgument("LINE: learning rate " +
+                                   std::to_string(options_.learning_rate) +
+                                   " is not a positive finite number");
+  }
   const size_t threads = options.deterministic ? 1 : options.threads();
   Rng rng(options_.seed);
   const size_t half = std::max<size_t>(1, options_.dim / 2);
@@ -104,6 +112,15 @@ Status Line::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
     });
   }
   options.Report("train", 1, 1);
+  // A diverged run must fail here: normalization would hide the damage
+  // (an Inf row scales to zeros or NaNs).
+  if (!AllFinite(first) || !AllFinite(second)) {
+    static obs::Counter& nonfinite_counter =
+        obs::GlobalRegistry().GetCounter("core/nonfinite_loss");
+    nonfinite_counter.Add(1);
+    return Status::FailedPrecondition(
+        "LINE: embeddings are not finite after training");
+  }
   // Normalize halves so neither order dominates the concatenated dot.
   L2NormalizeRowsInPlace(first);
   L2NormalizeRowsInPlace(second);

@@ -52,8 +52,8 @@ const KernelOps& Active() {
     HYBRIDGNN_LOG(Info)
         << "kernels: dispatching to '" << BackendName(s.backend)
         << "' backend (dot, axpy, scale, sgns_update_step, score_block, "
-           "score_block_f16, score_block_i8, segment_sum, segment_mean, "
-           "segment_max, csr_spmm)";
+           "score_block_i8, segment_sum, segment_mean, segment_max, "
+           "csr_spmm)";
     g_backend.store(static_cast<int>(s.backend), std::memory_order_relaxed);
     g_ops.store(s.ops, std::memory_order_release);
     ops = s.ops;
@@ -113,11 +113,6 @@ float SgnsUpdateStep(const float* e, float* c, float* e_grad, size_t n,
 void ScoreBlock(const float* query, const float* rows, size_t num_rows,
                 size_t n, double* out) {
   Active().score_block(query, rows, num_rows, n, out);
-}
-
-void ScoreBlockF16(const float* query, const uint16_t* rows, size_t num_rows,
-                   size_t n, double* out) {
-  Active().score_block_f16(query, rows, num_rows, n, out);
 }
 
 void ScoreBlockI8(const float* query, const uint8_t* rows,

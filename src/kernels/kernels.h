@@ -97,14 +97,6 @@ float SgnsUpdateStep(const float* e, float* c, float* e_grad, size_t n,
 void ScoreBlock(const float* query, const float* rows, size_t num_rows,
                 size_t n, double* out);
 
-/// ScoreBlock over an IEEE-754 binary16 row block: out[i] = sum_j
-/// query[j] * f32(rows[i*n + j]), accumulated in double with the same
-/// widening structure as ScoreBlock, so backend drift stays at
-/// double-rounding scale. The AVX2 path uses F16C (gated by CPUID together
-/// with AVX2/FMA); the scalar path converts through kernels/f16.h.
-void ScoreBlockF16(const float* query, const uint16_t* rows, size_t num_rows,
-                   size_t n, double* out);
-
 /// ScoreBlock over per-row affine-quantized uint8 rows (the int8
 /// EmbeddingStore payload): candidate element j of row i dequantizes as
 /// zeros[i] + scales[i] * rows[i*n+j], so

@@ -17,7 +17,6 @@
 #include <cmath>
 
 #include "common/parallel.h"
-#include "kernels/f16.h"
 #include "kernels/kernels.h"
 #include "kernels/kernels_impl.h"
 
@@ -126,39 +125,6 @@ void ScoreBlockAvx2(const float* query, const float* rows, size_t num_rows,
     }
     double s = Hsum256d(_mm256_add_pd(acc0, acc1));
     for (; j < n; ++j) s += static_cast<double>(query[j]) * row[j];
-    out[i] = s;
-  }
-}
-
-// Dequant-and-score over half-precision rows: 8 halves expand to 8 floats
-// with one F16C instruction, then accumulate through the same
-// double-widening fmadd structure as ScoreBlockAvx2 (backend drift stays at
-// double-rounding scale; the hardware f16->f32 conversion is exact). The
-// scalar tail converts through kernels/f16.h, which produces the same bits
-// as VCVTPH2PS.
-void ScoreBlockF16Avx2(const float* query, const uint16_t* rows,
-                       size_t num_rows, size_t n, double* out) {
-  for (size_t i = 0; i < num_rows; ++i) {
-    const uint16_t* row = rows + i * n;
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      const __m256 q = _mm256_loadu_ps(query + j);
-      const __m256 r = _mm256_cvtph_ps(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + j)));
-      acc0 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(q)),
-                             _mm256_cvtps_pd(_mm256_castps256_ps128(r)),
-                             acc0);
-      acc1 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(q, 1)),
-                             _mm256_cvtps_pd(_mm256_extractf128_ps(r, 1)),
-                             acc1);
-    }
-    double s = Hsum256d(_mm256_add_pd(acc0, acc1));
-    for (; j < n; ++j) {
-      s += static_cast<double>(query[j]) *
-           static_cast<double>(F16ToF32(row[j]));
-    }
     out[i] = s;
   }
 }
@@ -307,17 +273,14 @@ void CsrSpmmAvx2(const size_t* indptr, const uint32_t* indices,
 
 const KernelOps* Avx2Ops() {
   // Compiled-in does not mean runnable: gate on CPUID so a binary built on
-  // an AVX2 machine still starts (on the scalar path) elsewhere. F16C joins
-  // the gate because ScoreBlockF16 uses VCVTPH2PS (every AVX2 part ships
-  // F16C in practice, but the check costs nothing).
-  static const bool supported = __builtin_cpu_supports("avx2") &&
-                                __builtin_cpu_supports("fma") &&
-                                __builtin_cpu_supports("f16c");
+  // an AVX2 machine still starts (on the scalar path) elsewhere.
+  static const bool supported =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   if (!supported) return nullptr;
   static const KernelOps ops = {
       DotAvx2, AxpyAvx2, ScaleAvx2, SgnsUpdateStepAvx2, ScoreBlockAvx2,
-      ScoreBlockF16Avx2, ScoreBlockI8Avx2,
-      SegmentSumAvx2, SegmentMeanAvx2, SegmentMaxAvx2, CsrSpmmAvx2,
+      ScoreBlockI8Avx2, SegmentSumAvx2, SegmentMeanAvx2, SegmentMaxAvx2,
+      CsrSpmmAvx2,
   };
   return &ops;
 }

@@ -16,8 +16,6 @@ struct KernelOps {
   float (*sgns_update_step)(const float*, float*, float*, size_t, float,
                             float);
   void (*score_block)(const float*, const float*, size_t, size_t, double*);
-  void (*score_block_f16)(const float*, const uint16_t*, size_t, size_t,
-                          double*);
   void (*score_block_i8)(const float*, const uint8_t*, const float*,
                          const float*, double, size_t, size_t, double*);
   void (*segment_sum)(const float*, size_t, const size_t*, size_t, float*);

@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "common/parallel.h"
-#include "kernels/f16.h"
 #include "kernels/kernels.h"
 #include "kernels/kernels_impl.h"
 
@@ -57,19 +56,6 @@ void ScoreBlockScalar(const float* query, const float* rows, size_t num_rows,
     double s = 0.0;
     for (size_t j = 0; j < n; ++j) {
       s += static_cast<double>(query[j]) * row[j];
-    }
-    out[i] = s;
-  }
-}
-
-void ScoreBlockF16Scalar(const float* query, const uint16_t* rows,
-                         size_t num_rows, size_t n, double* out) {
-  for (size_t i = 0; i < num_rows; ++i) {
-    const uint16_t* row = rows + i * n;
-    double s = 0.0;
-    for (size_t j = 0; j < n; ++j) {
-      s += static_cast<double>(query[j]) *
-           static_cast<double>(F16ToF32(row[j]));
     }
     out[i] = s;
   }
@@ -171,9 +157,8 @@ void CsrSpmmScalar(const size_t* indptr, const uint32_t* indices,
 const KernelOps& ScalarOps() {
   static const KernelOps ops = {
       DotScalar, AxpyScalar, ScaleScalar, SgnsUpdateStepScalar,
-      ScoreBlockScalar, ScoreBlockF16Scalar, ScoreBlockI8Scalar,
-      SegmentSumScalar, SegmentMeanScalar, SegmentMaxScalar,
-      CsrSpmmScalar,
+      ScoreBlockScalar, ScoreBlockI8Scalar, SegmentSumScalar,
+      SegmentMeanScalar, SegmentMaxScalar, CsrSpmmScalar,
   };
   return ops;
 }

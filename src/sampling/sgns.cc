@@ -8,6 +8,7 @@
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
 #include "tensor/init.h"
+#include "tensor/tensor_ops.h"
 
 namespace hybridgnn {
 
@@ -39,18 +40,6 @@ void SgnsEmbedder::Update(NodeId center, NodeId context,
   }
   kernels::Axpy(-1.0f, e_grad.data(), e, dim);
 }
-
-namespace {
-
-bool AllFinite(const Tensor& t) {
-  const float* x = t.data();
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (!std::isfinite(x[i])) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 Status SgnsEmbedder::Train(const PairStream& stream,
                            const NegativeSampler& sampler,

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <queue>
 
-#include "common/env.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "kernels/kernels.h"
@@ -102,13 +101,6 @@ void HashBytes(uint64_t& h, const void* data, size_t bytes) {
 }
 
 }  // namespace
-
-bool ResolveAnnEnabled(bool requested) {
-  const std::string v = GetEnvString("HYBRIDGNN_ANN", "");
-  if (v == "on" || v == "1" || v == "true") return true;
-  if (v == "off" || v == "0" || v == "false") return false;
-  return requested;
-}
 
 /// Mutable view of an index under construction plus the scoring state the
 /// insertion algorithm needs: an fp32 copy of the table (borrowed straight

@@ -159,11 +159,6 @@ class AnnIndex {
   std::vector<uint32_t> upper_;
 };
 
-/// Env-gated ANN switch: HYBRIDGNN_ANN=on|1 forces candidate generation
-/// through the index, =off|0 forces the exact scan, unset defers to
-/// `requested` (TopKOptions::ann).
-bool ResolveAnnEnabled(bool requested);
-
 }  // namespace hybridgnn
 
 #endif  // HYBRIDGNN_SERVE_ANN_ANN_INDEX_H_

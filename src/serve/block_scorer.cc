@@ -18,10 +18,6 @@ BlockScorer::BlockScorer(const EmbeddingStore* store, RelationId rel,
     case StoreDType::kF32:
       table_ = store->Table(rel).data();
       break;
-    case StoreDType::kF16:
-      qtable_ = store->RawTable(rel).data();
-      f16_table_ = reinterpret_cast<const uint16_t*>(qtable_);
-      break;
     case StoreDType::kI8:
       qtable_ = store->RawTable(rel).data();
       scales_ = store->RowScales(rel).data();
@@ -37,10 +33,6 @@ void BlockScorer::ScoreRange(size_t base, size_t count, double* out) const {
   switch (dtype_) {
     case StoreDType::kF32:
       kernels::ScoreBlock(query_, table_ + base * dim_, count, dim_, out);
-      return;
-    case StoreDType::kF16:
-      kernels::ScoreBlockF16(query_, f16_table_ + base * dim_, count, dim_,
-                             out);
       return;
     case StoreDType::kI8:
       kernels::ScoreBlockI8(query_, qtable_ + base * dim_, scales_ + base,
@@ -60,19 +52,6 @@ void BlockScorer::ScoreRows(const uint32_t* rows, size_t count, double* out) {
                     dim_ * sizeof(float));
       }
       kernels::ScoreBlock(query_, dst, count, dim_, out);
-      return;
-    }
-    case StoreDType::kF16: {
-      if (gather_bytes_.empty()) {
-        gather_bytes_.resize(kBlockRows * dim_ * sizeof(uint16_t));
-      }
-      uint16_t* dst = reinterpret_cast<uint16_t*>(gather_bytes_.data());
-      for (size_t i = 0; i < count; ++i) {
-        std::memcpy(dst + i * dim_,
-                    f16_table_ + static_cast<size_t>(rows[i]) * dim_,
-                    dim_ * sizeof(uint16_t));
-      }
-      kernels::ScoreBlockF16(query_, dst, count, dim_, out);
       return;
     }
     case StoreDType::kI8: {

@@ -10,7 +10,7 @@ namespace hybridgnn {
 
 /// Per-query scorer over one relation's table of an EmbeddingStore,
 /// dispatching to whichever ScoreBlock kernel matches the store's dtype
-/// (fp32 / fp16 / int8). Two entry points:
+/// (fp32 / int8). Two entry points:
 ///
 ///   * ScoreRange — `count` consecutive table rows starting at `base`,
 ///     straight off the (64B-aligned, possibly mmapped) table. This is the
@@ -62,15 +62,14 @@ class BlockScorer {
   size_t num_rows_ = 0;
   const float* query_ = nullptr;
   const float* table_ = nullptr;        // kF32
-  const uint8_t* qtable_ = nullptr;     // kF16/kI8 payload
-  const uint16_t* f16_table_ = nullptr; // kF16 view of qtable_
+  const uint8_t* qtable_ = nullptr;     // kI8 payload
   const float* scales_ = nullptr;       // kI8
   const float* zeros_ = nullptr;        // kI8
   double query_sum_ = 0.0;              // kI8 affine fold
 
   // Gather scratch for ScoreRows (lazily sized to kBlockRows * dim).
   std::vector<float> gather_f32_;
-  std::vector<uint8_t> gather_bytes_;   // fp16 halves or int8 codes
+  std::vector<uint8_t> gather_bytes_;   // int8 codes
   std::vector<float> gather_scales_;
   std::vector<float> gather_zeros_;
 };

@@ -133,7 +133,7 @@ Status ParseCheckpoint(const uint8_t* data, size_t size,
         "checkpoint version skew: file has v" + std::to_string(version) +
         ", reader understands v" + std::to_string(kCheckpointVersion) +
         " (fp32) and v" + std::to_string(kCheckpointVersionQuantized) +
-        " (quantized)");
+        " (int8)");
   }
   uint64_t num_relations = 0, num_nodes = 0, dim = 0, meta_bytes = 0,
            payload_bytes = 0, payload_checksum = 0, header_checksum = 0;
@@ -187,10 +187,9 @@ Status ParseCheckpoint(const uint8_t* data, size_t size,
     if (!meta.Read(&dtype_byte)) {
       return Status::InvalidArgument("corrupt metadata: missing dtype");
     }
-    // A v2 file carrying fp32 is something the writer never produces, so
-    // treat it (and any unknown code) as corruption.
-    if (dtype_byte != static_cast<uint8_t>(StoreDType::kF16) &&
-        dtype_byte != static_cast<uint8_t>(StoreDType::kI8)) {
+    // int8 is the only dtype the writer emits as v2, so treat every other
+    // code as corruption.
+    if (dtype_byte != static_cast<uint8_t>(StoreDType::kI8)) {
       return Status::InvalidArgument(
           "corrupt metadata: bad dtype code " + std::to_string(dtype_byte));
     }
@@ -258,10 +257,9 @@ uint64_t Fnv1a64(const void* data, size_t length) {
 
 StatusOr<StoreDType> ParseStoreDType(const std::string& name) {
   if (name == "fp32") return StoreDType::kF32;
-  if (name == "fp16") return StoreDType::kF16;
   if (name == "int8") return StoreDType::kI8;
   return Status::InvalidArgument("unknown store dtype '" + name +
-                                 "' (want fp32, fp16, or int8)");
+                                 "' (want fp32 or int8)");
 }
 
 Status WriteCheckpoint(const EmbeddingStore& store, const std::string& path) {
@@ -292,7 +290,7 @@ Status WriteCheckpoint(const EmbeddingStore& store, const std::string& path) {
     const auto rows = store.RowNodes(r);
     meta.append(reinterpret_cast<const char*>(rows.data()),
                 rows.size() * sizeof(NodeId));
-    if (store.dtype() == StoreDType::kI8) {
+    if (quantized) {
       const auto scales = store.RowScales(r);
       const auto zeros = store.RowZeros(r);
       meta.append(reinterpret_cast<const char*>(scales.data()),
@@ -429,14 +427,12 @@ StatusOr<EmbeddingStore> LoadCheckpoint(const std::string& path,
                   table_bytes);
       store.owned_bytes_.push_back(std::move(payload));
       rt.qdata = std::span<const uint8_t>(store.owned_bytes_.back());
-      if (parsed.dtype == StoreDType::kI8) {
-        std::vector<float> affine(std::move(rel.scales));
-        affine.insert(affine.end(), rel.zeros.begin(), rel.zeros.end());
-        store.owned_.push_back(std::move(affine));
-        const float* a = store.owned_.back().data();
-        rt.scales = std::span<const float>(a, rows);
-        rt.zeros = std::span<const float>(a + rows, rows);
-      }
+      std::vector<float> affine(std::move(rel.scales));
+      affine.insert(affine.end(), rel.zeros.begin(), rel.zeros.end());
+      store.owned_.push_back(std::move(affine));
+      const float* a = store.owned_.back().data();
+      rt.scales = std::span<const float>(a, rows);
+      rt.zeros = std::span<const float>(a + rows, rows);
       HYBRIDGNN_RETURN_IF_ERROR(
           EmbeddingStore::IndexTable(rt, parsed.num_nodes));
       store.tables_.push_back(std::move(rt));
@@ -480,20 +476,18 @@ StatusOr<EmbeddingStore> LoadCheckpoint(const std::string& path,
           reinterpret_cast<const float*>(data + rel.table_offset),
           rows * parsed.dim);
     } else {
-      // Quantized payloads are scanned straight off the map; the int8
-      // affine rows live at unaligned metadata offsets, so those are the
-      // one thing the zero-copy path still owns.
+      // int8 payloads are scanned straight off the map; the affine rows
+      // live at unaligned metadata offsets, so those are the one thing the
+      // zero-copy path still owns.
       rt.qdata = std::span<const uint8_t>(
           data + rel.table_offset,
           rows * parsed.dim * StoreDTypeBytes(parsed.dtype));
-      if (parsed.dtype == StoreDType::kI8) {
-        std::vector<float> affine(std::move(rel.scales));
-        affine.insert(affine.end(), rel.zeros.begin(), rel.zeros.end());
-        store.owned_.push_back(std::move(affine));
-        const float* a = store.owned_.back().data();
-        rt.scales = std::span<const float>(a, rows);
-        rt.zeros = std::span<const float>(a + rows, rows);
-      }
+      std::vector<float> affine(std::move(rel.scales));
+      affine.insert(affine.end(), rel.zeros.begin(), rel.zeros.end());
+      store.owned_.push_back(std::move(affine));
+      const float* a = store.owned_.back().data();
+      rt.scales = std::span<const float>(a, rows);
+      rt.zeros = std::span<const float>(a + rows, rows);
     }
     HYBRIDGNN_RETURN_IF_ERROR(
         EmbeddingStore::IndexTable(rt, parsed.num_nodes));

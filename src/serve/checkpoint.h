@@ -18,7 +18,7 @@ namespace hybridgnn {
 ///   [ 64-byte header ]
 ///     0   u8[4]  magic "HGC1"
 ///     4   u16    endian tag 0xFEFF (reads as 0xFFFE on a foreign-endian host)
-///     6   u16    format version (1 = fp32, 2 = quantized)
+///     6   u16    format version (1 = fp32, 2 = int8)
 ///     8   u64    num_relations
 ///     16  u64    num_nodes (size of the node-id space)
 ///     24  u64    dim
@@ -27,13 +27,14 @@ namespace hybridgnn {
 ///     48  u64    payload checksum (FNV-1a 64 over the payload bytes)
 ///     56  u64    header checksum  (FNV-1a 64 over header bytes [0, 56))
 ///   [ metadata blob, meta_bytes bytes ]
-///     v2 only: u8 dtype (StoreDType; 1 = fp16, 2 = int8)
+///     v2 only: u8 dtype (StoreDType; always 2 = int8 — any other code,
+///     including 1, which once meant fp16, is rejected as corrupt)
 ///     u32 model-name length + bytes, then per relation:
 ///     u32 name length + bytes, u64 num_rows, num_rows * u32 row->node ids,
 ///     and (v2 int8 only) num_rows f32 scales + num_rows f32 zero points
 ///   [ zero padding to the next 64-byte file offset ]
 ///   [ per relation, in id order: num_rows * dim element table
-///     (f32 in v1; f16 halfwords or u8 codes in v2),
+///     (f32 in v1; u8 codes in v2),
 ///     each table start padded to a 64-byte file offset ]
 ///
 /// A version-1 file written today is byte-identical to one written before
@@ -64,12 +65,12 @@ enum class LoadMode : int {
 
 /// Serializes an in-memory store to `path` in the `.hgc` format — version 1
 /// for fp32 stores (bit-identical to the pre-quantization writer), version
-/// 2 for fp16/int8 stores. Writes to `path` directly; on error the file may
+/// 2 for int8 stores. Writes to `path` directly; on error the file may
 /// be left partially written (callers that need atomicity should write to a
 /// temp path and rename).
 Status WriteCheckpoint(const EmbeddingStore& store, const std::string& path);
 
-/// Parses "fp32" / "fp16" / "int8" (the StoreDTypeName spellings) into a
+/// Parses "fp32" / "int8" (the StoreDTypeName spellings) into a
 /// StoreDType — the flag-parsing helper for CLI / bench quantize options.
 StatusOr<StoreDType> ParseStoreDType(const std::string& name);
 

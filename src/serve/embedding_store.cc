@@ -7,8 +7,6 @@
 #include <cstring>
 #include <utility>
 
-#include "kernels/f16.h"
-
 namespace hybridgnn {
 
 MmapRegion::~MmapRegion() {
@@ -19,8 +17,6 @@ const char* StoreDTypeName(StoreDType t) {
   switch (t) {
     case StoreDType::kF32:
       return "fp32";
-    case StoreDType::kF16:
-      return "fp16";
     case StoreDType::kI8:
       return "int8";
   }
@@ -31,8 +27,6 @@ size_t StoreDTypeBytes(StoreDType t) {
   switch (t) {
     case StoreDType::kF32:
       return 4;
-    case StoreDType::kF16:
-      return 2;
     case StoreDType::kI8:
       return 1;
   }
@@ -97,21 +91,18 @@ StatusOr<EmbeddingStore> EmbeddingStore::FromTables(
   return store;
 }
 
-StatusOr<EmbeddingStore> EmbeddingStore::Quantized(const EmbeddingStore& src,
-                                                   StoreDType dtype) {
+StatusOr<EmbeddingStore> EmbeddingStore::Quantized(
+    const EmbeddingStore& src) {
   if (src.dtype_ != StoreDType::kF32) {
     return Status::InvalidArgument(
         "quantization source must be an fp32 store (got " +
         std::string(StoreDTypeName(src.dtype_)) + ")");
   }
-  if (dtype == StoreDType::kF32) {
-    return Status::InvalidArgument("quantization target must be fp16 or int8");
-  }
   EmbeddingStore store;
   store.model_name_ = src.model_name_;
   store.num_nodes_ = src.num_nodes_;
   store.dim_ = src.dim_;
-  store.dtype_ = dtype;
+  store.dtype_ = StoreDType::kI8;
   const size_t dim = src.dim_;
   store.tables_.reserve(src.tables_.size());
   for (const RelationTable& in : src.tables_) {
@@ -121,47 +112,38 @@ StatusOr<EmbeddingStore> EmbeddingStore::Quantized(const EmbeddingStore& src,
     rt.node_to_row = in.node_to_row;
     const size_t rows = in.row_to_node.size();
     const float* data = in.data.data();
-    if (dtype == StoreDType::kF16) {
-      std::vector<uint8_t> bytes(rows * dim * sizeof(uint16_t));
-      uint16_t* out = reinterpret_cast<uint16_t*>(bytes.data());
-      for (size_t i = 0; i < rows * dim; ++i) {
-        out[i] = kernels::F32ToF16(data[i]);
+    // Per-row affine min/max. Scales then zeros, back to back in one owned
+    // float buffer.
+    std::vector<uint8_t> bytes(rows * dim);
+    std::vector<float> affine(2 * rows);
+    for (size_t i = 0; dim > 0 && i < rows; ++i) {
+      const float* row = data + i * dim;
+      float lo = row[0], hi = row[0];
+      for (size_t j = 1; j < dim; ++j) {
+        lo = std::min(lo, row[j]);
+        hi = std::max(hi, row[j]);
       }
-      store.owned_bytes_.push_back(std::move(bytes));
-      rt.qdata = std::span<const uint8_t>(store.owned_bytes_.back());
-    } else {  // kI8: per-row affine min/max
-      std::vector<uint8_t> bytes(rows * dim);
-      // Scales then zeros, back to back in one owned float buffer.
-      std::vector<float> affine(2 * rows);
-      for (size_t i = 0; dim > 0 && i < rows; ++i) {
-        const float* row = data + i * dim;
-        float lo = row[0], hi = row[0];
-        for (size_t j = 1; j < dim; ++j) {
-          lo = std::min(lo, row[j]);
-          hi = std::max(hi, row[j]);
-        }
-        const float scale = (hi - lo) / 255.0f;
-        affine[i] = scale;
-        affine[rows + i] = lo;
-        uint8_t* q = bytes.data() + i * dim;
-        if (scale == 0.0f) {
-          std::memset(q, 0, dim);  // constant row: dequant == zero point
-          continue;
-        }
-        const float inv = 255.0f / (hi - lo);
-        for (size_t j = 0; j < dim; ++j) {
-          const float scaled = (row[j] - lo) * inv;
-          q[j] = static_cast<uint8_t>(std::lrintf(
-              std::min(255.0f, std::max(0.0f, scaled))));
-        }
+      const float scale = (hi - lo) / 255.0f;
+      affine[i] = scale;
+      affine[rows + i] = lo;
+      uint8_t* q = bytes.data() + i * dim;
+      if (scale == 0.0f) {
+        std::memset(q, 0, dim);  // constant row: dequant == zero point
+        continue;
       }
-      store.owned_bytes_.push_back(std::move(bytes));
-      store.owned_.push_back(std::move(affine));
-      rt.qdata = std::span<const uint8_t>(store.owned_bytes_.back());
-      const float* a = store.owned_.back().data();
-      rt.scales = std::span<const float>(a, rows);
-      rt.zeros = std::span<const float>(a + rows, rows);
+      const float inv = 255.0f / (hi - lo);
+      for (size_t j = 0; j < dim; ++j) {
+        const float scaled = (row[j] - lo) * inv;
+        q[j] = static_cast<uint8_t>(std::lrintf(
+            std::min(255.0f, std::max(0.0f, scaled))));
+      }
     }
+    store.owned_bytes_.push_back(std::move(bytes));
+    store.owned_.push_back(std::move(affine));
+    rt.qdata = std::span<const uint8_t>(store.owned_bytes_.back());
+    const float* a = store.owned_.back().data();
+    rt.scales = std::span<const float>(a, rows);
+    rt.zeros = std::span<const float>(a + rows, rows);
     store.tables_.push_back(std::move(rt));
   }
   return store;
@@ -175,12 +157,6 @@ void EmbeddingStore::DequantizeRow(RelationId r, uint32_t row,
       std::memcpy(out, t.data.data() + static_cast<size_t>(row) * dim_,
                   dim_ * sizeof(float));
       return;
-    case StoreDType::kF16: {
-      const uint16_t* q = reinterpret_cast<const uint16_t*>(t.qdata.data()) +
-                          static_cast<size_t>(row) * dim_;
-      for (size_t j = 0; j < dim_; ++j) out[j] = kernels::F16ToF32(q[j]);
-      return;
-    }
     case StoreDType::kI8: {
       const uint8_t* q = t.qdata.data() + static_cast<size_t>(row) * dim_;
       const float scale = t.scales[row];

@@ -22,24 +22,20 @@ StatusOr<EmbeddingStore> LoadCheckpoint(const std::string& path,
                                         LoadMode mode);
 
 /// Element type of an EmbeddingStore's table payload. Training always
-/// produces kF32; the quantized variants exist for the serving tier, where
-/// candidate tables are scanned by the dequant-and-score kernels
-/// (kernels::ScoreBlockF16 / ScoreBlockI8) at 2x / 4x less memory traffic
-/// than fp32.
+/// produces kF32; kI8 exists for the serving tier, where candidate tables
+/// are scanned by the dequant-and-score kernel (kernels::ScoreBlockI8) at
+/// 4x less memory traffic than fp32. The values are the .hgc v2 dtype byte.
 enum class StoreDType : uint8_t {
   kF32 = 0,
-  /// IEEE-754 binary16, elementwise (no per-row metadata). Rounding is
-  /// nearest-even, identical between the software converter and F16C.
-  kF16 = 1,
   /// Per-row affine uint8: element q of row i dequantizes as
   /// zero[i] + scale[i] * q, with scale = (max-min)/255 and zero = min over
   /// the row (scale 0 for constant rows).
   kI8 = 2,
 };
 
-/// "fp32" / "fp16" / "int8".
+/// "fp32" / "int8".
 const char* StoreDTypeName(StoreDType t);
-/// Payload bytes per element: 4 / 2 / 1.
+/// Payload bytes per element: 4 / 1.
 size_t StoreDTypeBytes(StoreDType t);
 
 /// RAII wrapper around one read-only file mapping. Owned by an
@@ -84,11 +80,9 @@ class EmbeddingStore {
                                              size_t num_nodes,
                                              std::vector<TableInit> tables);
 
-  /// Builds an owning quantized copy of a kF32 store (`dtype` must be kF16
-  /// or kI8). Quantization is per element (fp16) or per row (int8, affine
-  /// min/max), deterministic, and independent of thread count.
-  static StatusOr<EmbeddingStore> Quantized(const EmbeddingStore& src,
-                                            StoreDType dtype);
+  /// Builds an owning kI8 copy of a kF32 store. Quantization is per row
+  /// (affine min/max), deterministic, and independent of thread count.
+  static StatusOr<EmbeddingStore> Quantized(const EmbeddingStore& src);
 
   EmbeddingStore(const EmbeddingStore&) = delete;
   EmbeddingStore& operator=(const EmbeddingStore&) = delete;
@@ -135,8 +129,8 @@ class EmbeddingStore {
   /// populated for kF32 stores (empty span when quantized).
   std::span<const float> Table(RelationId r) const { return tables_[r].data; }
   /// Raw quantized payload of relation `r`: num_rows * dim elements of
-  /// StoreDTypeBytes(dtype()) each (u16 halves for kF16, u8 codes for kI8).
-  /// Empty for kF32 stores.
+  /// StoreDTypeBytes(dtype()) each (u8 codes for kI8). Empty for kF32
+  /// stores.
   std::span<const uint8_t> RawTable(RelationId r) const {
     return tables_[r].qdata;
   }
@@ -151,7 +145,7 @@ class EmbeddingStore {
 
   /// Materializes table row `row` of relation `r` (NOT a node id — see
   /// RowOf) as dim() floats into `out`, whatever the dtype. For kF32 this
-  /// is a copy; for kF16/kI8 it applies the dequantization the scoring
+  /// is a copy; for kI8 it applies the dequantization the scoring
   /// kernels use, so a dequantized row scores identically to the in-place
   /// quantized scan.
   void DequantizeRow(RelationId r, uint32_t row, float* out) const;
@@ -168,7 +162,7 @@ class EmbeddingStore {
   struct RelationTable {
     std::string name;
     std::span<const float> data;       // kF32: num_rows * dim floats
-    std::span<const uint8_t> qdata;    // kF16/kI8: raw quantized payload
+    std::span<const uint8_t> qdata;    // kI8: raw quantized payload
     std::span<const float> scales;     // kI8: per-row scale
     std::span<const float> zeros;      // kI8: per-row zero point
     std::vector<NodeId> row_to_node;   // row -> node id

@@ -118,8 +118,7 @@ TopKRecommender::TopKRecommender(const EmbeddingStore* store,
       }
     }
   }
-  ann_enabled_ = ResolveAnnEnabled(options_.ann);
-  if (ann_enabled_) BuildAnnIndexes(carryover);
+  if (options_.ann) BuildAnnIndexes(carryover);
 }
 
 void TopKRecommender::BuildAnnIndexes(const NormCarryover* carryover) {
@@ -278,7 +277,7 @@ StatusOr<std::vector<Recommendation>> TopKRecommender::Recommend(
   };
 
   // --- ANN candidate generation (sublinear path) ---
-  if (ann_enabled_) {
+  if (options_.ann) {
     static auto& searches = obs::GlobalRegistry().GetCounter(
         "serve/ann_searches");
     static auto& fallbacks = obs::GlobalRegistry().GetCounter(

@@ -28,10 +28,10 @@ struct TopKOptions {
   /// Sublinear candidate generation: build an HNSW index per relation at
   /// construction and answer queries by searching it, then re-ranking the
   /// candidate pool through the exact ScoreBlock kernels (DESIGN.md §16).
-  /// The env var HYBRIDGNN_ANN=on|off overrides this at runtime. Scores and
-  /// filters are always exact — ANN only shrinks the candidate set — and
-  /// any query the index cannot serve confidently (unindexed relation,
-  /// under-filled pool after filtering) falls back to the exact scan.
+  /// Scores and filters are always exact — ANN only shrinks the candidate
+  /// set — and any query the index cannot serve confidently (unindexed
+  /// relation, under-filled pool after filtering) falls back to the exact
+  /// scan.
   bool ann = false;
   /// Beam width of the level-0 ANN search; also the floor of the candidate
   /// pool size. Larger = higher recall, slower.
@@ -133,12 +133,12 @@ struct NormCarryover {
 /// allocation). Query batches fan out across a thread pool. Stateless apart
 /// from precomputed norms, so one instance serves any number of threads.
 ///
-/// Quantized stores (fp16/int8) are scanned in place by the
+/// int8 stores are scanned in place by the
 /// dequant-and-score kernels; queries, cosine norms, and the scattered
 /// type-filtered path all go through the same dequantization the kernels
 /// apply, so scores are consistent however a row is reached.
 ///
-/// With TopKOptions::ann (or HYBRIDGNN_ANN=on) the scan is replaced by
+/// With TopKOptions::ann the scan is replaced by
 /// sublinear candidate generation: an HNSW search over-fetches a candidate
 /// pool which is re-ranked through the same exact kernels and the same
 /// filter/heap logic — ANN narrows the candidate set, it never changes
@@ -179,21 +179,21 @@ class TopKRecommender {
     return row_norms_;
   }
 
-  /// Per-relation ANN indexes (empty vector unless ANN resolved on at
-  /// construction; a null entry means that relation fell below ann_min_rows
-  /// and routes to the exact scan). Feed these back through
-  /// NormCarryover::prev_ann when rebuilding against a republished store.
+  /// Per-relation ANN indexes (empty vector unless TopKOptions::ann; a null
+  /// entry means that relation fell below ann_min_rows and routes to the
+  /// exact scan). Feed these back through NormCarryover::prev_ann when
+  /// rebuilding against a republished store.
   const std::vector<std::shared_ptr<const AnnIndex>>& ann_indexes() const {
     return ann_;
   }
 
-  /// True when ANN candidate generation resolved on at construction
-  /// (TopKOptions::ann as overridden by HYBRIDGNN_ANN).
-  bool ann_enabled() const { return ann_enabled_; }
+  /// True when queries go through ANN candidate generation
+  /// (TopKOptions::ann).
+  bool ann_enabled() const { return options_.ann; }
 
  private:
   /// Builds / patches / reuses the per-relation ANN indexes (constructor
-  /// tail, only when ANN resolved on).
+  /// tail, only with TopKOptions::ann).
   void BuildAnnIndexes(const NormCarryover* carryover);
 
   const EmbeddingStore* store_;
@@ -202,7 +202,6 @@ class TopKRecommender {
   const DeltaEdgeFilter* extra_filter_;
   /// Per-relation, per-row L2 norms; only filled in cosine mode.
   std::vector<std::vector<float>> row_norms_;
-  bool ann_enabled_ = false;
   std::vector<std::shared_ptr<const AnnIndex>> ann_;
 };
 

@@ -118,7 +118,7 @@ Status LiveEmbeddingStore::Publish(const DynamicGraphOverlay* overlay) {
   std::vector<std::vector<uint32_t>> dirty;
   NormCarryover carryover;
   const NormCarryover* carry_arg = nullptr;
-  const bool wants_carry = options_.cosine || ResolveAnnEnabled(options_.ann);
+  const bool wants_carry = options_.cosine || options_.ann;
   if (wants_carry && prev != nullptr && prev->recommender != nullptr) {
     dirty.reserve(staging_.size());
     for (StagingTable& t : staging_) {

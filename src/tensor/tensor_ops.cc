@@ -300,6 +300,14 @@ void L2NormalizeRowsInPlace(Tensor& a) {
   }
 }
 
+bool AllFinite(const Tensor& t) {
+  const float* x = t.data();
+  for (size_t i = 0; i < t.size(); ++i) {
+    if (!std::isfinite(x[i])) return false;
+  }
+  return true;
+}
+
 float CosineSimilarity(const Tensor& a, const Tensor& b) {
   HYBRIDGNN_CHECK(a.rows() == 1 && b.rows() == 1 && a.cols() == b.cols())
       << "CosineSimilarity expects equal-length row vectors";

@@ -76,6 +76,9 @@ Tensor LogSigmoid(const Tensor& a);
 /// L2-normalizes each row in place (rows with tiny norm are left unchanged).
 void L2NormalizeRowsInPlace(Tensor& a);
 
+/// True when every element of `t` is finite (no NaN, no +-Inf).
+bool AllFinite(const Tensor& t);
+
 /// Cosine similarity between two equal-length row vectors (1 x n).
 float CosineSimilarity(const Tensor& a, const Tensor& b);
 

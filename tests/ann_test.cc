@@ -1,6 +1,6 @@
 // Tests for the ANN retrieval layer (src/serve/ann + the recommender's
 // candidate-generation path, DESIGN.md section 17): recall against the
-// exact scan across all store dtypes, byte-level construction determinism,
+// exact scan across both store dtypes, byte-level construction determinism,
 // filter composition / over-fetch refill, exact-fallback routing, the
 // gathered-block scorer's bitwise equivalence to per-row scoring, and index
 // freshness across streaming publishes. The concurrent search-during-
@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <set>
 #include <thread>
 #include <vector>
@@ -81,33 +80,6 @@ double RecallAt10(const std::vector<Recommendation>& exact,
   return static_cast<double>(hit) / static_cast<double>(truth.size());
 }
 
-/// Scoped HYBRIDGNN_ANN override so these tests are immune to the
-/// environment the harness runs them under (and restore it afterwards).
-class ScopedAnnEnv {
- public:
-  explicit ScopedAnnEnv(const char* value) {
-    const char* old = std::getenv("HYBRIDGNN_ANN");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value == nullptr) {
-      unsetenv("HYBRIDGNN_ANN");
-    } else {
-      setenv("HYBRIDGNN_ANN", value, 1);
-    }
-  }
-  ~ScopedAnnEnv() {
-    if (had_old_) {
-      setenv("HYBRIDGNN_ANN", old_.c_str(), 1);
-    } else {
-      unsetenv("HYBRIDGNN_ANN");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
 TopKOptions AnnOptions(size_t min_rows = 64) {
   TopKOptions o;
   o.ann = true;
@@ -116,14 +88,13 @@ TopKOptions AnnOptions(size_t min_rows = 64) {
   return o;
 }
 
-// --- recall vs the exact scan, all three dtypes ---
+// --- recall vs the exact scan, both dtypes ---
 
 void CheckRecall(StoreDType dtype) {
-  ScopedAnnEnv env(nullptr);
   EmbeddingStore fp32 = MakeStore(3000, 32, 0xD7 + static_cast<int>(dtype));
   EmbeddingStore store = std::move(fp32);
   if (dtype != StoreDType::kF32) {
-    auto q = EmbeddingStore::Quantized(store, dtype);
+    auto q = EmbeddingStore::Quantized(store);
     ASSERT_TRUE(q.ok()) << q.status().ToString();
     store = std::move(q).value();
   }
@@ -160,7 +131,6 @@ void CheckRecall(StoreDType dtype) {
 }
 
 TEST(AnnIndexTest, RecallF32) { CheckRecall(StoreDType::kF32); }
-TEST(AnnIndexTest, RecallF16) { CheckRecall(StoreDType::kF16); }
 TEST(AnnIndexTest, RecallI8) { CheckRecall(StoreDType::kI8); }
 
 // --- determinism: same seed + same table => byte-identical index ---
@@ -219,7 +189,6 @@ TEST(AnnIndexTest, BuildValidates) {
 // --- filter composition: exclusions never surface, over-fetch refills ---
 
 TEST(AnnRecommenderTest, FiltersComposeAndOverFetchRefills) {
-  ScopedAnnEnv env(nullptr);
   const size_t kNodes = 2048;
   EmbeddingStore store = MakeStore(kNodes, 16, 0xF1);
   MultiplexHeteroGraph g = MakeTypedGraph(kNodes, 6);
@@ -251,7 +220,6 @@ TEST(AnnRecommenderTest, FiltersComposeAndOverFetchRefills) {
 }
 
 TEST(AnnRecommenderTest, DeltaEdgeExclusionsHold) {
-  ScopedAnnEnv env(nullptr);
   const size_t kNodes = 2048;
   EmbeddingStore store = MakeStore(kNodes, 16, 0xF2);
   // Exclude the exact top-5 of node 0, forcing the ANN pool to refill from
@@ -282,7 +250,6 @@ TEST(AnnRecommenderTest, DeltaEdgeExclusionsHold) {
 // --- fallback routing ---
 
 TEST(AnnRecommenderTest, SmallTableRoutesToExactScan) {
-  ScopedAnnEnv env(nullptr);
   EmbeddingStore store = MakeStore(256, 16, 0xAB);
   TopKOptions opts = AnnOptions(/*min_rows=*/4096);  // table far below floor
   TopKRecommender approx(&store, nullptr, opts);
@@ -307,48 +274,28 @@ TEST(AnnRecommenderTest, SmallTableRoutesToExactScan) {
   }
 }
 
-TEST(AnnRecommenderTest, EnvOffReproducesExactPath) {
+TEST(AnnRecommenderTest, AnnOffReproducesExactPath) {
   EmbeddingStore store = MakeStore(2048, 16, 0xC4);
-  std::vector<Recommendation> baseline;
-  {
-    ScopedAnnEnv env(nullptr);
-    TopKRecommender exact(&store, nullptr, TopKOptions{});
-    TopKQuery q;
-    q.node = 3;
-    q.rel = 0;
-    q.k = 10;
-    auto r = exact.Recommend(q);
-    ASSERT_TRUE(r.ok());
-    baseline = *r;
-  }
-  {
-    // HYBRIDGNN_ANN=off overrides TopKOptions::ann: no index is built and
-    // results are bitwise the exact scan's.
-    ScopedAnnEnv env("off");
-    TopKRecommender rec(&store, nullptr, AnnOptions());
-    EXPECT_FALSE(rec.ann_enabled());
-    EXPECT_TRUE(rec.ann_indexes().empty());
-    TopKQuery q;
-    q.node = 3;
-    q.rel = 0;
-    q.k = 10;
-    auto r = rec.Recommend(q);
-    ASSERT_TRUE(r.ok());
-    ASSERT_EQ(r->size(), baseline.size());
-    for (size_t i = 0; i < r->size(); ++i) {
-      EXPECT_EQ((*r)[i].node, baseline[i].node);
-      EXPECT_EQ((*r)[i].score, baseline[i].score);
-    }
-  }
-  {
-    // And =on force-enables against options that said off.
-    ScopedAnnEnv env("on");
-    TopKOptions opts;
-    opts.ann = false;
-    opts.ann_min_rows = 64;
-    TopKRecommender rec(&store, nullptr, opts);
-    EXPECT_TRUE(rec.ann_enabled());
-    EXPECT_NE(rec.ann_indexes()[0], nullptr);
+  TopKQuery q;
+  q.node = 3;
+  q.rel = 0;
+  q.k = 10;
+  TopKRecommender exact(&store, nullptr, TopKOptions{});
+  auto baseline = exact.Recommend(q);
+  ASSERT_TRUE(baseline.ok());
+  // ann = false with every other ANN knob set: no index is built and
+  // results are bitwise the exact scan's.
+  TopKOptions opts = AnnOptions();
+  opts.ann = false;
+  TopKRecommender rec(&store, nullptr, opts);
+  EXPECT_FALSE(rec.ann_enabled());
+  EXPECT_TRUE(rec.ann_indexes().empty());
+  auto r = rec.Recommend(q);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->size(), baseline->size());
+  for (size_t i = 0; i < r->size(); ++i) {
+    EXPECT_EQ((*r)[i].node, (*baseline)[i].node);
+    EXPECT_EQ((*r)[i].score, (*baseline)[i].score);
   }
 }
 
@@ -358,7 +305,7 @@ void CheckGatherEquivalence(StoreDType dtype) {
   EmbeddingStore fp32 = MakeStore(700, 24, 0x9A + static_cast<int>(dtype));
   EmbeddingStore store = std::move(fp32);
   if (dtype != StoreDType::kF32) {
-    auto q = EmbeddingStore::Quantized(store, dtype);
+    auto q = EmbeddingStore::Quantized(store);
     ASSERT_TRUE(q.ok());
     store = std::move(q).value();
   }
@@ -386,9 +333,6 @@ void CheckGatherEquivalence(StoreDType dtype) {
 TEST(BlockScorerTest, GatherBitwiseEqualF32) {
   CheckGatherEquivalence(StoreDType::kF32);
 }
-TEST(BlockScorerTest, GatherBitwiseEqualF16) {
-  CheckGatherEquivalence(StoreDType::kF16);
-}
 TEST(BlockScorerTest, GatherBitwiseEqualI8) {
   CheckGatherEquivalence(StoreDType::kI8);
 }
@@ -396,7 +340,6 @@ TEST(BlockScorerTest, GatherBitwiseEqualI8) {
 TEST(BlockScorerTest, TypedScanMatchesUnfilteredScores) {
   // The type-filtered gather path must assign every returned node the same
   // score the dense scan assigns it.
-  ScopedAnnEnv env(nullptr);
   const size_t kNodes = 1024;
   EmbeddingStore store = MakeStore(kNodes, 16, 0x77);
   MultiplexHeteroGraph g = MakeTypedGraph(kNodes, 2);
@@ -425,7 +368,6 @@ TEST(BlockScorerTest, TypedScanMatchesUnfilteredScores) {
 // --- satellite: query validation ---
 
 TEST(AnnRecommenderTest, OutOfRangeNodeIsInvalidArgument) {
-  ScopedAnnEnv env(nullptr);
   const size_t kNodes = 128;
   EmbeddingStore store = MakeStore(kNodes, 8, 0x31);
   MultiplexHeteroGraph g = MakeTypedGraph(kNodes, 2);
@@ -444,7 +386,6 @@ TEST(AnnRecommenderTest, OutOfRangeNodeIsInvalidArgument) {
 // --- publish-time freshness and the concurrent search/publish race ---
 
 TEST(AnnLiveStoreTest, PublishedIndexSeesStreamedInNode) {
-  ScopedAnnEnv env(nullptr);
   const size_t kNodes = 1500;
   EmbeddingStore store = MakeStore(kNodes, 16, 0x88);
   TopKOptions opts = AnnOptions();
@@ -489,7 +430,6 @@ TEST(AnnLiveStoreTest, PublishedIndexSeesStreamedInNode) {
 }
 
 TEST(AnnLiveStoreTest, ConcurrentSearchDuringPublish) {
-  ScopedAnnEnv env(nullptr);
   const size_t kNodes = 1200;
   EmbeddingStore store = MakeStore(kNodes, 8, 0x99);
   TopKOptions opts = AnnOptions();

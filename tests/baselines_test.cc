@@ -9,6 +9,7 @@
 
 #include "baselines/deepwalk.h"
 #include "baselines/gatne.h"
+#include "baselines/line.h"
 #include "baselines/node2vec.h"
 #include "baselines/registry.h"
 #include "data/profiles.h"
@@ -264,8 +265,21 @@ TEST_F(BaselinesTest, WalkModelsFailPreconditionOnEdgelessGraph) {
   }
 }
 
-// An SGNS learning rate this large overflows the tables within the first
-// epoch; both SGNS-only baselines must say so instead of returning NaNs.
+TEST_F(BaselinesTest, LineRejectsBadLearningRate) {
+  for (float lr : {0.0f, -1e-2f, std::nanf(""),
+                   std::numeric_limits<float>::infinity()}) {
+    Line::Options o;
+    o.learning_rate = lr;
+    Line model(o);
+    const Status st = model.Fit(split_->train_graph);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "lr " << lr;
+    EXPECT_EQ(st.message().rfind("LINE: ", 0), 0u) << st.message();
+  }
+}
+
+// A learning rate this large overflows the tables within the first epoch;
+// the SGNS-only baselines and LINE (the same sigmoid-gradient update) must
+// say so instead of returning NaNs.
 TEST_F(BaselinesTest, SgnsBaselinesFailCleanlyOnNonFiniteTables) {
   DeepWalk::Options dw;
   dw.corpus.num_walks_per_node = 2;
@@ -275,10 +289,14 @@ TEST_F(BaselinesTest, SgnsBaselinesFailCleanlyOnNonFiniteTables) {
   Node2Vec::Options n2v;
   n2v.corpus = dw.corpus;
   n2v.sgns = dw.sgns;
+  Line::Options line;
+  line.learning_rate = 1e30f;
+  line.samples_per_edge = 2;
   DeepWalk deepwalk(dw);
   Node2Vec node2vec(n2v);
-  for (EmbeddingModel* model :
-       std::initializer_list<EmbeddingModel*>{&deepwalk, &node2vec}) {
+  Line line_model(line);
+  for (EmbeddingModel* model : std::initializer_list<EmbeddingModel*>{
+           &deepwalk, &node2vec, &line_model}) {
     const Status st = model->Fit(split_->train_graph);
     EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
     EXPECT_EQ(st.message().rfind(model->name() + ": ", 0), 0u)

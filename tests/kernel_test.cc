@@ -24,7 +24,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "kernels/f16.h"
 #include "kernels/kernels.h"
 
 namespace hybridgnn {
@@ -314,39 +313,6 @@ TEST_F(KernelTest, ScoreBlockMatchesRowAtATime) {
   }
 }
 
-TEST_F(KernelTest, ScoreBlockF16Differential) {
-  // Both backends convert half -> float identically (software converter
-  // matches F16C bit for bit) and accumulate in double, so the bound is
-  // the same double-rounding one ScoreBlock gets.
-  Rng rng(777);
-  for (size_t n : kDims) {
-    const size_t rows = n == 1000 ? 3 : 7;
-    const auto q = AwkwardVec(n, rng);
-    std::vector<uint16_t> t(rows * n);
-    std::vector<float> tf(rows * n);  // the dequantized table, for the bound
-    for (size_t i = 0; i < t.size(); ++i) {
-      t[i] = k::F32ToF16(AwkwardVec(1, rng)[0]);
-      tf[i] = k::F16ToF32(t[i]);
-    }
-    std::vector<double> scalar(rows), scalar2(rows), avx2(rows);
-    {
-      k::ScopedBackend g(k::Backend::kScalar);
-      k::ScoreBlockF16(q.data(), t.data(), rows, n, scalar.data());
-      k::ScoreBlockF16(q.data(), t.data(), rows, n, scalar2.data());
-    }
-    {
-      k::ScopedBackend g(k::Backend::kAvx2);
-      k::ScoreBlockF16(q.data(), t.data(), rows, n, avx2.data());
-    }
-    for (size_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(scalar[r], scalar2[r]) << "nondeterministic, n=" << n;
-      const double tol =
-          1e-12 * (SumAbsProducts(q.data(), tf.data() + r * n, n) + 1.0);
-      EXPECT_NEAR(scalar[r], avx2[r], tol) << "n=" << n << " row=" << r;
-    }
-  }
-}
-
 TEST_F(KernelTest, ScoreBlockI8Differential) {
   // The int8 inner product accumulates in float (see kernels.h), so the
   // cross-backend bound is reduction-order drift scaled by the row's
@@ -393,47 +359,17 @@ TEST_F(KernelTest, ScoreBlockI8Differential) {
   }
 }
 
-TEST(KernelF16ConversionTest, PinsIeeeBinary16) {
-  // Golden encodings of the binary16 special points; these pin the software
-  // converter to IEEE-754 (and thereby to F16C, which the AVX2 path uses).
-  EXPECT_EQ(k::F32ToF16(0.0f), 0x0000);
-  EXPECT_EQ(k::F32ToF16(-0.0f), 0x8000);
-  EXPECT_EQ(k::F32ToF16(1.0f), 0x3C00);
-  EXPECT_EQ(k::F32ToF16(-2.0f), 0xC000);
-  EXPECT_EQ(k::F32ToF16(65504.0f), 0x7BFF);   // max finite half
-  EXPECT_EQ(k::F32ToF16(65536.0f), 0x7C00);   // overflow -> +Inf
-  EXPECT_EQ(k::F32ToF16(-65536.0f), 0xFC00);  // overflow -> -Inf
-  EXPECT_EQ(k::F32ToF16(5.9604645e-8f), 0x0001);  // min subnormal
-  // Round to nearest even at the midpoint: 1 + 2^-11 is exactly between
-  // 0x3C00 (1.0) and 0x3C01 (1 + 2^-10); even mantissa wins.
-  EXPECT_EQ(k::F32ToF16(1.00048828125f), 0x3C00);
-  EXPECT_EQ(k::F32ToF16(1.0009765625f), 0x3C01);  // representable exactly
-  // Round trips of exactly representable values are identities.
-  for (uint16_t h : {uint16_t{0x0000}, uint16_t{0x8000}, uint16_t{0x3C00},
-                     uint16_t{0x7BFF}, uint16_t{0x0001}, uint16_t{0x83FF},
-                     uint16_t{0x7C00}, uint16_t{0xFC00}, uint16_t{0x5648}}) {
-    EXPECT_EQ(k::F32ToF16(k::F16ToF32(h)), h) << "half bits " << h;
-  }
-  // NaN stays NaN (payload may differ).
-  const float nan_f = k::F16ToF32(k::F32ToF16(NAN));
-  EXPECT_TRUE(std::isnan(nan_f));
-}
-
 TEST(KernelEdgeCaseTest, QuantizedZeroLength) {
   std::vector<k::Backend> backends = {k::Backend::kScalar};
   if (k::Avx2Available()) backends.push_back(k::Backend::kAvx2);
   for (k::Backend backend : backends) {
     k::ScopedBackend g(backend);
     double s = -1.0;
-    k::ScoreBlockF16(nullptr, nullptr, 0, 4, &s);  // zero rows: untouched
-    EXPECT_EQ(s, -1.0);
+    // Zero rows: untouched.
     k::ScoreBlockI8(nullptr, nullptr, nullptr, nullptr, 0.0, 0, 4, &s);
     EXPECT_EQ(s, -1.0);
-    // Zero dim: the dot is empty, leaving only the affine term for i8.
+    // Zero dim: the dot is empty, leaving only the affine term.
     const float q = 2.0f;
-    uint16_t h = 0;
-    k::ScoreBlockF16(&q, &h, 1, 0, &s);
-    EXPECT_EQ(s, 0.0);
     const uint8_t code = 9;
     const float scale = 3.0f, zero = 0.5f;
     k::ScoreBlockI8(&q, &code, &scale, &zero, 4.0, 1, 0, &s);

@@ -1,8 +1,8 @@
-// Tests for the quantized serving tier: EmbeddingStore::Quantized (fp16 /
-// int8), the `.hgc` v2 checkpoint round trip in both load modes, v2
-// corruption rejection, the fp32-stays-v1 compatibility guard, and the
-// recall@K differential between quantized and exact fp32 retrieval that
-// scripts/ci_check.sh gates on.
+// Tests for the quantized serving tier: EmbeddingStore::Quantized (int8),
+// the `.hgc` v2 checkpoint round trip in both load modes, v2 corruption
+// rejection (including every dtype code other than int8), the
+// fp32-stays-v1 compatibility guard, and the recall@K differential between
+// int8 and exact fp32 retrieval that scripts/ci_check.sh gates on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "kernels/f16.h"
 #include "serve/checkpoint.h"
 #include "serve/topk.h"
 
@@ -47,6 +46,19 @@ EmbeddingStore MakeRandomStore(size_t num_nodes, size_t dim, uint64_t seed) {
       EmbeddingStore::FromTables("random", num_nodes, std::move(tables));
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   return std::move(store).value();
+}
+
+std::vector<char> ReadFile(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  EXPECT_TRUE(f.is_open()) << path;
+  return std::vector<char>(std::istreambuf_iterator<char>(f),
+                           std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  ASSERT_TRUE(f.is_open()) << path;
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 /// Flips one byte of a file in place.
@@ -94,36 +106,19 @@ void ExpectQuantizedStoresEqual(const EmbeddingStore& a,
 
 TEST(QuantizedStoreTest, RejectsBadArguments) {
   EmbeddingStore src = MakeRandomStore(10, 8, 1);
-  EXPECT_FALSE(EmbeddingStore::Quantized(src, StoreDType::kF32).ok());
-  auto f16 = EmbeddingStore::Quantized(src, StoreDType::kF16);
-  ASSERT_TRUE(f16.ok());
+  auto i8 = EmbeddingStore::Quantized(src);
+  ASSERT_TRUE(i8.ok());
   // Re-quantizing an already-quantized store is refused.
-  EXPECT_FALSE(EmbeddingStore::Quantized(*f16, StoreDType::kI8).ok());
-}
-
-TEST(QuantizedStoreTest, F16PayloadMatchesConverter) {
-  EmbeddingStore src = MakeRandomStore(20, 12, 7);
-  auto q = EmbeddingStore::Quantized(src, StoreDType::kF16);
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q->dtype(), StoreDType::kF16);
-  EXPECT_TRUE(q->Table(0).empty());       // fp32 view gone
-  EXPECT_EQ(q->Lookup(0, 0), nullptr);    // quantized stores have no rows
-  for (RelationId r = 0; r < src.num_relations(); ++r) {
-    const float* orig = src.Table(r).data();
-    const auto raw = q->RawTable(r);
-    ASSERT_EQ(raw.size(), src.NumRows(r) * src.dim() * 2);
-    const uint16_t* halves = reinterpret_cast<const uint16_t*>(raw.data());
-    for (size_t i = 0; i < src.NumRows(r) * src.dim(); ++i) {
-      EXPECT_EQ(halves[i], kernels::F32ToF16(orig[i])) << "element " << i;
-    }
-  }
+  EXPECT_FALSE(EmbeddingStore::Quantized(*i8).ok());
 }
 
 TEST(QuantizedStoreTest, I8DequantErrorIsBoundedByHalfStep) {
   EmbeddingStore src = MakeRandomStore(30, 16, 9);
-  auto q = EmbeddingStore::Quantized(src, StoreDType::kI8);
+  auto q = EmbeddingStore::Quantized(src);
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(q->dtype(), StoreDType::kI8);
+  EXPECT_TRUE(q->Table(0).empty());       // fp32 view gone
+  EXPECT_EQ(q->Lookup(0, 0), nullptr);    // quantized stores have no rows
   std::vector<float> dequant(src.dim());
   for (RelationId r = 0; r < src.num_relations(); ++r) {
     ASSERT_EQ(q->RowScales(r).size(), src.NumRows(r));
@@ -152,7 +147,7 @@ TEST(QuantizedStoreTest, I8ConstantRowUsesZeroScale) {
   }
   auto src = EmbeddingStore::FromTables("m", 2, std::move(tables));
   ASSERT_TRUE(src.ok());
-  auto q = EmbeddingStore::Quantized(*src, StoreDType::kI8);
+  auto q = EmbeddingStore::Quantized(*src);
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(q->RowScales(0)[0], 0.0f);
   EXPECT_EQ(q->RowZeros(0)[0], 0.75f);
@@ -161,42 +156,37 @@ TEST(QuantizedStoreTest, I8ConstantRowUsesZeroScale) {
   for (float v : dequant) EXPECT_EQ(v, 0.75f);
 }
 
-TEST(CheckpointV2Test, RoundTripBothModesBothDTypes) {
+TEST(CheckpointV2Test, RoundTripBothModes) {
   EmbeddingStore src = MakeRandomStore(40, 24, 11);
-  for (StoreDType dtype : {StoreDType::kF16, StoreDType::kI8}) {
-    auto q = EmbeddingStore::Quantized(src, dtype);
-    ASSERT_TRUE(q.ok());
-    const std::string path =
-        TempPath(std::string("v2_roundtrip_") + StoreDTypeName(dtype) +
-                 ".hgc");
-    ASSERT_TRUE(WriteCheckpoint(*q, path).ok());
-    // Version byte in the header says v2.
-    std::ifstream in(path, std::ios::binary);
-    char header[8] = {};
-    in.read(header, 8);
-    uint16_t version = 0;
-    std::memcpy(&version, header + 6, 2);
-    EXPECT_EQ(version, kCheckpointVersionQuantized);
-    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMmap}) {
-      auto loaded = LoadCheckpoint(path, mode);
-      ASSERT_TRUE(loaded.ok())
-          << StoreDTypeName(dtype) << ": " << loaded.status().ToString();
-      EXPECT_EQ(loaded->mmapped(), mode == LoadMode::kMmap);
-      ExpectQuantizedStoresEqual(*q, *loaded);
-      // Dequantization (the scoring view) survives the round trip exactly.
-      std::vector<float> a(src.dim()), b(src.dim());
-      for (RelationId r = 0; r < q->num_relations(); ++r) {
-        for (size_t row = 0; row < q->NumRows(r); ++row) {
-          q->DequantizeRow(r, static_cast<uint32_t>(row), a.data());
-          loaded->DequantizeRow(r, static_cast<uint32_t>(row), b.data());
-          for (size_t j = 0; j < src.dim(); ++j) {
-            ASSERT_EQ(a[j], b[j]) << "relation " << r << " row " << row;
-          }
+  auto q = EmbeddingStore::Quantized(src);
+  ASSERT_TRUE(q.ok());
+  const std::string path = TempPath("v2_roundtrip_int8.hgc");
+  ASSERT_TRUE(WriteCheckpoint(*q, path).ok());
+  // Version byte in the header says v2.
+  std::ifstream in(path, std::ios::binary);
+  char header[8] = {};
+  in.read(header, 8);
+  uint16_t version = 0;
+  std::memcpy(&version, header + 6, 2);
+  EXPECT_EQ(version, kCheckpointVersionQuantized);
+  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMmap}) {
+    auto loaded = LoadCheckpoint(path, mode);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->mmapped(), mode == LoadMode::kMmap);
+    ExpectQuantizedStoresEqual(*q, *loaded);
+    // Dequantization (the scoring view) survives the round trip exactly.
+    std::vector<float> a(src.dim()), b(src.dim());
+    for (RelationId r = 0; r < q->num_relations(); ++r) {
+      for (size_t row = 0; row < q->NumRows(r); ++row) {
+        q->DequantizeRow(r, static_cast<uint32_t>(row), a.data());
+        loaded->DequantizeRow(r, static_cast<uint32_t>(row), b.data());
+        for (size_t j = 0; j < src.dim(); ++j) {
+          ASSERT_EQ(a[j], b[j]) << "relation " << r << " row " << row;
         }
       }
     }
-    fs::remove(path);
   }
+  fs::remove(path);
 }
 
 TEST(CheckpointV2Test, Fp32StoresStillWriteV1) {
@@ -227,7 +217,7 @@ TEST(CheckpointV2Test, Fp32StoresStillWriteV1) {
 
 TEST(CheckpointV2Test, CorruptionIsRejected) {
   EmbeddingStore src = MakeRandomStore(25, 16, 5);
-  auto q = EmbeddingStore::Quantized(src, StoreDType::kI8);
+  auto q = EmbeddingStore::Quantized(src);
   ASSERT_TRUE(q.ok());
   const std::string path = TempPath("v2_corrupt.hgc");
   ASSERT_TRUE(WriteCheckpoint(*q, path).ok());
@@ -259,14 +249,58 @@ TEST(CheckpointV2Test, ParseStoreDTypeSpellings) {
   auto fp32 = ParseStoreDType("fp32");
   ASSERT_TRUE(fp32.ok());
   EXPECT_EQ(*fp32, StoreDType::kF32);
-  auto fp16 = ParseStoreDType("fp16");
-  ASSERT_TRUE(fp16.ok());
-  EXPECT_EQ(*fp16, StoreDType::kF16);
   auto i8 = ParseStoreDType("int8");
   ASSERT_TRUE(i8.ok());
   EXPECT_EQ(*i8, StoreDType::kI8);
   EXPECT_FALSE(ParseStoreDType("int4").ok());
   EXPECT_FALSE(ParseStoreDType("").ok());
+}
+
+TEST(CheckpointV2Test, ParseStoreDTypeRejectsFp16) {
+  // fp16 is not a store dtype; the error names the ones that are.
+  auto fp16 = ParseStoreDType("fp16");
+  ASSERT_FALSE(fp16.ok());
+  EXPECT_EQ(fp16.status().code(), StatusCode::kInvalidArgument);
+  const std::string& msg = fp16.status().message();
+  EXPECT_NE(msg.find("fp32"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("int8"), std::string::npos) << msg;
+}
+
+TEST(CheckpointV2Test, DtypeCodesOtherThanInt8AreRejected) {
+  // int8 (code 2) is the only v2 dtype. Rewrite the dtype byte (the first
+  // metadata byte) and reseal both checksums, so the dtype check itself —
+  // not a checksum — must refuse the file. Code 1 once meant fp16.
+  EmbeddingStore src = MakeRandomStore(25, 16, 5);
+  auto q = EmbeddingStore::Quantized(src);
+  ASSERT_TRUE(q.ok());
+  const std::string path = TempPath("v2_dtype.hgc");
+  ASSERT_TRUE(WriteCheckpoint(*q, path).ok());
+  const std::vector<char> pristine = ReadFile(path);
+  ASSERT_EQ(pristine[kCheckpointHeaderBytes],
+            static_cast<char>(StoreDType::kI8));
+  for (uint8_t code : {uint8_t{1}, uint8_t{0}, uint8_t{3}}) {
+    std::vector<char> bytes = pristine;
+    bytes[kCheckpointHeaderBytes] = static_cast<char>(code);
+    const uint64_t payload =
+        Fnv1a64(bytes.data() + kCheckpointHeaderBytes,
+                bytes.size() - kCheckpointHeaderBytes);
+    std::memcpy(bytes.data() + 48, &payload, 8);
+    const uint64_t header = Fnv1a64(bytes.data(), 56);
+    std::memcpy(bytes.data() + 56, &header, 8);
+    const std::string copy = TempPath("v2_dtype_case.hgc");
+    WriteFile(copy, bytes);
+    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMmap}) {
+      auto loaded = LoadCheckpoint(copy, mode);
+      ASSERT_FALSE(loaded.ok()) << "dtype code " << int{code} << " accepted";
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+          << "dtype code " << int{code} << ": "
+          << loaded.status().ToString();
+      EXPECT_NE(loaded.status().message().find("dtype"), std::string::npos)
+          << loaded.status().ToString();
+    }
+    fs::remove(copy);
+  }
+  fs::remove(path);
 }
 
 /// recall@k of `got` against the exact top-k `want` (fraction of the exact
@@ -288,37 +322,28 @@ double RecallAtK(const std::vector<Recommendation>& want,
 
 TEST(QuantizedRecallTest, RecallAtTenBeatsTheGate) {
   // The CI gate's contract in unit-test form: int8 retrieval recovers >=
-  // 0.95 of the exact fp32 top-10 on a realistic random store; fp16 is
-  // near-lossless.
+  // 0.95 of the exact fp32 top-10 on a realistic random store.
   const size_t num_nodes = 600, dim = 48, k = 10, num_queries = 64;
   EmbeddingStore exact = MakeRandomStore(num_nodes, dim, 13);
-  auto f16 = EmbeddingStore::Quantized(exact, StoreDType::kF16);
-  auto i8 = EmbeddingStore::Quantized(exact, StoreDType::kI8);
-  ASSERT_TRUE(f16.ok());
+  auto i8 = EmbeddingStore::Quantized(exact);
   ASSERT_TRUE(i8.ok());
   TopKOptions options;
   options.num_threads = 1;
   TopKRecommender ref(&exact, nullptr, options);
-  TopKRecommender rec_f16(&*f16, nullptr, options);
   TopKRecommender rec_i8(&*i8, nullptr, options);
-  double recall_f16 = 0.0, recall_i8 = 0.0;
+  double recall_i8 = 0.0;
   for (size_t qi = 0; qi < num_queries; ++qi) {
     TopKQuery q;
     q.node = static_cast<NodeId>((qi * 37) % num_nodes);
     q.rel = 0;
     q.k = k;
     auto want = ref.Recommend(q);
-    auto got16 = rec_f16.Recommend(q);
     auto got8 = rec_i8.Recommend(q);
     ASSERT_TRUE(want.ok());
-    ASSERT_TRUE(got16.ok());
     ASSERT_TRUE(got8.ok());
-    recall_f16 += RecallAtK(*want, *got16);
     recall_i8 += RecallAtK(*want, *got8);
   }
-  recall_f16 /= num_queries;
   recall_i8 /= num_queries;
-  EXPECT_GE(recall_f16, 0.99) << "fp16 should be near-lossless";
   EXPECT_GE(recall_i8, 0.95) << "int8 recall@10 below the serving gate";
 }
 
@@ -327,7 +352,7 @@ TEST(QuantizedRecallTest, CosineModeWorksOnQuantizedStores) {
   // close to the fp32 one (and must not crash on the null Table view).
   const size_t num_nodes = 200, dim = 32, k = 10;
   EmbeddingStore exact = MakeRandomStore(num_nodes, dim, 21);
-  auto i8 = EmbeddingStore::Quantized(exact, StoreDType::kI8);
+  auto i8 = EmbeddingStore::Quantized(exact);
   ASSERT_TRUE(i8.ok());
   TopKOptions options;
   options.num_threads = 1;
