@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # One-shot CI gate: configure + build + full ctest suite, then the
 # ThreadSanitizer and AddressSanitizer sweeps, then the micro-bench gates
-# (streaming refresh, quantized serving, ANN retrieval). Exits non-zero on
-# the first failing stage, so `scripts/ci_check.sh && git push` is a safe
-# habit.
+# (streaming refresh, quantized serving, ANN retrieval), and last prints the
+# line counts (scripts/loc.sh). Exits non-zero on the first failing stage,
+# so `scripts/ci_check.sh && git push` is a safe habit.
 #
 # Usage: scripts/ci_check.sh [build-dir]   (default: build)
 # The sanitizer stages use their own build trees (build-tsan, build-asan);
@@ -37,5 +37,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target micro_serve_qps
 echo "=== ci_check: ANN retrieval gate (single-query speedup + recall@10) ==="
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target micro_ann
 "$BUILD_DIR/bench/micro_ann" --gate
+
+echo "=== ci_check: line counts ==="
+scripts/loc.sh
 
 echo "=== ci_check: all stages passed ==="

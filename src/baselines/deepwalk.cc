@@ -1,7 +1,5 @@
 #include "baselines/deepwalk.h"
 
-#include "common/logging.h"
-
 namespace hybridgnn {
 
 Status DeepWalk::Fit(const MultiplexHeteroGraph& g,
@@ -17,22 +15,8 @@ Status DeepWalk::Fit(const MultiplexHeteroGraph& g,
   SgnsEmbedder embedder(g.num_nodes(), sgns.dim, rng);
   const Status st = embedder.Train(stream, sampler, sgns, rng);
   if (!st.ok()) return Status(st.code(), "DeepWalk: " + st.message());
-  embeddings_ = embedder.embeddings();
   options.Report("train", 1, 1);
-  fitted_ = true;
-  return Status::OK();
-}
-
-Tensor DeepWalk::Embedding(NodeId v, RelationId r) const {
-  HYBRIDGNN_CHECK(fitted_);
-  (void)r;  // relation-blind
-  return embeddings_.CopyRow(v);
-}
-
-Tensor DeepWalk::EmbeddingsFor(
-    std::span<const std::pair<NodeId, RelationId>> queries) const {
-  HYBRIDGNN_CHECK(fitted_);
-  return GatherNodeRows(embeddings_, queries);
+  return SetTable("DeepWalk", embedder.embeddings());
 }
 
 }  // namespace hybridgnn

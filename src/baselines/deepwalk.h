@@ -4,8 +4,8 @@
 #include <string>
 
 #include "baselines/common.h"
-#include "eval/embedding_model.h"
 #include "sampling/corpus.h"
+#include "sampling/sgns.h"
 
 namespace hybridgnn {
 
@@ -13,7 +13,7 @@ namespace hybridgnn {
 /// uniform random walks (sampling/corpus.h's PairStream, no direct-edge
 /// pairs). Node and edge types are ignored, as in the paper's baseline
 /// setup.
-class DeepWalk : public EmbeddingModel {
+class DeepWalk : public NodeTableModel {
  public:
   struct Options {
     SgnsOptions sgns;
@@ -32,14 +32,9 @@ class DeepWalk : public EmbeddingModel {
   Status Fit(const MultiplexHeteroGraph& g,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;
-  Tensor Embedding(NodeId v, RelationId r) const override;
-  Tensor EmbeddingsFor(std::span<const std::pair<NodeId, RelationId>> queries)
-      const override;
 
  private:
   Options options_;
-  Tensor embeddings_;
-  bool fitted_ = false;
 };
 
 }  // namespace hybridgnn

@@ -1,25 +1,19 @@
 #include "baselines/gcn.h"
 
-#include "baselines/common.h"
-#include "common/logging.h"
 #include "nn/embedding.h"
 #include "nn/linear.h"
 #include "nn/sparse.h"
-#include "tensor/optimizer.h"
 
 namespace hybridgnn {
 
-Status Gcn::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
-  (void)options;  // dense full-graph training; no parallel path yet
-  const auto& edges = g.edges();
-  if (edges.empty()) return Status::FailedPrecondition("GCN: no edges");
+Status Gcn::Fit(const MultiplexHeteroGraph& g, const FitOptions&) {
   Rng rng(options_.seed);
   SparseMatrix s = NormalizedAdjacency(g);
 
   EmbeddingTable features(g.num_nodes(), options_.input_dim, rng);
   Linear w1(options_.input_dim, options_.hidden_dim, rng);
   Linear w2(options_.hidden_dim, options_.output_dim, rng);
-  Adam optimizer(options_.learning_rate);
+  Adam optimizer(options_.train.learning_rate);
   optimizer.AddParameters(features.parameters());
   optimizer.AddParameters(w1.parameters());
   optimizer.AddParameters(w2.parameters());
@@ -29,38 +23,22 @@ Status Gcn::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
     return w2.Forward(SpMM(s, h1));  // [V, out]
   };
 
-  for (size_t step = 0; step < options_.steps; ++step) {
-    ag::Var h = forward();
-    std::vector<int32_t> us, vs;
-    std::vector<float> labels;
-    for (size_t b = 0; b < options_.batch_edges; ++b) {
-      const auto& e = edges[rng.UniformUint64(edges.size())];
-      us.push_back(static_cast<int32_t>(e.src));
-      vs.push_back(static_cast<int32_t>(e.dst));
-      labels.push_back(1.0f);
-      for (size_t n = 0; n < options_.negatives_per_edge; ++n) {
-        EdgeTriple neg = SampleNegativeEdge(g, e, rng);
-        us.push_back(static_cast<int32_t>(neg.src));
-        vs.push_back(static_cast<int32_t>(neg.dst));
-        labels.push_back(0.0f);
-      }
-    }
-    ag::Var hu = ag::GatherRows(h, std::move(us));
-    ag::Var hv = ag::GatherRows(h, std::move(vs));
-    ag::Var loss = ag::BceWithLogits(ag::RowwiseDot(hu, hv), labels);
-    ag::Backward(loss);
-    optimizer.Step();
-    optimizer.ZeroGrad();
-  }
-  embeddings_ = forward()->value;
-  fitted_ = true;
-  return Status::OK();
-}
-
-Tensor Gcn::Embedding(NodeId v, RelationId r) const {
-  HYBRIDGNN_CHECK(fitted_);
-  (void)r;
-  return embeddings_.CopyRow(v);
+  ag::Var h;
+  HYBRIDGNN_RETURN_IF_ERROR(TrainLink(
+      "GCN", g, options_.train, optimizer, rng,
+      {.begin = [&] { h = forward(); },
+       .visit = [](NodeId) {},
+       .logits = [&](std::span<const EdgeTriple> batch) {
+         std::vector<int32_t> us, vs;
+         for (const EdgeTriple& e : batch) {
+           us.push_back(static_cast<int32_t>(e.src));
+           vs.push_back(static_cast<int32_t>(e.dst));
+         }
+         ag::Var hu = ag::GatherRows(h, std::move(us));
+         ag::Var hv = ag::GatherRows(h, std::move(vs));
+         return ag::RowwiseDot(hu, hv);
+       }}));
+  return SetTable("GCN", forward()->value);
 }
 
 }  // namespace hybridgnn

@@ -3,8 +3,7 @@
 
 #include <string>
 
-#include "eval/embedding_model.h"
-#include "tensor/tensor.h"
+#include "baselines/common.h"
 
 namespace hybridgnn {
 
@@ -13,16 +12,13 @@ namespace hybridgnn {
 /// in the paper's baseline protocol), trained with link-prediction BCE on
 /// training edges plus sampled negatives. Node features are a trainable
 /// table (the datasets are featureless).
-class Gcn : public EmbeddingModel {
+class Gcn : public NodeTableModel {
  public:
   struct Options {
     size_t input_dim = 64;
     size_t hidden_dim = 64;
     size_t output_dim = 64;
-    size_t steps = 60;
-    size_t batch_edges = 512;
-    size_t negatives_per_edge = 1;
-    float learning_rate = 0.01f;
+    LinkTrainOptions train{.steps = 60, .batch_edges = 512};
     uint64_t seed = 17;
   };
 
@@ -32,12 +28,9 @@ class Gcn : public EmbeddingModel {
   Status Fit(const MultiplexHeteroGraph& g,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;
-  Tensor Embedding(NodeId v, RelationId r) const override;
 
  private:
   Options options_;
-  Tensor embeddings_;
-  bool fitted_ = false;
 };
 
 }  // namespace hybridgnn

@@ -1,92 +1,47 @@
 #include "baselines/graphsage.h"
 
-#include <unordered_map>
-
-#include "baselines/common.h"
-#include "common/logging.h"
+#include "nn/aggregator.h"
+#include "nn/embedding.h"
 #include "nn/sparse.h"
 #include "sampling/neighbor_sampler.h"
-#include "tensor/optimizer.h"
 
 namespace hybridgnn {
 
-ag::Var GraphSage::ForwardNode(const MultiplexHeteroGraph& g, NodeId v,
-                               Rng& rng, const EmbeddingTable& features,
-                               const MeanAggregator& agg) const {
-  auto levels = SampleLayers(g, v, options_.num_layers, options_.fanout, rng);
-  // Frontier path: one fused gather over all levels, one segment mean, then
-  // the aggregator fold (means row 0 is the deepest level).
-  static thread_local MinibatchFrontier frontier;
-  BuildLevelFrontier(levels, &frontier);
-  ag::Var block = GatherRowsSegmented(features.table(), frontier);
-  ag::Var means = SegmentMean(block, frontier);
-  const size_t num_levels = frontier.num_segments();
-  ag::Var rep = num_levels == 1 ? means : ag::SliceRows(means, 0, 1);
-  for (size_t i = 1; i < num_levels; ++i) {
-    rep = agg.Forward(MinibatchFrontier::IdentityRow(),
-                      ag::SliceRows(means, i, 1), rep);
-  }
-  return rep;
-}
-
-Status GraphSage::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
-  (void)options;  // dense full-graph training; no parallel path yet
-  const auto& edges = g.edges();
-  if (edges.empty()) return Status::FailedPrecondition("GraphSage: no edges");
+Status GraphSage::Fit(const MultiplexHeteroGraph& g, const FitOptions&) {
   Rng rng(options_.seed);
   EmbeddingTable features(g.num_nodes(), options_.dim, rng);
   MeanAggregator agg(options_.dim, rng);
-  Adam optimizer(options_.learning_rate);
+  Adam optimizer(options_.train.learning_rate);
   optimizer.AddParameters(features.parameters());
   optimizer.AddParameters(agg.parameters());
 
-  for (size_t step = 0; step < options_.steps; ++step) {
-    std::unordered_map<NodeId, ag::Var> memo;
-    auto emb = [&](NodeId v) {
-      auto it = memo.find(v);
-      if (it == memo.end()) {
-        it = memo.emplace(v, ForwardNode(g, v, rng, features, agg)).first;
-      }
-      return it->second;
-    };
-    std::vector<ag::Var> hu, hv;
-    std::vector<float> labels;
-    for (size_t b = 0; b < options_.batch_edges; ++b) {
-      const auto& e = edges[rng.UniformUint64(edges.size())];
-      hu.push_back(emb(e.src));
-      hv.push_back(emb(e.dst));
-      labels.push_back(1.0f);
-      for (size_t n = 0; n < options_.negatives_per_edge; ++n) {
-        EdgeTriple neg = SampleNegativeEdge(g, e, rng);
-        hu.push_back(emb(neg.src));
-        hv.push_back(emb(neg.dst));
-        labels.push_back(0.0f);
-      }
+  auto forward = [&](NodeId v, Rng& r) {
+    auto levels = SampleLayers(g, v, options_.num_layers, options_.fanout, r);
+    // Frontier path: one fused gather over all levels, one segment mean,
+    // then the aggregator fold (means row 0 is the deepest level).
+    static thread_local MinibatchFrontier frontier;
+    BuildLevelFrontier(levels, &frontier);
+    ag::Var block = GatherRowsSegmented(features.table(), frontier);
+    ag::Var means = SegmentMean(block, frontier);
+    const size_t num_levels = frontier.num_segments();
+    ag::Var rep = num_levels == 1 ? means : ag::SliceRows(means, 0, 1);
+    for (size_t i = 1; i < num_levels; ++i) {
+      rep = agg.Forward(MinibatchFrontier::IdentityRow(),
+                        ag::SliceRows(means, i, 1), rep);
     }
-    ag::Var logits =
-        ag::RowwiseDot(ag::ConcatRows(hu), ag::ConcatRows(hv));
-    ag::Var loss = ag::BceWithLogits(logits, labels);
-    ag::Backward(loss);
-    optimizer.Step();
-    optimizer.ZeroGrad();
-  }
+    return rep;
+  };
+
+  HYBRIDGNN_RETURN_IF_ERROR(TrainLink(
+      "GraphSage", g, options_.train, optimizer, rng,
+      MemoizedDotHooks([&](NodeId v) { return forward(v, rng); })));
 
   // Cache inference embeddings.
   Rng cache_rng(options_.seed ^ 0xABCDEF);
-  embeddings_ = Tensor(g.num_nodes(), options_.dim);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    ag::Var e = ForwardNode(g, v, cache_rng, features, agg);
-    const float* src = e->value.RowPtr(0);
-    std::copy(src, src + options_.dim, embeddings_.RowPtr(v));
-  }
-  fitted_ = true;
-  return Status::OK();
-}
-
-Tensor GraphSage::Embedding(NodeId v, RelationId r) const {
-  HYBRIDGNN_CHECK(fitted_);
-  (void)r;
-  return embeddings_.CopyRow(v);
+  return SetTable("GraphSage",
+                  TableOf(g.num_nodes(), options_.dim, [&](NodeId v) {
+                    return forward(v, cache_rng);
+                  }));
 }
 
 }  // namespace hybridgnn

@@ -1,30 +1,22 @@
 #ifndef HYBRIDGNN_BASELINES_GRAPHSAGE_H_
 #define HYBRIDGNN_BASELINES_GRAPHSAGE_H_
 
-#include <memory>
 #include <string>
 
-#include "common/rng.h"
-#include "eval/embedding_model.h"
-#include "nn/aggregator.h"
-#include "nn/embedding.h"
-#include "tensor/tensor.h"
+#include "baselines/common.h"
 
 namespace hybridgnn {
 
 /// GraphSage (Hamilton et al., NeurIPS 2017): fan-out neighbor sampling +
 /// mean aggregation, two layers, trained with link-prediction BCE.
 /// Relation-blind (samples over the union of relations).
-class GraphSage : public EmbeddingModel {
+class GraphSage : public NodeTableModel {
  public:
   struct Options {
     size_t dim = 64;
     size_t num_layers = 2;
     size_t fanout = 6;
-    size_t steps = 80;
-    size_t batch_edges = 128;
-    size_t negatives_per_edge = 1;
-    float learning_rate = 0.01f;
+    LinkTrainOptions train;
     uint64_t seed = 19;
   };
 
@@ -34,16 +26,9 @@ class GraphSage : public EmbeddingModel {
   Status Fit(const MultiplexHeteroGraph& g,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;
-  Tensor Embedding(NodeId v, RelationId r) const override;
 
  private:
-  ag::Var ForwardNode(const MultiplexHeteroGraph& g, NodeId v, Rng& rng,
-                      const EmbeddingTable& features,
-                      const MeanAggregator& agg) const;
-
   Options options_;
-  Tensor embeddings_;
-  bool fitted_ = false;
 };
 
 }  // namespace hybridgnn

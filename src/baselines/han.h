@@ -4,9 +4,8 @@
 #include <string>
 #include <vector>
 
-#include "eval/embedding_model.h"
+#include "baselines/common.h"
 #include "graph/metapath.h"
-#include "tensor/tensor.h"
 
 namespace hybridgnn {
 
@@ -14,16 +13,13 @@ namespace hybridgnn {
 /// neighbor aggregation (node level) fused by semantic-level attention.
 /// Non-multiplex: it learns a single embedding per node (relation ignored),
 /// which is exactly how the paper evaluates it. Trained with link BCE.
-class Han : public EmbeddingModel {
+class Han : public NodeTableModel {
  public:
   struct Options {
     size_t dim = 64;
     size_t semantic_hidden = 32;
     size_t fanout = 6;
-    size_t steps = 80;
-    size_t batch_edges = 128;
-    size_t negatives_per_edge = 1;
-    float learning_rate = 0.01f;
+    LinkTrainOptions train;
     uint64_t seed = 23;
   };
 
@@ -34,13 +30,10 @@ class Han : public EmbeddingModel {
   Status Fit(const MultiplexHeteroGraph& g,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;
-  Tensor Embedding(NodeId v, RelationId r) const override;
 
  private:
   Options options_;
   std::vector<MetapathScheme> schemes_;
-  Tensor embeddings_;
-  bool fitted_ = false;
 };
 
 }  // namespace hybridgnn

@@ -3,10 +3,9 @@
 #include <cmath>
 #include <string>
 
-#include "common/logging.h"
 #include "common/parallel.h"
 #include "kernels/kernels.h"
-#include "obs/metrics.h"
+#include "sampling/negative_sampler.h"
 #include "tensor/init.h"
 #include "tensor/tensor_ops.h"
 
@@ -112,33 +111,12 @@ Status Line::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
     });
   }
   options.Report("train", 1, 1);
-  // A diverged run must fail here: normalization would hide the damage
-  // (an Inf row scales to zeros or NaNs).
-  if (!AllFinite(first) || !AllFinite(second)) {
-    static obs::Counter& nonfinite_counter =
-        obs::GlobalRegistry().GetCounter("core/nonfinite_loss");
-    nonfinite_counter.Add(1);
-    return Status::FailedPrecondition(
-        "LINE: embeddings are not finite after training");
-  }
-  // Normalize halves so neither order dominates the concatenated dot.
+  // Normalize halves so neither order dominates the concatenated dot. A
+  // diverged run still fails SetTable's check: a row holding a NaN or an
+  // Inf keeps a NaN through normalization (its norm is NaN or Inf).
   L2NormalizeRowsInPlace(first);
   L2NormalizeRowsInPlace(second);
-  embeddings_ = ConcatCols({first, second});
-  fitted_ = true;
-  return Status::OK();
-}
-
-Tensor Line::Embedding(NodeId v, RelationId r) const {
-  HYBRIDGNN_CHECK(fitted_);
-  (void)r;
-  return embeddings_.CopyRow(v);
-}
-
-Tensor Line::EmbeddingsFor(
-    std::span<const std::pair<NodeId, RelationId>> queries) const {
-  HYBRIDGNN_CHECK(fitted_);
-  return GatherNodeRows(embeddings_, queries);
+  return SetTable("LINE", ConcatCols({first, second}));
 }
 
 }  // namespace hybridgnn

@@ -4,14 +4,14 @@
 #include <string>
 
 #include "baselines/common.h"
-#include "eval/embedding_model.h"
 
 namespace hybridgnn {
 
 /// LINE (Tang et al., WWW 2015): first-order + second-order proximity via
 /// edge sampling with negative sampling; the final embedding concatenates
-/// the two halves. Relation-blind (edges pooled across relations).
-class Line : public EmbeddingModel {
+/// the two halves (order-1 first, order-2 second). Relation-blind (edges
+/// pooled across relations).
+class Line : public NodeTableModel {
  public:
   struct Options {
     /// Total embedding width; each order gets dim/2.
@@ -32,14 +32,9 @@ class Line : public EmbeddingModel {
   Status Fit(const MultiplexHeteroGraph& g,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;
-  Tensor Embedding(NodeId v, RelationId r) const override;
-  Tensor EmbeddingsFor(std::span<const std::pair<NodeId, RelationId>> queries)
-      const override;
 
  private:
   Options options_;
-  Tensor embeddings_;  // [V, dim] (first half order-1, second half order-2)
-  bool fitted_ = false;
 };
 
 }  // namespace hybridgnn

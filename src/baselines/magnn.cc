@@ -1,27 +1,19 @@
 #include "baselines/magnn.h"
 
-#include <unordered_map>
-
-#include "baselines/common.h"
-#include "common/logging.h"
 #include "nn/embedding.h"
 #include "nn/linear.h"
 #include "nn/semantic_attention.h"
 #include "sampling/walker.h"
-#include "tensor/optimizer.h"
 
 namespace hybridgnn {
 
-Status Magnn::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
-  (void)options;  // dense full-graph training; no parallel path yet
-  const auto& edges = g.edges();
-  if (edges.empty()) return Status::FailedPrecondition("MAGNN: no edges");
+Status Magnn::Fit(const MultiplexHeteroGraph& g, const FitOptions&) {
   for (const auto& s : schemes_) HYBRIDGNN_RETURN_IF_ERROR(s.Validate(g));
   Rng rng(options_.seed);
   EmbeddingTable features(g.num_nodes(), options_.dim, rng);
   Linear instance_proj(options_.dim, options_.dim, rng);
   SemanticAttention semantic(options_.dim, options_.semantic_hidden, rng);
-  Adam optimizer(options_.learning_rate);
+  Adam optimizer(options_.train.learning_rate);
   optimizer.AddParameters(features.parameters());
   optimizer.AddParameters(instance_proj.parameters());
   optimizer.AddParameters(semantic.parameters());
@@ -54,49 +46,15 @@ Status Magnn::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
     return semantic.Forward(ag::ConcatRows(per_path));
   };
 
-  for (size_t step = 0; step < options_.steps; ++step) {
-    std::unordered_map<NodeId, ag::Var> memo;
-    auto emb = [&](NodeId v) {
-      auto it = memo.find(v);
-      if (it == memo.end()) it = memo.emplace(v, forward(v, rng)).first;
-      return it->second;
-    };
-    std::vector<ag::Var> hu, hv;
-    std::vector<float> labels;
-    for (size_t b = 0; b < options_.batch_edges; ++b) {
-      const auto& e = edges[rng.UniformUint64(edges.size())];
-      hu.push_back(emb(e.src));
-      hv.push_back(emb(e.dst));
-      labels.push_back(1.0f);
-      for (size_t n = 0; n < options_.negatives_per_edge; ++n) {
-        EdgeTriple neg = SampleNegativeEdge(g, e, rng);
-        hu.push_back(emb(neg.src));
-        hv.push_back(emb(neg.dst));
-        labels.push_back(0.0f);
-      }
-    }
-    ag::Var logits = ag::RowwiseDot(ag::ConcatRows(hu), ag::ConcatRows(hv));
-    ag::Var loss = ag::BceWithLogits(logits, labels);
-    ag::Backward(loss);
-    optimizer.Step();
-    optimizer.ZeroGrad();
-  }
+  HYBRIDGNN_RETURN_IF_ERROR(TrainLink(
+      "MAGNN", g, options_.train, optimizer, rng,
+      MemoizedDotHooks([&](NodeId v) { return forward(v, rng); })));
 
   Rng cache_rng(options_.seed ^ 0xBEEFED);
-  embeddings_ = Tensor(g.num_nodes(), options_.dim);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    ag::Var e = forward(v, cache_rng);
-    const float* src = e->value.RowPtr(0);
-    std::copy(src, src + options_.dim, embeddings_.RowPtr(v));
-  }
-  fitted_ = true;
-  return Status::OK();
-}
-
-Tensor Magnn::Embedding(NodeId v, RelationId r) const {
-  HYBRIDGNN_CHECK(fitted_);
-  (void)r;
-  return embeddings_.CopyRow(v);
+  return SetTable("MAGNN",
+                  TableOf(g.num_nodes(), options_.dim, [&](NodeId v) {
+                    return forward(v, cache_rng);
+                  }));
 }
 
 }  // namespace hybridgnn

@@ -4,9 +4,8 @@
 #include <string>
 #include <vector>
 
-#include "eval/embedding_model.h"
+#include "baselines/common.h"
 #include "graph/metapath.h"
-#include "tensor/tensor.h"
 
 namespace hybridgnn {
 
@@ -15,16 +14,13 @@ namespace hybridgnn {
 /// intermediate nodes — the feature distinguishing MAGNN from HAN), fused by
 /// intra-metapath mean pooling and inter-metapath semantic attention.
 /// Non-multiplex, single embedding per node; trained with link BCE.
-class Magnn : public EmbeddingModel {
+class Magnn : public NodeTableModel {
  public:
   struct Options {
     size_t dim = 64;
     size_t semantic_hidden = 32;
     size_t instances_per_path = 6;
-    size_t steps = 80;
-    size_t batch_edges = 128;
-    size_t negatives_per_edge = 1;
-    float learning_rate = 0.01f;
+    LinkTrainOptions train;
     uint64_t seed = 29;
   };
 
@@ -35,13 +31,10 @@ class Magnn : public EmbeddingModel {
   Status Fit(const MultiplexHeteroGraph& g,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;
-  Tensor Embedding(NodeId v, RelationId r) const override;
 
  private:
   Options options_;
   std::vector<MetapathScheme> schemes_;
-  Tensor embeddings_;
-  bool fitted_ = false;
 };
 
 }  // namespace hybridgnn

@@ -1,7 +1,5 @@
 #include "baselines/node2vec.h"
 
-#include "common/logging.h"
-
 namespace hybridgnn {
 
 Status Node2Vec::Fit(const MultiplexHeteroGraph& g,
@@ -16,22 +14,8 @@ Status Node2Vec::Fit(const MultiplexHeteroGraph& g,
   SgnsEmbedder embedder(g.num_nodes(), sgns.dim, rng);
   const Status st = embedder.Train(stream, sampler, sgns, rng);
   if (!st.ok()) return Status(st.code(), "node2vec: " + st.message());
-  embeddings_ = embedder.embeddings();
   options.Report("train", 1, 1);
-  fitted_ = true;
-  return Status::OK();
-}
-
-Tensor Node2Vec::Embedding(NodeId v, RelationId r) const {
-  HYBRIDGNN_CHECK(fitted_);
-  (void)r;
-  return embeddings_.CopyRow(v);
-}
-
-Tensor Node2Vec::EmbeddingsFor(
-    std::span<const std::pair<NodeId, RelationId>> queries) const {
-  HYBRIDGNN_CHECK(fitted_);
-  return GatherNodeRows(embeddings_, queries);
+  return SetTable("node2vec", embedder.embeddings());
 }
 
 }  // namespace hybridgnn

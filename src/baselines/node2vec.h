@@ -4,8 +4,8 @@
 #include <string>
 
 #include "baselines/common.h"
-#include "eval/embedding_model.h"
 #include "sampling/corpus.h"
+#include "sampling/sgns.h"
 
 namespace hybridgnn {
 
@@ -16,7 +16,7 @@ namespace hybridgnn {
 /// walks; options.deterministic keeps it serial. Fails with InvalidArgument
 /// on a bad SGNS learning rate and with FailedPrecondition when the graph
 /// has no edge or the tables go non-finite.
-class Node2Vec : public EmbeddingModel {
+class Node2Vec : public NodeTableModel {
  public:
   struct Options {
     SgnsOptions sgns;
@@ -32,14 +32,9 @@ class Node2Vec : public EmbeddingModel {
   Status Fit(const MultiplexHeteroGraph& g,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;
-  Tensor Embedding(NodeId v, RelationId r) const override;
-  Tensor EmbeddingsFor(std::span<const std::pair<NodeId, RelationId>> queries)
-      const override;
 
  private:
   Options options_;
-  Tensor embeddings_;
-  bool fitted_ = false;
 };
 
 }  // namespace hybridgnn

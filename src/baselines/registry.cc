@@ -11,6 +11,7 @@
 #include "baselines/magnn.h"
 #include "baselines/node2vec.h"
 #include "baselines/rgcn.h"
+#include "common/string_util.h"
 #include "core/hybrid_gnn.h"
 
 namespace hybridgnn {
@@ -65,31 +66,31 @@ StatusOr<std::unique_ptr<EmbeddingModel>> CreateModel(
   }
   if (name == "GCN") {
     Gcn::Options o;
-    o.steps = ScaleSteps(60, budget.effort);
+    o.train.steps = ScaleSteps(60, budget.effort);
     o.seed = seed;
     return std::unique_ptr<EmbeddingModel>(new Gcn(o));
   }
   if (name == "GraphSage") {
     GraphSage::Options o;
-    o.steps = ScaleSteps(80, budget.effort);
+    o.train.steps = ScaleSteps(80, budget.effort);
     o.seed = seed;
     return std::unique_ptr<EmbeddingModel>(new GraphSage(o));
   }
   if (name == "HAN") {
     Han::Options o;
-    o.steps = ScaleSteps(80, budget.effort);
+    o.train.steps = ScaleSteps(80, budget.effort);
     o.seed = seed;
     return std::unique_ptr<EmbeddingModel>(new Han(o, schemes));
   }
   if (name == "MAGNN") {
     Magnn::Options o;
-    o.steps = ScaleSteps(80, budget.effort);
+    o.train.steps = ScaleSteps(80, budget.effort);
     o.seed = seed;
     return std::unique_ptr<EmbeddingModel>(new Magnn(o, schemes));
   }
   if (name == "R-GCN") {
     Rgcn::Options o;
-    o.steps = ScaleSteps(60, budget.effort);
+    o.train.steps = ScaleSteps(60, budget.effort);
     o.seed = seed;
     return std::unique_ptr<EmbeddingModel>(new Rgcn(o));
   }
@@ -109,7 +110,8 @@ StatusOr<std::unique_ptr<EmbeddingModel>> CreateModel(
     c.seed = seed;
     return std::unique_ptr<EmbeddingModel>(new HybridGnn(c, schemes));
   }
-  return Status::NotFound("unknown model: " + name);
+  return Status::NotFound("unknown model: " + name + " (known: " +
+                          Join(AllModelNames(), ", ") + ")");
 }
 
 }  // namespace hybridgnn

@@ -2,20 +2,15 @@
 
 #include <memory>
 
-#include "baselines/common.h"
 #include "common/logging.h"
 #include "nn/embedding.h"
 #include "nn/linear.h"
 #include "nn/sparse.h"
 #include "tensor/init.h"
-#include "tensor/optimizer.h"
 
 namespace hybridgnn {
 
-Status Rgcn::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
-  (void)options;  // dense full-graph training; no parallel path yet
-  const auto& edges = g.edges();
-  if (edges.empty()) return Status::FailedPrecondition("R-GCN: no edges");
+Status Rgcn::Fit(const MultiplexHeteroGraph& g, const FitOptions&) {
   Rng rng(options_.seed);
   const size_t num_rel = g.num_relations();
 
@@ -39,7 +34,7 @@ Status Rgcn::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
   UniformInit(diag_init, rng, 0.5f, 1.5f);
   ag::Var rel_diag = ag::Param(std::move(diag_init));
 
-  Adam optimizer(options_.learning_rate);
+  Adam optimizer(options_.train.learning_rate);
   optimizer.AddParameters(features.parameters());
   for (const auto& w : w_rel1) optimizer.AddParameters(w->parameters());
   for (const auto& w : w_rel2) optimizer.AddParameters(w->parameters());
@@ -61,53 +56,37 @@ Status Rgcn::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
     return layer(h1, w_rel2, w_self2);  // [V, out]
   };
 
-  for (size_t step = 0; step < options_.steps; ++step) {
-    ag::Var h = forward();
-    std::vector<int32_t> us, vs, rs;
-    std::vector<float> labels;
-    for (size_t b = 0; b < options_.batch_edges; ++b) {
-      const auto& e = edges[rng.UniformUint64(edges.size())];
-      us.push_back(static_cast<int32_t>(e.src));
-      vs.push_back(static_cast<int32_t>(e.dst));
-      rs.push_back(static_cast<int32_t>(e.rel));
-      labels.push_back(1.0f);
-      for (size_t n = 0; n < options_.negatives_per_edge; ++n) {
-        EdgeTriple neg = SampleNegativeEdge(g, e, rng);
-        us.push_back(static_cast<int32_t>(neg.src));
-        vs.push_back(static_cast<int32_t>(neg.dst));
-        rs.push_back(static_cast<int32_t>(neg.rel));
-        labels.push_back(0.0f);
-      }
-    }
-    ag::Var hu = ag::GatherRows(h, std::move(us));
-    ag::Var hv = ag::GatherRows(h, std::move(vs));
-    ag::Var wr = ag::GatherRows(rel_diag, std::move(rs));
-    // DistMult: sum_j hu_j * w_j * hv_j.
-    ag::Var logits = ag::RowwiseDot(ag::Mul(hu, wr), hv);
-    ag::Var loss = ag::BceWithLogits(logits, labels);
-    ag::Backward(loss);
-    optimizer.Step();
-    optimizer.ZeroGrad();
-  }
-  embeddings_ = forward()->value;
+  ag::Var h;
+  HYBRIDGNN_RETURN_IF_ERROR(TrainLink(
+      "R-GCN", g, options_.train, optimizer, rng,
+      {.begin = [&] { h = forward(); },
+       .visit = [](NodeId) {},
+       .logits = [&](std::span<const EdgeTriple> batch) {
+         std::vector<int32_t> us, vs, rs;
+         for (const EdgeTriple& e : batch) {
+           us.push_back(static_cast<int32_t>(e.src));
+           vs.push_back(static_cast<int32_t>(e.dst));
+           rs.push_back(static_cast<int32_t>(e.rel));
+         }
+         ag::Var hu = ag::GatherRows(h, std::move(us));
+         ag::Var hv = ag::GatherRows(h, std::move(vs));
+         ag::Var wr = ag::GatherRows(rel_diag, std::move(rs));
+         // DistMult: sum_j hu_j * w_j * hv_j.
+         return ag::RowwiseDot(ag::Mul(hu, wr), hv);
+       }}));
   relation_diag_ = rel_diag->value;
-  fitted_ = true;
-  return Status::OK();
-}
-
-Tensor Rgcn::Embedding(NodeId v, RelationId r) const {
-  HYBRIDGNN_CHECK(fitted_);
-  (void)r;
-  return embeddings_.CopyRow(v);
+  return SetTable("R-GCN", forward()->value);
 }
 
 double Rgcn::Score(NodeId u, NodeId v, RelationId r) const {
-  HYBRIDGNN_CHECK(fitted_ && r < relation_diag_.rows());
-  double s = 0.0;
-  const float* hu = embeddings_.RowPtr(u);
-  const float* hv = embeddings_.RowPtr(v);
+  const float* hu = Row(u);
+  const float* hv = Row(v);
+  HYBRIDGNN_CHECK(r < relation_diag_.rows())
+      << "R-GCN: relation " << r << " outside the " << relation_diag_.rows()
+      << " fitted relations";
   const float* w = relation_diag_.RowPtr(r);
-  for (size_t j = 0; j < embeddings_.cols(); ++j) {
+  double s = 0.0;
+  for (size_t j = 0; j < relation_diag_.cols(); ++j) {
     s += static_cast<double>(hu[j]) * w[j] * hv[j];
   }
   return s;

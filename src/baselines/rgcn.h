@@ -4,8 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "eval/embedding_model.h"
-#include "tensor/tensor.h"
+#include "baselines/common.h"
 
 namespace hybridgnn {
 
@@ -14,16 +13,13 @@ namespace hybridgnn {
 /// a DistMult decoder per relation — score_r(u,v) = h_u^T diag(w_r) h_v —
 /// trained with cross-entropy against sampled negatives (the paper's
 /// autoencoder formulation).
-class Rgcn : public EmbeddingModel {
+class Rgcn : public NodeTableModel {
  public:
   struct Options {
     size_t input_dim = 32;
     size_t hidden_dim = 32;
     size_t output_dim = 32;
-    size_t steps = 60;
-    size_t batch_edges = 512;
-    size_t negatives_per_edge = 1;
-    float learning_rate = 0.01f;
+    LinkTrainOptions train{.steps = 60, .batch_edges = 512};
     uint64_t seed = 31;
   };
 
@@ -33,7 +29,6 @@ class Rgcn : public EmbeddingModel {
   Status Fit(const MultiplexHeteroGraph& g,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;
-  Tensor Embedding(NodeId v, RelationId r) const override;
   /// DistMult scoring (relation-specific even though Embedding is shared).
   double Score(NodeId u, NodeId v, RelationId r) const override;
   /// DistMult is not a dot of Embedding rows, so the batched default would
@@ -43,9 +38,7 @@ class Rgcn : public EmbeddingModel {
 
  private:
   Options options_;
-  Tensor embeddings_;      // [V, out]
-  Tensor relation_diag_;   // [R, out]
-  bool fitted_ = false;
+  Tensor relation_diag_;  // [R, out]
 };
 
 }  // namespace hybridgnn

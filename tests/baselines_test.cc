@@ -1,17 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <initializer_list>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/deepwalk.h"
 #include "baselines/gatne.h"
+#include "baselines/gcn.h"
+#include "baselines/graphsage.h"
+#include "baselines/han.h"
 #include "baselines/line.h"
+#include "baselines/magnn.h"
 #include "baselines/node2vec.h"
 #include "baselines/registry.h"
+#include "baselines/rgcn.h"
 #include "data/profiles.h"
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -265,6 +270,31 @@ TEST_F(BaselinesTest, WalkModelsFailPreconditionOnEdgelessGraph) {
   }
 }
 
+// The five models TrainLink drives, on a short schedule at learning rate
+// `lr`.
+std::vector<std::unique_ptr<EmbeddingModel>> FullBatchModels(
+    float lr, const std::vector<MetapathScheme>& schemes) {
+  const LinkTrainOptions train{
+      .steps = 4, .batch_edges = 64, .learning_rate = lr};
+  Gcn::Options gcn;
+  gcn.train = train;
+  GraphSage::Options sage;
+  sage.train = train;
+  Han::Options han;
+  han.train = train;
+  Magnn::Options magnn;
+  magnn.train = train;
+  Rgcn::Options rgcn;
+  rgcn.train = train;
+  std::vector<std::unique_ptr<EmbeddingModel>> models;
+  models.push_back(std::make_unique<Gcn>(gcn));
+  models.push_back(std::make_unique<GraphSage>(sage));
+  models.push_back(std::make_unique<Han>(han, schemes));
+  models.push_back(std::make_unique<Magnn>(magnn, schemes));
+  models.push_back(std::make_unique<Rgcn>(rgcn));
+  return models;
+}
+
 TEST_F(BaselinesTest, LineRejectsBadLearningRate) {
   for (float lr : {0.0f, -1e-2f, std::nanf(""),
                    std::numeric_limits<float>::infinity()}) {
@@ -275,11 +305,22 @@ TEST_F(BaselinesTest, LineRejectsBadLearningRate) {
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "lr " << lr;
     EXPECT_EQ(st.message().rfind("LINE: ", 0), 0u) << st.message();
   }
+  // The full-batch models share TrainLink's check.
+  for (float lr : {std::nanf(""), -1.0f}) {
+    for (const auto& model : FullBatchModels(lr, dataset_->schemes)) {
+      const Status st = model->Fit(split_->train_graph);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+          << model->name() << " lr " << lr;
+      EXPECT_EQ(st.message().rfind(model->name() + ": ", 0), 0u)
+          << st.message();
+    }
+  }
 }
 
 // A learning rate this large overflows the tables within the first epoch;
-// the SGNS-only baselines and LINE (the same sigmoid-gradient update) must
-// say so instead of returning NaNs.
+// the SGNS-only baselines, LINE (the same sigmoid-gradient update) and the
+// full-batch models (a non-finite step loss or table) must say so instead
+// of returning NaNs.
 TEST_F(BaselinesTest, SgnsBaselinesFailCleanlyOnNonFiniteTables) {
   DeepWalk::Options dw;
   dw.corpus.num_walks_per_node = 2;
@@ -292,15 +333,20 @@ TEST_F(BaselinesTest, SgnsBaselinesFailCleanlyOnNonFiniteTables) {
   Line::Options line;
   line.learning_rate = 1e30f;
   line.samples_per_edge = 2;
-  DeepWalk deepwalk(dw);
-  Node2Vec node2vec(n2v);
-  Line line_model(line);
-  for (EmbeddingModel* model : std::initializer_list<EmbeddingModel*>{
-           &deepwalk, &node2vec, &line_model}) {
+  std::vector<std::unique_ptr<EmbeddingModel>> models =
+      FullBatchModels(1e30f, dataset_->schemes);
+  models.push_back(std::make_unique<DeepWalk>(dw));
+  models.push_back(std::make_unique<Node2Vec>(n2v));
+  models.push_back(std::make_unique<Line>(line));
+  obs::Counter& nonfinite =
+      obs::GlobalRegistry().GetCounter("core/nonfinite_loss");
+  for (const auto& model : models) {
+    const uint64_t before = nonfinite.value();
     const Status st = model->Fit(split_->train_graph);
     EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
     EXPECT_EQ(st.message().rfind(model->name() + ": ", 0), 0u)
         << st.message();
+    EXPECT_EQ(nonfinite.value(), before + 1) << model->name();
   }
 }
 

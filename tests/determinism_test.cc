@@ -3,9 +3,10 @@
 //   * num_threads <= 1 reproduces pinned golden rows bit for bit;
 //   * FitOptions{num_threads: N, deterministic: true} is run-to-run
 //     reproducible for fixed (seed, N);
-//   * EmbeddingsFor matches the per-node Embedding loop, and a lookup past
-//     the fitted nodes dies;
-// for both models MinibatchTrainer drives (HybridGNN and GATNE).
+//   * EmbeddingsFor matches the per-node Embedding loop;
+// for both models MinibatchTrainer drives (HybridGNN and GATNE); pins the
+// eight relation-blind table baselines to golden hashes; and checks that a
+// lookup before Fit or past the fitted nodes dies in every registry model.
 //
 // Since the kernel layer (src/kernels) the golden comparisons additionally
 // pin the *scalar* dispatch path: under HYBRIDGNN_KERNELS=scalar the library
@@ -21,14 +22,17 @@
 #include <gtest/gtest.h>
 
 #include "baselines/gatne.h"
+#include "baselines/registry.h"
 #include "core/hybrid_gnn.h"
 #include "data/profiles.h"
+#include "data/split.h"
 #include "graph/metapath.h"
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
 #include "sampling/corpus.h"
 #include "sampling/negative_sampler.h"
 #include "sampling/sgns.h"
+#include "serve/checkpoint.h"
 #include "test_util.h"
 
 namespace hybridgnn {
@@ -204,15 +208,68 @@ TEST(DeterminismTest, SerialSgnsMatchesPreParallelGolden) {
   }
 }
 
-// The two models MinibatchTrainer drives, by name. On the taobao graph
-// below, TinyConfig's and TinyGatneOptions' 32-edge minibatches are large
-// enough to split into shards at 4 workers.
+// The registry budget of model_consistency_test.
+ModelBudget TinyBudget() {
+  ModelBudget b;
+  b.effort = 0.25;
+  b.num_walks = 2;
+  b.walk_length = 5;
+  b.window = 2;
+  b.max_pairs_per_epoch = 2000;
+  return b;
+}
+
+// The eight relation-blind table baselines on the scalar path: FNV-1a of
+// the raw bytes of the EmbeddingsFor table over every (v, r), v-major,
+// after a serial fit of the registry model with a tiny budget. Pinned
+// before the baselines moved onto the shared node table and link trainer
+// (the move kept these bits).
+TEST(DeterminismTest, TableBaselinesSerialFitMatchGolden) {
+  kernels::ScopedBackend scalar(kernels::Backend::kScalar);
+  auto ds = MakeDataset("taobao", 0.08, 31);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  Rng split_rng(32);
+  auto split = SplitEdges(ds->graph, SplitOptions{}, split_rng);
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  const MultiplexHeteroGraph& g = split->train_graph;
+  std::vector<std::pair<NodeId, RelationId>> queries;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (RelationId r = 0; r < g.num_relations(); ++r) {
+      queries.emplace_back(v, r);
+    }
+  }
+  const std::pair<const char*, uint64_t> goldens[] = {
+      {"DeepWalk", 0x48e353b428d3cdfbull},  {"node2vec", 0xf55c78a56f3cf34bull},
+      {"LINE", 0x5cc250a19234ed03ull},      {"GCN", 0x24f51d0a554ae40bull},
+      {"GraphSage", 0xf8855da20e1a78d3ull}, {"HAN", 0x3f0083fb519e6a93ull},
+      {"MAGNN", 0x4a3e4431bf628813ull},     {"R-GCN", 0xcbbca29d10636c6bull}};
+  FitOptions opts;
+  opts.num_threads = 1;
+  for (const auto& [name, golden] : goldens) {
+    SCOPED_TRACE(name);
+    auto model = CreateModel(name, ds->schemes, 33, TinyBudget());
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    ASSERT_TRUE((*model)->Fit(g, opts).ok());
+    const Tensor table = (*model)->EmbeddingsFor(queries);
+    ASSERT_EQ(table.rows(), queries.size());
+    EXPECT_EQ(Fnv1a64(table.data(), table.size() * sizeof(float)), golden)
+        << std::hex << Fnv1a64(table.data(), table.size() * sizeof(float));
+  }
+}
+
+// A registry model by name: the two models MinibatchTrainer drives get
+// their tiny configs, the rest the tiny registry budget. On the taobao
+// graph below, TinyConfig's and TinyGatneOptions' 32-edge minibatches are
+// large enough to split into shards at 4 workers.
 std::unique_ptr<EmbeddingModel> MakeTrainedModel(
     const std::string& name, const std::vector<MetapathScheme>& schemes) {
   if (name == "GATNE") {
     return std::make_unique<Gatne>(TinyGatneOptions(), schemes);
   }
-  return std::make_unique<HybridGnn>(TinyConfig(), schemes);
+  if (name == "HybridGNN") {
+    return std::make_unique<HybridGnn>(TinyConfig(), schemes);
+  }
+  return std::move(CreateModel(name, schemes, 33, TinyBudget())).value();
 }
 
 uint64_t MinibatchCount() {
@@ -344,21 +401,29 @@ TEST(DeterminismTest, EmbeddingsForMatchesPerNodeLoop) {
   }
 }
 
-// A lookup outside the fitted graph's nodes dies on the cache's shape check
-// instead of reading past the table.
+// A lookup before Fit, or outside the fitted graph's nodes, dies on a shape
+// check instead of reading past the table, in every registry model. R-GCN
+// scores through its own DistMult decoder, so its Score and ScoreMany are
+// checked too.
 TEST(DeterminismDeathTest, LookupOfOutOfRangeNodeDies) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   MultiplexHeteroGraph g = testing::SmallBipartite();
   const NodeId past = static_cast<NodeId>(g.num_nodes());
   const std::pair<NodeId, RelationId> queries[] = {{0, 0}, {past, 1}};
-  for (const std::string name : {"HybridGNN", "GATNE"}) {
+  const EdgeTriple edges[] = {{0, 4, 0}, {past, 4, 1}};
+  for (const std::string& name : AllModelNames()) {
     SCOPED_TRACE(name);
     auto model = MakeTrainedModel(name, TinySchemes(g));
+    EXPECT_DEATH(model->Embedding(0, 0), "outside|Fit\\(\\) must succeed");
     FitOptions opts;
     opts.num_threads = 1;
     ASSERT_TRUE(model->Fit(g, opts).ok());
     EXPECT_DEATH(model->Embedding(past, 0), "outside");
     EXPECT_DEATH(model->EmbeddingsFor(queries), "outside");
+    if (name == "R-GCN") {
+      EXPECT_DEATH(model->Score(0, past, 0), "outside");
+      EXPECT_DEATH(model->ScoreMany(edges), "outside");
+    }
   }
 }
 
