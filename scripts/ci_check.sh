@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # One-shot CI gate: configure + build + full ctest suite, then the
 # ThreadSanitizer and AddressSanitizer sweeps, then the micro-bench gates
-# (streaming refresh, quantized serving, ANN retrieval), and last prints the
-# line counts (scripts/loc.sh). Exits non-zero on the first failing stage,
+# (streaming refresh, quantized serving, ANN retrieval), then the end-to-end
+# benchmark's smoke suite (e2e_bench/test_run.py, about a minute; it builds
+# its own Release tree in .bench_build/), and last prints the line counts
+# (scripts/loc.sh). Exits non-zero on the first failing stage,
 # so `scripts/ci_check.sh && git push` is a safe habit.
 #
 # Usage: scripts/ci_check.sh [build-dir]   (default: build)
@@ -37,6 +39,9 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target micro_serve_qps
 echo "=== ci_check: ANN retrieval gate (single-query speedup + recall@10) ==="
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target micro_ann
 "$BUILD_DIR/bench/micro_ann" --gate
+
+echo "=== ci_check: end-to-end benchmark smoke suite (output contract) ==="
+python3 e2e_bench/test_run.py
 
 echo "=== ci_check: line counts ==="
 scripts/loc.sh

@@ -34,7 +34,8 @@ cmake -B "$BUILD_DIR" -S . \
 # (the RCU-style swap in LiveEmbeddingStore); stream_test rides along for
 # the refresher's single-writer contract. batched_tower_test backpropagates
 # HybridGNN's and GATNE's batched towers from concurrent workers under
-# per-worker gradient sinks. ann_test's ConcurrentSearchDuringPublish races
+# per-worker gradient sinks, and builds their tower-path cache on four
+# workers. ann_test's ConcurrentSearchDuringPublish races
 # reader threads traversing a published HNSW index against the writer
 # patching/rebuilding its successor.
 TESTS=(threadpool_test sampling_test determinism_test serve_test obs_test

@@ -129,6 +129,9 @@ Status Gatne::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
     return Status::InvalidArgument(
         "GATNE: learning_rate must be finite and positive");
   }
+  if (!std::isfinite(options_.local_scale)) {
+    return Status::InvalidArgument("GATNE: local_scale must be finite");
+  }
   if (g.num_nodes() == 0) return Status::InvalidArgument("empty graph");
   for (const auto& s : schemes_) HYBRIDGNN_RETURN_IF_ERROR(s.Validate(g));
   num_relations_ = g.num_relations();
@@ -159,10 +162,15 @@ Status Gatne::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
   params.Add(attn_proj_->parameters());
   params.Add(attn_query_);
   params.Add(m_rel_);
+  params.output = m_rel_;
+  return MinibatchTrainer(Spec(), options)
+      .Fit(g, *this, params, rng, &cache_);
+}
+
+TrainerSpec Gatne::Spec() const {
   TrainerSpec spec = TrainerSpec::From(name(), options_);
   spec.cache_seed = options_.seed ^ 0xDEFACE;
-  return MinibatchTrainer(std::move(spec), options)
-      .Fit(g, *this, params, rng, &cache_);
+  return spec;
 }
 
 }  // namespace hybridgnn

@@ -38,6 +38,8 @@ class Gatne : public EmbeddingModel {
     double cross_negative_fraction = 0.5;
     size_t epochs = 10;
     size_t batch_size = 128;
+    /// Cap on the training edges each fine-tuning epoch uses (0 = all);
+    /// pretraining does not read it.
     size_t max_pairs_per_epoch = 20000;
     float learning_rate = 1e-2f;
     /// Pretrain base/context tables with manual-SGD skip-gram on a
@@ -45,7 +47,8 @@ class Gatne : public EmbeddingModel {
     /// implementation) and freeze them during end-to-end training.
     bool pretrain_base = true;
     bool freeze_pretrained = false;
-    /// Scale of the relation-specific branch (damps untrained noise).
+    /// Scale of the relation-specific branch (damps untrained noise);
+    /// must be finite.
     float local_scale = 0.5f;
     /// Early stopping on an internal validation holdout, as for HybridGNN.
     size_t early_stopping_patience = 8;
@@ -64,9 +67,9 @@ class Gatne : public EmbeddingModel {
   /// options.num_threads parallelizes SGNS pretraining, the
   /// minibatch epochs (data-parallel shards) and the cache;
   /// options.deterministic keeps pretraining and epochs serial. Fails with
-  /// InvalidArgument when learning_rate is not finite and positive, and
-  /// with FailedPrecondition when the graph has no edge or training goes
-  /// non-finite.
+  /// InvalidArgument when learning_rate is not finite and positive or
+  /// local_scale is not finite, and with FailedPrecondition when the graph
+  /// has no edge or training goes non-finite.
   Status Fit(const MultiplexHeteroGraph& g,
              const FitOptions& options) override;
   using EmbeddingModel::Fit;
@@ -81,6 +84,10 @@ class Gatne : public EmbeddingModel {
  private:
   friend class MinibatchTrainer;  // drives SampleNode and ForwardSketches
   friend struct GatneTestPeer;    // differential tests of the two towers
+
+  /// The trainer's settings: the options' protocol fields, the cache seed
+  /// and one cache sample per row.
+  TrainerSpec Spec() const;
 
   /// Node v's sampled per-relation neighbor frontier (one segment per
   /// relation), its indices remapped into edge-table rows.

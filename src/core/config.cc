@@ -9,6 +9,9 @@ Status HybridGnnConfig::Validate() const {
     return Status::InvalidArgument(
         "learning_rate must be finite and positive");
   }
+  if (!std::isfinite(local_scale)) {
+    return Status::InvalidArgument("local_scale must be finite");
+  }
   if (base_dim == 0 || edge_dim == 0 || hidden_dim == 0) {
     return Status::InvalidArgument("embedding dims must be positive");
   }

@@ -47,11 +47,13 @@ struct HybridGnnConfig {
   /// training so the relationship-specific branch is learned as a residual
   /// on a stable global representation.
   bool freeze_pretrained = false;
-  /// Subsample cap on skip-gram pairs used per epoch (0 = use all).
+  /// Cap on the training edges each fine-tuning epoch uses (0 = all);
+  /// pretraining does not read it.
   size_t max_pairs_per_epoch = 20000;
   float learning_rate = 1e-2f;
   /// Scale of the aggregation branch in e* = e_v + local_scale * e_{v,r} W_r.
   /// Damps untrained-machinery noise relative to the pretrained base.
+  /// Must be finite.
   float local_scale = 0.5f;
   /// Stop when internal-validation ROC-AUC fails to improve this many
   /// consecutive epochs (paper: patience 5); the best epoch's parameters

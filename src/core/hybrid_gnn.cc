@@ -325,6 +325,15 @@ ag::Var HybridGnn::ForwardNodeSketch(const NodeSketch& sk) const {
   return ag::AddRowBroadcast(local, base_row);  // [R, base_dim]
 }
 
+TrainerSpec HybridGnn::Spec() const {
+  TrainerSpec spec = TrainerSpec::From(name(), config_);
+  spec.cache_seed = config_.seed ^ 0xC0FFEE;
+  // The tower samples neighbors stochastically: each cached row averages
+  // four samples to reduce inference variance.
+  spec.cache_samples = 4;
+  return spec;
+}
+
 Status HybridGnn::Fit(const MultiplexHeteroGraph& g,
                       const FitOptions& options) {
   HYBRIDGNN_RETURN_IF_ERROR(config_.Validate());
@@ -368,12 +377,8 @@ Status HybridGnn::Fit(const MultiplexHeteroGraph& g,
   if (config_.use_metapath_attention) params.Add(metapath_attn_->parameters());
   if (config_.use_relation_attention) params.Add(relation_attn_->parameters());
   params.Add(w_rel_);
-  TrainerSpec spec = TrainerSpec::From(name(), config_);
-  spec.cache_seed = config_.seed ^ 0xC0FFEE;
-  // The tower samples neighbors stochastically: each cached row averages
-  // four samples to reduce inference variance.
-  spec.cache_samples = 4;
-  MinibatchTrainer trainer(std::move(spec), options);
+  params.output = w_rel_;
+  MinibatchTrainer trainer(Spec(), options);
   const Status status = trainer.Fit(g, *this, params, rng, &cache_);
   last_epoch_loss_ = trainer.last_epoch_loss();
   return status;

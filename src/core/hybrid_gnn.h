@@ -80,6 +80,10 @@ class HybridGnn : public EmbeddingModel {
   friend class MinibatchTrainer;    // drives SampleNode and ForwardSketches
   friend struct HybridGnnTestPeer;  // differential tests of the two towers
 
+  /// The trainer's settings: the config's protocol fields, the cache seed
+  /// and four cache samples per row.
+  TrainerSpec Spec() const;
+
   /// One sampled aggregation flow for a (node, relation) pair: the
   /// level-structured neighbor lists plus the aggregator that folds them.
   /// Sampling is split from graph construction so the trainer samples a

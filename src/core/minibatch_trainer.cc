@@ -1,6 +1,8 @@
 #include "core/minibatch_trainer.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <tuple>
 
@@ -8,6 +10,7 @@
 #include "common/threadpool.h"
 #include "sampling/sgns.h"
 #include "tensor/optimizer.h"
+#include "tensor/tensor_ops.h"
 
 namespace hybridgnn {
 
@@ -15,6 +18,13 @@ namespace {
 
 // Copies of each edge SGNS pretraining mixes in with its walk pairs.
 constexpr size_t kPretrainEdgeCopies = 2;
+
+// Validation passes and cache fills read off the base table.
+obs::Counter& FromBaseCounter() {
+  static obs::Counter& counter =
+      obs::GlobalRegistry().GetCounter("core/cache_from_base");
+  return counter;
+}
 
 }  // namespace
 
@@ -41,6 +51,78 @@ Tensor RelationEmbeddingCache::EmbeddingsFor(
                 table_.cols() * sizeof(float));
   }
   return out;
+}
+
+void MinibatchTrainer::AddCacheSample(const float* src, size_t samples,
+                                      size_t cols, float* dst) {
+  for (size_t j = 0; j < cols; ++j) {
+    dst[j] = samples == 1 ? src[j]
+                          : dst[j] + src[j] / static_cast<float>(samples);
+  }
+}
+
+double MinibatchTrainer::EdgeWins(const float* u, const float* v,
+                                  const float* x, const float* x2,
+                                  size_t cols) {
+  double pos = 0.0, neg = 0.0, neg2 = 0.0;
+  for (size_t j = 0; j < cols; ++j) {
+    pos += static_cast<double>(u[j]) * v[j];
+    neg += static_cast<double>(u[j]) * x[j];
+    neg2 += static_cast<double>(u[j]) * x2[j];
+  }
+  double wins = 0.0;
+  for (double ns : {neg, neg2}) {
+    wins += pos > ns ? 1.0 : (pos == ns ? 0.5 : 0.0);
+  }
+  return wins;
+}
+
+bool MinibatchTrainer::OutputsZero(const TowerParams& params) {
+  for (const ag::Var& w : params.output) {
+    const Tensor& t = w->value;
+    for (size_t i = 0; i < t.size(); ++i) {
+      if (std::bit_cast<uint32_t>(t.data()[i]) != 0) return false;
+    }
+  }
+  return !params.output.empty();
+}
+
+double MinibatchTrainer::BaseValidationAuc(const Tensor& base) const {
+  FromBaseCounter().Add(1);
+  // The tower's rows are base + 0, which differs from the base row at most
+  // in the sign of a zero entry: the dot products come out the same.
+  double wins = 0.0;
+  for (size_t i = 0; i < val_edges_.size(); ++i) {
+    const EdgeTriple& e = val_edges_[i];
+    wins += EdgeWins(base.RowPtr(e.src), base.RowPtr(e.dst),
+                     base.RowPtr(val_negs_[2 * i]),
+                     base.RowPtr(val_negs_[2 * i + 1]), base.cols());
+  }
+  return wins / (2.0 * static_cast<double>(val_edges_.size()));
+}
+
+Tensor MinibatchTrainer::BaseCacheTable(const Tensor& base,
+                                        size_t num_relations) const {
+  FromBaseCounter().Add(1);
+  const size_t cols = base.cols();
+  Tensor table(base.rows() * num_relations, cols);
+  std::vector<float> row(cols), avg(cols);
+  for (size_t v = 0; v < base.rows(); ++v) {
+    // The tower's row: base + (+0), as its Add gives it (a -0 entry reads
+    // +0); then its samples averaged in order, since equal rows do not
+    // always average back to the row (subnormals, three samples).
+    const float* b = base.RowPtr(v);
+    for (size_t j = 0; j < cols; ++j) row[j] = b[j] + 0.0f;
+    std::fill(avg.begin(), avg.end(), 0.0f);
+    for (size_t s = 0; s < spec_.cache_samples; ++s) {
+      AddCacheSample(row.data(), spec_.cache_samples, cols, avg.data());
+    }
+    for (size_t r = 0; r < num_relations; ++r) {
+      std::memcpy(table.RowPtr(v * num_relations + r), avg.data(),
+                  cols * sizeof(float));
+    }
+  }
+  return table;
 }
 
 MinibatchTrainer::MinibatchTrainer(TrainerSpec spec, const FitOptions& options)
@@ -195,6 +277,15 @@ Status MinibatchTrainer::RunEpochs(
       optimizer.ZeroGrad();
       epoch_loss += batch_loss;
       ++batches;
+    }
+    // A last step that overflowed leaves no loss to catch it.
+    for (const ag::Var& p : trained) {
+      if (!AllFinite(p->value)) {
+        nonfinite_counter.Add(1);
+        return Status::FailedPrecondition(
+            spec_.name + ": non-finite parameters after epoch " +
+            std::to_string(epoch));
+      }
     }
     minibatch_counter.Add(batches);
     epoch_loss /= std::max<size_t>(1, batches);

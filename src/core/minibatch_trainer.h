@@ -90,6 +90,9 @@ struct TowerParams {
 
   ag::Var base, context;  // [V, base_dim]; pretraining writes them
   std::vector<ag::Var> trainable;  // every other parameter Adam steps
+  /// The output projections (HybridGNN's W_r, GATNE's M_r), also in
+  /// `trainable`: while all are zero the trainer skips the tower.
+  std::vector<ag::Var> output;
 
   void Add(const std::vector<ag::Var>& ps) {
     trainable.insert(trainable.end(), ps.begin(), ps.end());
@@ -101,7 +104,8 @@ struct TowerParams {
 /// drawn from uniform walks and the direct edges, minibatch fine-tuning on
 /// the link objective against relationship-aware negatives with early
 /// stopping on an internal validation holdout and best-epoch restore, then
-/// the embedding cache.
+/// the embedding cache. While every output projection is zero, validation
+/// and the cache read the base table, with the bits the tower would give.
 ///
 /// With options.num_threads > 1 pretraining (Hogwild), the epochs
 /// (data-parallel shards, per-worker gradient sinks reduced on the main
@@ -118,8 +122,8 @@ class MinibatchTrainer {
   /// ForwardSketches(span<const NodeSketch>) returning one [R * n, base_dim]
   /// Var, row r * n + i for sketch i. `rng` is the model's stream, already
   /// past parameter initialization. Fails with FailedPrecondition when the
-  /// graph has no edge or a pretrained table or minibatch loss is not
-  /// finite.
+  /// graph has no edge or a pretrained table, minibatch loss or trained
+  /// parameter is not finite.
   template <typename Tower>
   Status Fit(const MultiplexHeteroGraph& g, const Tower& tower,
              const TowerParams& params, Rng& rng,
@@ -146,6 +150,37 @@ class MinibatchTrainer {
                    const std::function<double()>& validation_auc,
                    const TowerParams& params, Rng& rng);
 
+  /// dst[j] += src[j] / samples for one of a cached row's `samples` tower
+  /// rows, taken in sample order into a zeroed dst; a plain copy when
+  /// samples == 1. Both cache paths average through it, so their rows
+  /// match bit for bit.
+  static void AddCacheSample(const float* src, size_t samples, size_t cols,
+                             float* dst);
+  /// A validation edge's wins (1 per negative its positive outscores, 1/2
+  /// per tie) from its src, dst and two negative rows, each dot product
+  /// accumulated in double in column order. Both validation paths score
+  /// through it.
+  static double EdgeWins(const float* u, const float* v, const float* x,
+                         const float* x2, size_t cols);
+  /// True when every output projection holds only +0.0f bits: then the
+  /// tower's local branch e_{v,r} W_r is +0 (its rows are finite, which
+  /// the per-epoch parameter check keeps so) and e*_{v,r} = e_v + 0.
+  static bool OutputsZero(const TowerParams& params);
+  /// The validation AUC from base-row dot products, accumulated as the
+  /// tower path accumulates its rows'.
+  double BaseValidationAuc(const Tensor& base) const;
+  /// The cache from the base table: each node's row, averaged over the
+  /// cache samples as the tower path averages them, in all R slots.
+  Tensor BaseCacheTable(const Tensor& base, size_t num_relations) const;
+  /// The cache from the tower over V * cache_samples sketches of width
+  /// `dim`, chunked. Serial: one stream in node order. Parallel: a forked
+  /// stream per node, so the table is invariant to the thread count.
+  template <typename Tower>
+  Tensor TowerCacheTable(const MultiplexHeteroGraph& g, const Tower& tower,
+                         size_t dim) const;
+
+  friend struct MinibatchTrainerTestPeer;  // tower vs base-table cache
+
   TrainerSpec spec_;
   const FitOptions& options_;
   size_t threads_;        // cache
@@ -166,6 +201,7 @@ Status MinibatchTrainer::Fit(const MultiplexHeteroGraph& g,
 
   std::vector<Sketch> val_sketches;
   auto validation_auc = [&]() {
+    if (OutputsZero(params)) return BaseValidationAuc(params.base->value);
     // src, dst and two negatives per edge, one forward per chunk.
     Rng val_rng(spec_.seed ^ 0x7A11);
     double wins = 0.0;
@@ -185,19 +221,9 @@ Status MinibatchTrainer::Fit(const MultiplexHeteroGraph& g,
       const size_t n = val_sketches.size();
       for (size_t i = lo; i < hi; ++i) {
         const size_t at = val_edges_[i].rel * n + 4 * (i - lo);
-        const float* u_row = rows.RowPtr(at);
-        const float* v_row = rows.RowPtr(at + 1);
-        const float* x_row = rows.RowPtr(at + 2);
-        const float* x2_row = rows.RowPtr(at + 3);
-        double pos = 0.0, neg = 0.0, neg2 = 0.0;
-        for (size_t j = 0; j < rows.cols(); ++j) {
-          pos += static_cast<double>(u_row[j]) * v_row[j];
-          neg += static_cast<double>(u_row[j]) * x_row[j];
-          neg2 += static_cast<double>(u_row[j]) * x2_row[j];
-        }
-        for (double ns : {neg, neg2}) {
-          wins += pos > ns ? 1.0 : (pos == ns ? 0.5 : 0.0);
-        }
+        wins += EdgeWins(rows.RowPtr(at), rows.RowPtr(at + 1),
+                         rows.RowPtr(at + 2), rows.RowPtr(at + 3),
+                         rows.cols());
       }
     }
     return wins / (2.0 * static_cast<double>(val_edges_.size()));
@@ -254,12 +280,25 @@ Status MinibatchTrainer::Fit(const MultiplexHeteroGraph& g,
 
   HYBRIDGNN_RETURN_IF_ERROR(RunEpochs(run_batch, validation_auc, params, rng));
 
-  // Freeze. Serial: one stream in node order. Parallel: a forked stream per
-  // node, so the cache is invariant to the thread count.
   obs::ScopedTimer cache_timer(obs::Stage("core/embedding_cache"));
+  Tensor table =
+      OutputsZero(params)
+          ? BaseCacheTable(params.base->value, g.num_relations())
+          : TowerCacheTable(g, tower, params.base->value.cols());
+  *cache = RelationEmbeddingCache(std::move(table), g.num_relations());
+  options_.Report("cache", 1, 1);
+  return Status::OK();
+}
+
+template <typename Tower>
+Tensor MinibatchTrainer::TowerCacheTable(const MultiplexHeteroGraph& g,
+                                         const Tower& tower,
+                                         size_t dim) const {
+  using Sketch = typename Tower::NodeSketch;
   const size_t samples = spec_.cache_samples;
   const size_t chunk_nodes = kForwardChunk / samples;
-  Tensor table(g.num_nodes() * g.num_relations(), params.base->value.cols());
+  const size_t num_rel = g.num_relations();
+  Tensor table(g.num_nodes() * num_rel, dim);
   const Rng cache_master(spec_.cache_seed);
   Rng cache_rng(spec_.cache_seed);
   auto cache_chunk = [&](size_t c, bool forked) {
@@ -276,20 +315,13 @@ Status MinibatchTrainer::Fit(const MultiplexHeteroGraph& g,
     }
     const ag::Var all = tower.ForwardSketches(sketches);
     const Tensor& rows = all->value;
-    // A chunk writes only its own nodes' rows, averaging in sample order;
-    // one sample is copied.
+    // A chunk writes only its own nodes' rows.
     const size_t n = sketches.size();
-    const size_t num_rel = g.num_relations();
     for (size_t v = lo; v < hi; ++v) {
       for (size_t s = 0; s < samples; ++s) {
         for (size_t r = 0; r < num_rel; ++r) {
-          const float* src = rows.RowPtr(r * n + samples * (v - lo) + s);
-          float* dst = table.RowPtr(v * num_rel + r);
-          for (size_t j = 0; j < table.cols(); ++j) {
-            dst[j] = samples == 1
-                         ? src[j]
-                         : dst[j] + src[j] / static_cast<float>(samples);
-          }
+          AddCacheSample(rows.RowPtr(r * n + samples * (v - lo) + s), samples,
+                         dim, table.RowPtr(v * num_rel + r));
         }
       }
     }
@@ -301,9 +333,7 @@ Status MinibatchTrainer::Fit(const MultiplexHeteroGraph& g,
   } else {
     for (size_t c = 0; c < num_chunks; ++c) cache_chunk(c, false);
   }
-  *cache = RelationEmbeddingCache(std::move(table), g.num_relations());
-  options_.Report("cache", 1, 1);
-  return Status::OK();
+  return table;
 }
 
 }  // namespace hybridgnn

@@ -180,6 +180,14 @@ TEST_F(BaselinesTest, GatneRejectsBadLearningRate) {
   }
 }
 
+TEST_F(BaselinesTest, GatneRejectsNonFiniteLocalScale) {
+  Gatne::Options o = SmallGatneOptions();
+  o.local_scale = std::nanf("");
+  Gatne model(o, dataset_->schemes);
+  EXPECT_EQ(model.Fit(split_->train_graph).code(),
+            StatusCode::kInvalidArgument);
+}
+
 // A diverging run must stop with a clean error, not hand back a garbage
 // model: at learning rate 1e30 the first Adam step blows the parameters up
 // and the next minibatch's loss is no longer finite.
@@ -196,6 +204,30 @@ TEST_F(BaselinesTest, GatneNonFiniteLossFailsFitCleanly) {
       << s.ToString();
   EXPECT_NE(s.message().find("epoch "), std::string::npos) << s.ToString();
   EXPECT_NE(s.message().find("batch "), std::string::npos) << s.ToString();
+  EXPECT_EQ(nonfinite.value(), before + 1);
+}
+
+// One minibatch and no restore: the last Adam step's overflow reaches no
+// later loss, so the per-epoch parameter check must catch it. M_r starts
+// at zero, so the loss is finite, but a 1e15 local scale makes the M_r
+// gradient large enough that the 1e30 step overflows to inf.
+TEST_F(BaselinesTest, GatneNonFiniteParametersFailFitCleanly) {
+  Gatne::Options o = SmallGatneOptions();
+  o.learning_rate = 1e30f;
+  o.local_scale = 1e15f;
+  o.epochs = 1;
+  o.batch_size = 32;
+  o.max_pairs_per_epoch = 16;  // one minibatch
+  o.restore_best = false;
+  obs::Counter& nonfinite =
+      obs::GlobalRegistry().GetCounter("core/nonfinite_loss");
+  const uint64_t before = nonfinite.value();
+  Gatne model(o, dataset_->schemes);
+  const Status s = model.Fit(split_->train_graph);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("GATNE: non-finite parameters after epoch 0"),
+            std::string::npos)
+      << s.ToString();
   EXPECT_EQ(nonfinite.value(), before + 1);
 }
 

@@ -14,7 +14,9 @@
 // for HybridGNN's full model and each ablation that changes the tower's
 // shape, and for GATNE with and without its local scale, at 1 and 4 workers
 // (per-worker GradSinkScopes reduced as MinibatchTrainer reduces them), on
-// the scalar and AVX2 kernel backends.
+// the scalar and AVX2 kernel backends. And the trainer's base-table cache
+// (every output projection zero) against the tower-path cache of the same
+// fitted parameters, bit for bit, at 1 and 4 threads on both backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,6 +35,7 @@
 #include "core/hybrid_gnn.h"
 #include "data/profiles.h"
 #include "kernels/kernels.h"
+#include "obs/metrics.h"
 #include "tensor/autograd.h"
 #include "tensor/init.h"
 
@@ -54,6 +57,13 @@ struct HybridGnnTestPeer {
     return m.ForwardNodeSketch(sk);
   }
   static size_t NumRelations(const HybridGnn& m) { return m.num_relations_; }
+  static TrainerSpec Spec(const HybridGnn& m) { return m.Spec(); }
+  static const Tensor& Base(const HybridGnn& m) {
+    return m.base_->table()->value;
+  }
+  static const std::vector<ag::Var>& Outputs(const HybridGnn& m) {
+    return m.w_rel_;
+  }
   /// Every trainable tensor of the model, named for failure messages.
   static std::vector<std::pair<std::string, ag::Var>> Params(
       const HybridGnn& m) {
@@ -96,6 +106,13 @@ struct GatneTestPeer {
     return m.ForwardNodeSketch(sk);
   }
   static size_t NumRelations(const Gatne& m) { return m.num_relations_; }
+  static TrainerSpec Spec(const Gatne& m) { return m.Spec(); }
+  static const Tensor& Base(const Gatne& m) {
+    return m.base_->table()->value;
+  }
+  static const std::vector<ag::Var>& Outputs(const Gatne& m) {
+    return m.m_rel_;
+  }
   /// Every trainable tensor of the model, tables first.
   static std::vector<std::pair<std::string, ag::Var>> Params(const Gatne& m) {
     std::vector<std::pair<std::string, ag::Var>> out;
@@ -113,6 +130,26 @@ struct GatneTestPeer {
       out.emplace_back("m_rel" + std::to_string(r), m.m_rel_[r]);
     }
     return out;
+  }
+};
+
+/// Runs either of the trainer's cache paths on a fitted model, whatever
+/// its output projections hold.
+struct MinibatchTrainerTestPeer {
+  template <typename Model>
+  static Tensor TowerCacheTable(const Model& m, const TrainerSpec& spec,
+                                const MultiplexHeteroGraph& g, size_t dim,
+                                size_t threads) {
+    FitOptions opts;
+    opts.num_threads = threads;
+    const MinibatchTrainer trainer(spec, opts);
+    return trainer.TowerCacheTable(g, m, dim);
+  }
+  static Tensor BaseCacheTable(const TrainerSpec& spec, const Tensor& base,
+                               size_t num_relations) {
+    FitOptions opts;
+    const MinibatchTrainer trainer(spec, opts);
+    return trainer.BaseCacheTable(base, num_relations);
   }
 };
 
@@ -464,6 +501,138 @@ TEST(GatneBatchedTowerTest, MatchesPerNodeTower) {
     t.params = GatneTestPeer::Params(model);
     ExpectTowersAgree(t, rows);
   }
+}
+
+// How a cache test fits its model, and how many validation passes and
+// cache fills must take the base-table shortcut.
+struct CacheCase {
+  const char* name;
+  size_t epochs;
+  bool restore_best;
+  float learning_rate;
+  uint64_t from_base;
+};
+
+// 0 epochs: the epoch-0 validation and the cache read the base table. A
+// 1e-12 step moves the projections off zero but no validation edge, so the
+// restore returns to epoch 0 and the cache reads the base table again. A
+// kept trained epoch reads it only for the epoch-0 validation.
+constexpr CacheCase kCacheCases[] = {
+    {"pretrain_only", 0, true, 1e-2f, 2},
+    {"restored_to_epoch0", 1, true, 1e-12f, 2},
+    {"kept_trained_epoch", 1, false, 1e-2f, 1},
+};
+
+/// Fits through `fit(cache_case, opts)` on every backend at 1 and 4
+/// threads, and checks the cache the Fit filled against the tower-path
+/// cache of the fitted parameters, bit for bit, and the shortcut counter.
+/// With the projections zero it also runs both paths at three cache
+/// samples, where averaging equal rows does not give the row back.
+template <typename Peer, typename FitFn>
+void ExpectCacheMatchesTowerPath(const MultiplexHeteroGraph& g,
+                                 const FitFn& fit) {
+  obs::Counter& from_base =
+      obs::GlobalRegistry().GetCounter("core/cache_from_base");
+  std::vector<std::pair<NodeId, RelationId>> all;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (RelationId r = 0; r < g.num_relations(); ++r) all.emplace_back(v, r);
+  }
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::Avx2Available()) backends.push_back(kernels::Backend::kAvx2);
+  for (kernels::Backend backend : backends) {
+    kernels::ScopedBackend scoped(backend);
+    for (const CacheCase& cc : kCacheCases) {
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(std::string(kernels::BackendName(backend)) + " " +
+                     cc.name + " threads=" + std::to_string(threads));
+        FitOptions opts;
+        opts.num_threads = threads;
+        opts.deterministic = true;  // parallel cache, serial training
+        const uint64_t before = from_base.value();
+        const auto model = fit(cc, opts);
+        EXPECT_EQ(from_base.value() - before, cc.from_base);
+        bool outputs_zero = true;
+        for (const ag::Var& w : Peer::Outputs(*model)) {
+          for (size_t i = 0; i < w->value.size(); ++i) {
+            outputs_zero = outputs_zero && w->value.data()[i] == 0.0f;
+          }
+        }
+        EXPECT_EQ(outputs_zero, cc.from_base == 2);
+        const Tensor cached = model->EmbeddingsFor(all);
+        const Tensor tower = MinibatchTrainerTestPeer::TowerCacheTable(
+            *model, Peer::Spec(*model), g, cached.cols(), threads);
+        ASSERT_TRUE(cached.SameShape(tower));
+        EXPECT_EQ(std::memcmp(cached.data(), tower.data(),
+                              cached.size() * sizeof(float)),
+                  0);
+        if (!outputs_zero) continue;
+        TrainerSpec three = Peer::Spec(*model);
+        three.cache_samples = 3;
+        const Tensor base_three = MinibatchTrainerTestPeer::BaseCacheTable(
+            three, Peer::Base(*model), g.num_relations());
+        const Tensor tower_three = MinibatchTrainerTestPeer::TowerCacheTable(
+            *model, three, g, cached.cols(), threads);
+        ASSERT_TRUE(base_three.SameShape(tower_three));
+        EXPECT_EQ(std::memcmp(base_three.data(), tower_three.data(),
+                              base_three.size() * sizeof(float)),
+                  0)
+            << "three cache samples";
+      }
+    }
+  }
+}
+
+// HybridGNN averages four tower samples per cached row; the shortcut must
+// repeat that averaging, not copy the base row.
+TEST(BaseTableCacheTest, HybridGnnMatchesTowerPath) {
+  auto ds = MakeDataset("taobao", 0.1, 3);
+  ASSERT_TRUE(ds.ok());
+  ExpectCacheMatchesTowerPath<HybridGnnTestPeer>(
+      ds->graph, [&](const CacheCase& cc, const FitOptions& opts) {
+        HybridGnnConfig c;
+        c.base_dim = 16;
+        c.edge_dim = 8;
+        c.hidden_dim = 8;
+        c.fanout = 3;
+        c.epochs = cc.epochs;
+        c.batch_size = 64;
+        c.max_pairs_per_epoch = 256;
+        c.corpus.num_walks_per_node = 2;
+        c.corpus.walk_length = 4;
+        c.corpus.window = 2;
+        c.learning_rate = cc.learning_rate;
+        c.restore_best = cc.restore_best;
+        c.seed = 31;
+        auto model = std::make_unique<HybridGnn>(c, ds->schemes);
+        HYBRIDGNN_CHECK_OK(model->Fit(ds->graph, opts));
+        return model;
+      });
+}
+
+// GATNE caches one tower sample per row: the shortcut copies the row.
+TEST(BaseTableCacheTest, GatneMatchesTowerPath) {
+  auto ds = MakeDataset("taobao", 0.1, 3);
+  ASSERT_TRUE(ds.ok());
+  ExpectCacheMatchesTowerPath<GatneTestPeer>(
+      ds->graph, [&](const CacheCase& cc, const FitOptions& opts) {
+        Gatne::Options o;
+        o.base_dim = 16;
+        o.edge_dim = 8;
+        o.attn_hidden = 8;
+        o.fanout = 3;
+        o.epochs = cc.epochs;
+        o.batch_size = 64;
+        o.max_pairs_per_epoch = 256;
+        o.corpus.num_walks_per_node = 2;
+        o.corpus.walk_length = 4;
+        o.corpus.window = 2;
+        o.learning_rate = cc.learning_rate;
+        o.restore_best = cc.restore_best;
+        o.seed = 31;
+        auto model = std::make_unique<Gatne>(o, ds->schemes);
+        HYBRIDGNN_CHECK_OK(model->Fit(ds->graph, opts));
+        return model;
+      });
 }
 
 // The blocked attention used by the batched tower is the per-set attention

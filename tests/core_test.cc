@@ -60,6 +60,9 @@ TEST(HybridGnnConfigTest, ValidateCatchesBadSettings) {
   c = TinyConfig();
   c.corpus.walk_length = 1;
   EXPECT_FALSE(c.Validate().ok());
+  c = TinyConfig();
+  c.local_scale = std::numeric_limits<float>::infinity();
+  EXPECT_FALSE(c.Validate().ok());
 }
 
 TEST(HybridGnnConfigTest, ValidateRejectsBadLearningRate) {
@@ -94,6 +97,32 @@ TEST(HybridGnnTest, NonFiniteLossFailsFitCleanly) {
       << s.ToString();
   EXPECT_NE(s.message().find("epoch "), std::string::npos) << s.ToString();
   EXPECT_NE(s.message().find("batch "), std::string::npos) << s.ToString();
+  EXPECT_EQ(nonfinite.value(), before + 1);
+}
+
+// With a single minibatch no later loss sees what the last Adam step did:
+// the per-epoch parameter check must stop the run before validation and
+// the cache read the blown-up tables. W_r starts at zero, so the batch's
+// loss is finite, but a 1e15 local scale makes its W_r gradient about
+// 1e13 and the 1e30 step overflows to inf.
+TEST(HybridGnnTest, NonFiniteParametersFailFitCleanly) {
+  MultiplexHeteroGraph g = SmallBipartite();
+  HybridGnnConfig c = TinyConfig();
+  c.learning_rate = 1e30f;
+  c.local_scale = 1e15f;
+  c.epochs = 1;
+  c.batch_size = 32;
+  c.max_pairs_per_epoch = 16;  // one minibatch
+  c.restore_best = false;
+  obs::Counter& nonfinite =
+      obs::GlobalRegistry().GetCounter("core/nonfinite_loss");
+  const uint64_t before = nonfinite.value();
+  HybridGnn model(c, SmallSchemes(g));
+  const Status s = model.Fit(g);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("HybridGNN: non-finite parameters after epoch 0"),
+            std::string::npos)
+      << s.ToString();
   EXPECT_EQ(nonfinite.value(), before + 1);
 }
 
