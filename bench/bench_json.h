@@ -15,6 +15,7 @@
 #include <string>
 #include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace hybridgnn::bench {
@@ -34,9 +35,12 @@ class BenchReport {
 
   /// FNV-style content hash of the bench's result. Stored as hex so a
   /// baseline diff shows thread-count invariance at a glance.
-  void set_result_hash(uint64_t h) {
-    result_hash_ = h;
-    has_hash_ = true;
+  void set_result_hash(uint64_t h) { AddHash("result_hash", h); }
+
+  /// A further named content hash, written as a hex field beside
+  /// result_hash (e.g. the bits of a table the bench produced).
+  void AddHash(const std::string& key, uint64_t h) {
+    hashes_.emplace_back(key, h);
   }
 
   /// Writes bench-out/BENCH_<name>.json (creating the directory).
@@ -55,10 +59,10 @@ class BenchReport {
     out << "  \"bench\": \"" << name_ << "\",\n";
     out << "  \"hardware_threads\": "
         << std::thread::hardware_concurrency() << ",\n";
-    if (has_hash_) {
+    for (const auto& [key, h] : hashes_) {
       char hex[32];
-      std::snprintf(hex, sizeof(hex), "%016" PRIx64, result_hash_);
-      out << "  \"result_hash\": \"" << hex << "\",\n";
+      std::snprintf(hex, sizeof(hex), "%016" PRIx64, h);
+      out << "  \"" << key << "\": \"" << hex << "\",\n";
     }
     out << "  \"stages\": [\n";
     for (size_t i = 0; i < stages_.size(); ++i) {
@@ -84,8 +88,7 @@ class BenchReport {
 
   std::string name_;
   std::vector<StageRow> stages_;
-  uint64_t result_hash_ = 0;
-  bool has_hash_ = false;
+  std::vector<std::pair<std::string, uint64_t>> hashes_;
 };
 
 }  // namespace hybridgnn::bench

@@ -11,7 +11,8 @@
 // non-edges): the refreshed store must rank the new interactions above
 // noise, the stale one by construction cannot have learned them. Reports
 // ms per path, the speedup, both AUCs, and writes
-// bench-out/BENCH_micro_stream.json.
+// bench-out/BENCH_micro_stream.json, whose staging_hash field is an FNV-1a
+// hash of every staging row after the refresh.
 //
 //   micro_stream [--users N] [--items N] [--degree N] [--gate]
 //
@@ -20,6 +21,7 @@
 // (ci_check.sh runs it with --gate).
 #include <algorithm>
 #include <chrono>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -142,6 +144,20 @@ double DeltaAuc(const EmbeddingStore& store, const Workload& w,
   return RocAuc(pos, neg);
 }
 
+/// Fnv1a64 over every staging row, table by table in row order: the bits
+/// the refresh left, so a refresher refactor can be checked for
+/// bit-identity on this workload.
+uint64_t StagingHash(const LiveEmbeddingStore& live) {
+  std::vector<float> rows;
+  for (RelationId r = 0; r < live.num_relations(); ++r) {
+    for (size_t i = 0; i < live.NumRows(r); ++i) {
+      const float* row = live.Row(r, live.RowNode(r, i));
+      rows.insert(rows.end(), row, row + live.dim());
+    }
+  }
+  return Fnv1a64(rows.data(), rows.size() * sizeof(float));
+}
+
 int Main(int argc, char** argv) {
   size_t users = 400;
   size_t items = 400;
@@ -242,6 +258,8 @@ int Main(int argc, char** argv) {
               refresh_ms, fresh_auc, stats->dirty_nodes,
               stats->pairs_trained);
   std::printf("  stale checkpoint AUC on deltas: %.4f\n", stale_auc);
+  const uint64_t staging_hash = StagingHash(**live);
+  std::printf("  staging hash after refresh: %016" PRIx64 "\n", staging_hash);
   std::printf("  speedup %.1fx (gate >= 5x), freshness %+0.4f AUC "
               "(gate > 0)\n",
               speedup, fresh_auc - stale_auc);
@@ -260,6 +278,7 @@ int Main(int argc, char** argv) {
   report.AddStage("stale_auc", 1, 0.0, stale_auc);
   report.AddStage("fresh_auc", 1, 0.0, fresh_auc);
   report.set_result_hash(hash);
+  report.AddHash("staging_hash", staging_hash);
   report.Write();
 
   if (gate) {

@@ -56,19 +56,6 @@ void BM_AttentionForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_AttentionForwardBackward);
 
-void BM_SgnsLossBackward(benchmark::State& state) {
-  ag::Var pos = ag::Param(RandomTensor(256, 1, 6));
-  ag::Var neg = ag::Param(RandomTensor(1280, 1, 7));
-  for (auto _ : state) {
-    ag::Var loss = ag::SgnsLoss(pos, neg);
-    ag::Backward(loss);
-    pos->ZeroGrad();
-    neg->ZeroGrad();
-    benchmark::DoNotOptimize(loss->value.At(0, 0));
-  }
-}
-BENCHMARK(BM_SgnsLossBackward);
-
 void BM_AdamStep(benchmark::State& state) {
   ag::Var p = ag::Param(RandomTensor(1000, 128, 8));
   Adam opt(1e-3f);

@@ -243,7 +243,11 @@ StatusOr<std::vector<GraphDelta>> LoadDeltaLogText(
       HYBRIDGNN_ASSIGN_OR_RETURN(int64_t ts, ParseInt64(fields[1]));
       HYBRIDGNN_ASSIGN_OR_RETURN(int64_t src, ParseInt64(fields[2]));
       HYBRIDGNN_ASSIGN_OR_RETURN(int64_t dst, ParseInt64(fields[3]));
-      if (src < 0 || dst < 0) return fail("node ids must be non-negative");
+      // kInvalidNode (2^32 - 1) and above would wrap to another node id.
+      if (src < 0 || dst < 0 || src >= int64_t{kInvalidNode} ||
+          dst >= int64_t{kInvalidNode}) {
+        return fail("node id out of range");
+      }
       RelationId rel = base.FindRelation(fields[4]);
       if (rel == kInvalidRelation) {
         return fail("unknown relation: " + fields[4]);

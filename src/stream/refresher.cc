@@ -1,15 +1,24 @@
 #include "stream/refresher.h"
 
 #include <algorithm>
-#include <chrono>
+#include <cmath>
 #include <cstring>
+#include <string>
 
-#include "graph/frontier.h"
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
-#include "tensor/autograd.h"
+#include "tensor/tensor_ops.h"
 
 namespace hybridgnn {
+
+namespace {
+
+/// Skip-gram window over the regenerated walks.
+constexpr size_t kWindow = 2;
+/// Pairs per SGNS minibatch.
+constexpr size_t kMinibatch = 256;
+
+}  // namespace
 
 IncrementalRefresher::IncrementalRefresher(DynamicGraphOverlay* overlay,
                                            LiveEmbeddingStore* live,
@@ -78,12 +87,12 @@ std::vector<SkipGramPair> IncrementalRefresher::HarvestDirtyPairs(
           cur = nbrs[static_cast<size_t>(rng_.UniformUint64(degree))];
           walk.push_back(cur);
         }
-        HarvestPairs(walk, options_.window, r, pairs);
+        HarvestPairs(walk, kWindow, r, pairs);
       }
     }
   }
   // Direct first-order pairs for the streamed edges themselves: walks mix
-  // 1..window-hop proximity, but the freshness contract is about the new
+  // 1..kWindow-hop proximity, but the freshness contract is about the new
   // interactions, so they get an explicit up-weight (both directions).
   for (const EdgeTriple& e : new_edges) {
     for (size_t c = 0; c < options_.direct_edge_copies; ++c) {
@@ -94,166 +103,141 @@ std::vector<SkipGramPair> IncrementalRefresher::HarvestDirtyPairs(
   return pairs;
 }
 
-size_t IncrementalRefresher::TrainPairs(std::vector<SkipGramPair>& pairs,
-                                        std::span<const NodeId> dirty) {
+StatusOr<size_t> IncrementalRefresher::TrainPairs(
+    std::vector<SkipGramPair>& pairs) {
+  if (options_.sgd_rounds == 0) return size_t{0};
   const size_t dim = live_->dim();
+  const float lr = options_.learning_rate;
   size_t trained = 0;
   // Group by relation so each minibatch reads/writes one staging table.
   std::sort(pairs.begin(), pairs.end(),
             [](const SkipGramPair& a, const SkipGramPair& b) {
               return a.rel < b.rel;
             });
-  std::vector<NodeId> centers, contexts, negatives, neg_pool;
-  for (size_t round = 0; round < options_.sgd_rounds; ++round) {
-    size_t group_begin = 0;
-    while (group_begin < pairs.size()) {
-      const RelationId rel = pairs[group_begin].rel;
-      size_t group_end = group_begin;
-      while (group_end < pairs.size() && pairs[group_end].rel == rel) {
-        ++group_end;
-      }
-      if (rel >= live_->num_relations() || live_->NumRows(rel) == 0) {
-        group_begin = group_end;
-        continue;
-      }
-      // Negatives come from the dirty set, not the whole table: they take
-      // gradient too (symmetric SGNS — frozen negatives make attraction
-      // saturate while repulsion does not, which under popularity skew
-      // shoves dirty rows out of the very cone their streamed partners
-      // occupy), and drawing them from dirty nodes keeps the write set
-      // bounded to the refresh region.
-      neg_pool.clear();
-      for (NodeId v : dirty) {
-        if (live_->Row(rel, v) != nullptr) neg_pool.push_back(v);
-      }
-      const size_t negs_per_pair =
-          neg_pool.empty() ? 0 : options_.num_negatives;
-      for (size_t batch_begin = group_begin; batch_begin < group_end;
-           batch_begin += options_.minibatch) {
-        const size_t batch_end =
-            std::min(batch_begin + options_.minibatch, group_end);
-        centers.clear();
-        contexts.clear();
-        negatives.clear();
-        for (size_t i = batch_begin; i < batch_end; ++i) {
-          const SkipGramPair& p = pairs[i];
-          if (live_->Row(rel, p.center) == nullptr ||
-              live_->Row(rel, p.context) == nullptr) {
-            continue;  // endpoint outside this relation's table
-          }
-          centers.push_back(p.center);
-          contexts.push_back(p.context);
-          for (size_t k = 0; k < negs_per_pair; ++k) {
-            const size_t pick =
-                static_cast<size_t>(rng_.UniformUint64(neg_pool.size()));
-            negatives.push_back(neg_pool[pick]);
-          }
+  std::vector<float*> centers, contexts;  // staging rows of trainable pairs
+  std::vector<size_t> batch_ends;         // minibatch ends in centers
+  std::vector<float> c_val, x_val;        // a minibatch's rows at its start
+  std::vector<uint8_t> seen;              // per table row: already written?
+  std::vector<const float*> written;      // distinct rows the step writes
+  size_t group_begin = 0;
+  while (group_begin < pairs.size()) {
+    const RelationId rel = pairs[group_begin].rel;
+    size_t group_end = group_begin;
+    while (group_end < pairs.size() && pairs[group_end].rel == rel) {
+      ++group_end;
+    }
+    if (rel >= live_->num_relations() || live_->NumRows(rel) == 0) {
+      group_begin = group_end;
+      continue;
+    }
+    // Minibatches are fixed windows of the group's pairs; a pair with an
+    // endpoint outside this relation's table drops out of its window. No
+    // row is appended while training, so the row pointers stay valid
+    // across rounds.
+    centers.clear();
+    contexts.clear();
+    batch_ends.clear();
+    seen.assign(live_->NumRows(rel), 0);
+    written.clear();
+    for (size_t batch_begin = group_begin; batch_begin < group_end;
+         batch_begin += kMinibatch) {
+      const size_t batch_end = std::min(batch_begin + kMinibatch, group_end);
+      for (size_t i = batch_begin; i < batch_end; ++i) {
+        const SkipGramPair& p = pairs[i];
+        const uint32_t c_row = live_->RowOf(rel, p.center);
+        const uint32_t x_row = live_->RowOf(rel, p.context);
+        if (c_row == EmbeddingStore::kNoRow ||
+            x_row == EmbeddingStore::kNoRow) {
+          continue;
         }
-        const size_t m = centers.size();
-        if (m == 0) continue;
-        const size_t q = m * negs_per_pair;
+        centers.push_back(live_->MutableRow(rel, p.center));
+        contexts.push_back(live_->MutableRow(rel, p.context));
+        if (seen[c_row] == 0) {
+          seen[c_row] = 1;
+          written.push_back(centers.back());
+        }
+        if (seen[x_row] == 0) {
+          seen[x_row] = 1;
+          written.push_back(contexts.back());
+        }
+      }
+      batch_ends.push_back(centers.size());
+    }
 
-        // Gather the touched rows into minibatch tensors, differentiate the
-        // SGNS objective, and scatter -lr * grad straight back into
-        // staging. Centers appear twice (against contexts and against
-        // negatives), so their update is the sum of both grads.
-        Tensor c_val(m, dim), x_val(m, dim), cr_val(q, dim), n_val(q, dim);
+    // Attraction-only SGNS: the loss of a minibatch of m pairs is
+    // -(1/m) sum_i log sigmoid(c_i . x_i), so pair i's coefficient is
+    // g_i = -(1/m) / (1 + exp(c_i . x_i)) and its center moves by
+    // -(lr m) g_i x_i, its context by -(lr m) g_i c_i. The gradients read
+    // the rows as of the batch start, so a node in several pairs takes the
+    // sum of its steps. The 1/m and m cancel in exact arithmetic; both stay
+    // so the float results are those of the mean-loss step the golden in
+    // RefresherTest.DefaultRefreshMatchesGolden pins.
+    for (size_t round = 0; round < options_.sgd_rounds; ++round) {
+      size_t begin = 0;
+      for (size_t end : batch_ends) {
+        const size_t m = end - begin;
+        if (m == 0) continue;
+        c_val.resize(m * dim);
+        x_val.resize(m * dim);
         for (size_t i = 0; i < m; ++i) {
-          const float* c_row = live_->Row(rel, centers[i]);
-          const float* x_row = live_->Row(rel, contexts[i]);
-          std::memcpy(c_val.data() + i * dim, c_row, dim * sizeof(float));
-          std::memcpy(x_val.data() + i * dim, x_row, dim * sizeof(float));
-          for (size_t k = 0; k < negs_per_pair; ++k) {
-            const size_t j = i * negs_per_pair + k;
-            const float* n_row = live_->Row(rel, negatives[j]);
-            std::memcpy(cr_val.data() + j * dim, c_row, dim * sizeof(float));
-            std::memcpy(n_val.data() + j * dim, n_row, dim * sizeof(float));
-          }
+          std::memcpy(c_val.data() + i * dim, centers[begin + i],
+                      dim * sizeof(float));
+          std::memcpy(x_val.data() + i * dim, contexts[begin + i],
+                      dim * sizeof(float));
         }
-        {
-          ag::Var c = ag::Param(std::move(c_val));
-          ag::Var x = ag::Param(std::move(x_val));
-          ag::Var cr = q > 0 ? ag::Param(std::move(cr_val)) : ag::Var();
-          ag::Var n = q > 0 ? ag::Param(std::move(n_val)) : ag::Var();
-          ag::Var loss = ag::SgnsLoss(
-              ag::RowwiseDot(c, x),
-              q > 0 ? ag::RowwiseDot(cr, n) : ag::Var());
-          ag::Backward(loss);
-          // SgnsLoss means over its rows, which would shrink the step by the
-          // minibatch size; un-normalize so each sample takes a per-sample
-          // step and learning_rate means the same thing for every minibatch
-          // setting. The negative side is scaled by m (not q): a pair's k
-          // negatives share one unit of repulsion, balancing its one unit of
-          // attraction.
-          const float lr_pos = options_.learning_rate * static_cast<float>(m);
-          const float lr_neg = options_.learning_rate * static_cast<float>(m);
-          auto scatter = [&](const Tensor& grad, size_t row, float lr,
-                             RelationId r, NodeId node) {
-            float* dst = live_->MutableRow(r, node);
-            const float* g = grad.data() + row * dim;
-            for (size_t j2 = 0; j2 < dim; ++j2) dst[j2] -= lr * g[j2];
-          };
-          for (size_t i = 0; i < m; ++i) {
-            scatter(c->grad, i, lr_pos, rel, centers[i]);
-            scatter(x->grad, i, lr_pos, rel, contexts[i]);
-          }
-          for (size_t j = 0; j < q; ++j) {
-            scatter(cr->grad, j, lr_neg, rel, centers[j / negs_per_pair]);
-            scatter(n->grad, j, lr_neg, rel, negatives[j]);
-          }
+        const float neg_inv_m = -1.0f * (1.0f / static_cast<float>(m));
+        const float step = lr * static_cast<float>(m);
+        for (size_t i = 0; i < m; ++i) {
+          const float* c = c_val.data() + i * dim;
+          const float* x = x_val.data() + i * dim;
+          const float g =
+              neg_inv_m / (1.0f + std::exp(kernels::Dot(c, x, dim)));
+          float* c_dst = centers[begin + i];
+          for (size_t j = 0; j < dim; ++j) c_dst[j] -= step * (g * x[j]);
+          float* x_dst = contexts[begin + i];
+          for (size_t j = 0; j < dim; ++j) x_dst[j] -= step * (g * c[j]);
         }
         trained += m;
+        begin = end;
       }
-      group_begin = group_end;
     }
+
+    // A non-finite value never turns finite again under this step (NaN
+    // propagates; an inf row makes its pair's dot inf or NaN), so checking
+    // each written row once, after the last round, finds every blow-up.
+    // The rows are scattered through the table and mostly out of cache by
+    // now; prefetching a few rows ahead overlaps their misses, which about
+    // halves the check (to under 1% of serve_live's ingest latency).
+    constexpr size_t kPrefetchAhead = 4;
+    for (size_t k = 0; k < written.size(); ++k) {
+      if (k + kPrefetchAhead < written.size()) {
+        const float* next = written[k + kPrefetchAhead];
+        // One prefetch per 64-byte line (16 floats).
+        for (size_t j = 0; j < dim; j += 16) __builtin_prefetch(next + j);
+      }
+      if (!AllFinite(written[k], dim)) {
+        obs::GlobalRegistry().GetCounter("core/nonfinite_loss").Add();
+        return Status::FailedPrecondition(
+            "stream refresh: a trained row of relation " +
+            live_->relation_name(rel) + " is not finite (learning rate " +
+            std::to_string(lr) + ")");
+      }
+    }
+    group_begin = group_end;
   }
   return trained;
-}
-
-void IncrementalRefresher::SmoothDirtyRows(std::span<const NodeId> dirty) {
-  if (options_.smoothing_alpha <= 0.0f) return;
-  const size_t dim = live_->dim();
-  const float alpha = options_.smoothing_alpha;
-  MinibatchFrontier frontier;
-  std::vector<float> gathered;
-  std::vector<NodeId> rows;  // dirty nodes with a row AND >= 1 embedded nbr
-  std::vector<float> means;
-  for (RelationId r = 0; r < live_->num_relations(); ++r) {
-    frontier.Clear();
-    gathered.clear();
-    rows.clear();
-    for (NodeId v : dirty) {
-      if (live_->Row(r, v) == nullptr) continue;
-      size_t added = 0;
-      overlay_->Neighbors(v, r).ForEach([&](NodeId u) {
-        const float* u_row = live_->Row(r, u);
-        if (u_row == nullptr) return;
-        gathered.insert(gathered.end(), u_row, u_row + dim);
-        frontier.indices.push_back(
-            static_cast<int32_t>(frontier.indices.size()));
-        ++added;
-      });
-      if (added == 0) continue;  // nothing gathered: no segment to close
-      frontier.CloseSegment();
-      rows.push_back(v);
-    }
-    if (rows.empty()) continue;
-    means.assign(rows.size() * dim, 0.0f);
-    kernels::SegmentMean(gathered.data(), dim, frontier.indptr.data(),
-                         rows.size(), means.data());
-    for (size_t s = 0; s < rows.size(); ++s) {
-      float* dst = live_->MutableRow(r, rows[s]);
-      const float* mean = means.data() + s * dim;
-      for (size_t j = 0; j < dim; ++j) {
-        dst[j] = (1.0f - alpha) * dst[j] + alpha * mean[j];
-      }
-    }
-  }
 }
 
 StatusOr<IngestStats> IncrementalRefresher::IngestBatch(
     std::span<const GraphDelta> batch) {
   obs::ScopedTimer timer(obs::Stage("stream/ingest_latency"));
+  if (!std::isfinite(options_.learning_rate) ||
+      options_.learning_rate <= 0.0f) {
+    return Status::InvalidArgument(
+        "stream refresh learning rate " +
+        std::to_string(options_.learning_rate) +
+        " is not a positive finite number");
+  }
   HYBRIDGNN_ASSIGN_OR_RETURN(DynamicGraphOverlay::ApplyResult applied,
                              overlay_->Apply(batch));
 
@@ -271,8 +255,7 @@ StatusOr<IngestStats> IncrementalRefresher::IngestBatch(
   std::vector<NodeId> dirty = DirtyFrontier(applied.touched, options_.k_hops);
   std::vector<SkipGramPair> pairs =
       HarvestDirtyPairs(dirty, applied.new_edges);
-  const size_t trained = TrainPairs(pairs, dirty);
-  SmoothDirtyRows(dirty);
+  HYBRIDGNN_ASSIGN_OR_RETURN(const size_t trained, TrainPairs(pairs));
   HYBRIDGNN_RETURN_IF_ERROR(live_->Publish(overlay_));
 
   IngestStats stats;

@@ -17,7 +17,17 @@ namespace hybridgnn {
 /// Knobs for one incremental refresh. Defaults are tuned for freshness over
 /// polish: a few short walks per dirty node, a couple of SGD rounds — enough
 /// to pull the endpoints of streamed edges together without re-touching the
-/// rest of the table.
+/// rest of the table. The skip-gram window (2) and the minibatch (256
+/// pairs) are fixed.
+///
+/// The refresh is attraction-only: it draws no negatives. The live table is
+/// seeded from a checkpoint of *final* embeddings, so center and context
+/// share one table, and tied-weight SGNS repulsion pushes served vectors
+/// around the geometry directly (word2vec avoids this with a separate
+/// output table); in a bounded few-round refresh it costs more ranking
+/// quality on the streamed edges than it buys in contrast. Collapse — the
+/// failure negatives exist to prevent — needs epochs this refresh never
+/// runs.
 struct RefreshOptions {
   /// Dirty-frontier depth: touched nodes plus their <= k_hops-hop
   /// neighborhoods get their walks regenerated. 0 refreshes only the
@@ -25,31 +35,18 @@ struct RefreshOptions {
   size_t k_hops = 1;
   /// Walk regeneration budget per dirty root (per active relation).
   size_t walks_per_dirty_node = 4;
+  /// Nodes per regenerated walk, root included (walk_length - 1 steps).
   size_t walk_length = 6;
-  size_t window = 2;
   /// Copies of each newly streamed edge injected as direct (src, dst)
   /// skip-gram pairs — the first-order signal that makes a refreshed store
   /// score the new interactions above noise.
   size_t direct_edge_copies = 4;
-  /// Negatives per pair, drawn from (and updated within) the dirty set.
-  /// Defaults to 0 — attraction-only refresh. The live table is seeded from
-  /// a checkpoint of *final* embeddings, so center and context share one
-  /// table; tied-weight SGNS repulsion pushes served vectors around the
-  /// geometry directly (word2vec avoids this with a separate output table)
-  /// and in a bounded few-round refresh it reliably costs more ranking
-  /// quality on the streamed edges than it buys in contrast. Collapse —
-  /// the failure negatives exist to prevent — needs epochs this refresh
-  /// never runs.
-  size_t num_negatives = 0;
   /// Epochs over the regenerated pair set.
   size_t sgd_rounds = 2;
-  /// Pairs per SGNS minibatch.
-  size_t minibatch = 256;
+  /// Per-pair SGD step size; must be positive and finite (IngestBatch
+  /// rejects anything else).
   float learning_rate = 0.05f;
-  /// Optional post-SGNS smoothing: each dirty row is blended toward the
-  /// mean of its (embedded) neighbors, new_row = (1-a)*row + a*mean. 0
-  /// disables the pass.
-  float smoothing_alpha = 0.0f;
+  /// Seeds the walk draws and the init of streamed-in rows.
   uint64_t seed = 1;
 };
 
@@ -68,9 +65,14 @@ struct IngestStats {
 /// DynamicGraphOverlay, localizes the damage (dirty frontier = touched
 /// nodes + K-hop neighborhoods), regenerates short walks from dirty roots
 /// only, replays bounded SGNS updates against the LiveEmbeddingStore's
-/// staging tables, and publishes a fresh snapshot.
-/// Everything outside the dirty region keeps its bits; cost scales with the
+/// staging tables, and publishes a fresh snapshot. Cost scales with the
 /// delta, not the graph.
+///
+/// Write set: a walk from a dirty root takes walk_length - 1 steps and both
+/// endpoints of every pair it yields are updated, so rows up to
+/// k_hops + walk_length - 1 hops (over all relations) from a touched node
+/// can change. Rows no such walk reaches — in particular every row farther
+/// out than that bound — keep their exact bits.
 ///
 /// Single-threaded by contract (one ingest thread owns the overlay, the
 /// refresher, and the live store's writer side); serving reads go through
@@ -83,8 +85,14 @@ class IncrementalRefresher {
                        RefreshOptions options);
 
   /// Applies `batch` to the overlay, refreshes the dirty region, and
-  /// publishes a new store version. Errors leave the overlay unchanged
-  /// (batch validation happens before any mutation).
+  /// publishes a new store version. A learning rate that is not positive
+  /// and finite, or an invalid batch, is rejected before any mutation
+  /// (InvalidArgument; overlay and staging unchanged). If training leaves
+  /// a written row non-finite, returns FailedPrecondition, bumps
+  /// core/nonfinite_loss and does not publish: the front snapshot stays the
+  /// last good version, but the overlay already holds the batch and the
+  /// staging rows hold the blown-up values (the next Publish would serve
+  /// them).
   StatusOr<IngestStats> IngestBatch(std::span<const GraphDelta> batch);
 
   /// The dirty frontier of a touched set: `touched` plus every node within
@@ -105,15 +113,11 @@ class IncrementalRefresher {
   std::vector<SkipGramPair> HarvestDirtyPairs(
       std::span<const NodeId> dirty, std::span<const EdgeTriple> new_edges);
 
-  /// Runs `sgd_rounds` of minibatched SGNS over `pairs` against staging
-  /// rows; negatives are drawn from (and updated within) the dirty set so
-  /// the write set stays bounded. Returns pairs actually trained (pairs
-  /// whose endpoints have rows).
-  size_t TrainPairs(std::vector<SkipGramPair>& pairs,
-                    std::span<const NodeId> dirty);
-
-  /// Blends each dirty row toward its neighborhood mean (smoothing_alpha).
-  void SmoothDirtyRows(std::span<const NodeId> dirty);
+  /// Runs `sgd_rounds` of minibatched attraction-only SGNS over `pairs`,
+  /// updating staging rows in place. Returns pairs trained over all rounds
+  /// (pairs whose endpoints both have rows), or FailedPrecondition when a
+  /// row it wrote ends non-finite.
+  StatusOr<size_t> TrainPairs(std::vector<SkipGramPair>& pairs);
 
   /// Rows freshly appended by EnsureRow get a small deterministic random
   /// init so their context gradients are non-degenerate; pre-existing rows

@@ -204,8 +204,6 @@ Var Scale(const Var& a, float alpha) {
   });
 }
 
-Var Neg(const Var& a) { return Scale(a, -1.0f); }
-
 Var Transpose(const Var& a) {
   return MakeOp(hybridgnn::Transpose(a->value), {a}, [](Node& n) {
     Node* a = n.parent(0);
@@ -250,23 +248,6 @@ Var Relu(const Var& a) {
     const float* x = a->value.data();
     float* d = da.data();
     for (size_t i = 0; i < da.size(); ++i) d[i] = x[i] > 0.0f ? g[i] : 0.0f;
-    a->AccumulateGrad(da);
-  });
-}
-
-Var LogSigmoid(const Var& a) {
-  Tensor out = hybridgnn::LogSigmoid(a->value);
-  return MakeOp(std::move(out), {a}, [](Node& n) {
-    Node* a = n.parent(0);
-    if (!a->requires_grad) return;
-    Tensor da = Tensor::Uninit(n.grad.rows(), n.grad.cols());
-    const float* g = n.grad.data();
-    const float* x = a->value.data();
-    float* d = da.data();
-    for (size_t i = 0; i < da.size(); ++i) {
-      // d/dx log sigmoid(x) = sigmoid(-x)
-      d[i] = g[i] / (1.0f + std::exp(x[i]));
-    }
     a->AccumulateGrad(da);
   });
 }
@@ -635,20 +616,6 @@ Var BceWithLogits(const Var& logits, const std::vector<float>& targets) {
     }
     logits->AccumulateGrad(d);
   });
-}
-
-Var SgnsLoss(const Var& pos, const Var& neg) {
-  HYBRIDGNN_CHECK(pos != nullptr || neg != nullptr)
-      << "SgnsLoss needs at least one of pos/neg";
-  Var total;
-  if (pos != nullptr) {
-    total = Neg(MeanAll(LogSigmoid(pos)));
-  }
-  if (neg != nullptr) {
-    Var neg_term = Neg(MeanAll(LogSigmoid(Neg(neg))));
-    total = total == nullptr ? neg_term : Add(total, neg_term);
-  }
-  return total;
 }
 
 }  // namespace hybridgnn::ag

@@ -127,13 +127,10 @@ Var Sub(const Var& a, const Var& b);
 Var Mul(const Var& a, const Var& b);
 Var AddRowBroadcast(const Var& a, const Var& bias);
 Var Scale(const Var& a, float alpha);
-Var Neg(const Var& a);
 Var Transpose(const Var& a);
 Var Sigmoid(const Var& a);
 Var Tanh(const Var& a);
 Var Relu(const Var& a);
-/// Numerically stable log(sigmoid(x)).
-Var LogSigmoid(const Var& a);
 Var SoftmaxRows(const Var& a);
 Var RowwiseDot(const Var& a, const Var& b);
 Var MeanRows(const Var& a);
@@ -172,12 +169,6 @@ Var GatherRows(const Var& table, std::vector<int32_t> indices);
 /// Mean binary cross-entropy with logits. `logits` is [m,1]; `targets` has m
 /// entries in {0,1} (soft labels allowed).
 Var BceWithLogits(const Var& logits, const std::vector<float>& targets);
-
-/// Skip-gram negative-sampling loss:
-///   -mean(log sigmoid(pos)) - mean(log sigmoid(-neg))
-/// `pos`/`neg` are [p,1] and [q,1] score columns. Either may be absent
-/// (pass nullptr) when a batch has no such samples.
-Var SgnsLoss(const Var& pos, const Var& neg);
 
 }  // namespace hybridgnn::ag
 

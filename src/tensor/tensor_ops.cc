@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/logging.h"
 #include "kernels/kernels.h"
@@ -141,12 +143,6 @@ Tensor Tanh(const Tensor& a) {
 
 Tensor Relu(const Tensor& a) {
   return Map(a, [](float x) { return x > 0.0f ? x : 0.0f; });
-}
-
-Tensor LogSigmoid(const Tensor& a) {
-  return Map(a, [](float x) {
-    return std::min(x, 0.0f) - std::log1p(std::exp(-std::abs(x)));
-  });
 }
 
 Tensor Log(const Tensor& a) {
@@ -300,12 +296,19 @@ void L2NormalizeRowsInPlace(Tensor& a) {
   }
 }
 
-bool AllFinite(const Tensor& t) {
-  const float* x = t.data();
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (!std::isfinite(x[i])) return false;
+bool AllFinite(const Tensor& t) { return AllFinite(t.data(), t.size()); }
+
+bool AllFinite(const float* x, size_t n) {
+  // A float is inf or NaN exactly when all its exponent bits are set. A
+  // branch-free integer OR over the bits vectorizes, where an early-exit
+  // std::isfinite loop does not.
+  uint32_t nonfinite = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, x + i, sizeof(bits));
+    nonfinite |= static_cast<uint32_t>((bits & 0x7f800000u) == 0x7f800000u);
   }
-  return true;
+  return nonfinite == 0;
 }
 
 float CosineSimilarity(const Tensor& a, const Tensor& b) {

@@ -70,14 +70,13 @@ Tensor ConcatRows(const std::vector<Tensor>& parts);
 /// Horizontally concatenates matrices with equal row counts.
 Tensor ConcatCols(const std::vector<Tensor>& parts);
 
-/// Numerically stable elementwise log(sigmoid(x)): min(x,0) - log1p(e^-|x|).
-Tensor LogSigmoid(const Tensor& a);
-
 /// L2-normalizes each row in place (rows with tiny norm are left unchanged).
 void L2NormalizeRowsInPlace(Tensor& a);
 
 /// True when every element of `t` is finite (no NaN, no +-Inf).
 bool AllFinite(const Tensor& t);
+/// The same over `n` floats at `x`.
+bool AllFinite(const float* x, size_t n);
 
 /// Cosine similarity between two equal-length row vectors (1 x n).
 float CosineSimilarity(const Tensor& a, const Tensor& b);

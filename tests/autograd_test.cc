@@ -226,7 +226,6 @@ TEST(AutogradGradCheck, Activations) {
   Var a = MakeParam(2, 3, 7);
   CheckGradients({a}, [&] { return ag::SumAll(ag::Sigmoid(a)); });
   CheckGradients({a}, [&] { return ag::SumAll(ag::Tanh(a)); });
-  CheckGradients({a}, [&] { return ag::SumAll(ag::LogSigmoid(a)); });
 }
 
 TEST(AutogradGradCheck, SoftmaxRows) {
@@ -456,21 +455,6 @@ TEST(AutogradGradCheck, BceWithLogits) {
   std::vector<float> targets = {1.0f, 0.0f, 1.0f, 0.0f};
   CheckGradients({logits},
                  [&] { return ag::BceWithLogits(logits, targets); });
-}
-
-TEST(AutogradGradCheck, SgnsLoss) {
-  Var pos = MakeParam(3, 1, 25);
-  Var neg = MakeParam(5, 1, 26);
-  CheckGradients({pos, neg}, [&] { return ag::SgnsLoss(pos, neg); });
-}
-
-TEST(AutogradTest, SgnsLossHandlesMissingSides) {
-  Var pos = MakeParam(3, 1, 27);
-  Var loss_pos_only = ag::SgnsLoss(pos, nullptr);
-  EXPECT_GT(loss_pos_only->value.At(0, 0), 0.0f);
-  Var neg = MakeParam(3, 1, 28);
-  Var loss_neg_only = ag::SgnsLoss(nullptr, neg);
-  EXPECT_GT(loss_neg_only->value.At(0, 0), 0.0f);
 }
 
 TEST(AutogradTest, BceMatchesManualComputation) {

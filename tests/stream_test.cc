@@ -2,12 +2,14 @@
 // corruption rejection (mirroring checkpoint_corruption_test.cc's contract
 // that every bad file comes back as a clean Status), overlay equivalence
 // against a rebuilt CSR graph, dirty-frontier expansion, and the
-// incremental refresher's two core guarantees — streamed edges score higher
-// after a refresh, and rows outside the dirty region keep their exact bits.
+// incremental refresher's core guarantees — streamed edges score higher
+// after a refresh, rows past walk reach keep their exact bits, the step's
+// output is pinned bit for bit, and a non-finite step never publishes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -15,6 +17,9 @@
 
 #include "common/rng.h"
 #include "eval/metrics.h"
+#include "kernels/kernels.h"
+#include "obs/metrics.h"
+#include "serve/checkpoint.h"
 #include "serve/embedding_store.h"
 #include "serve/topk.h"
 #include "stream/delta_log.h"
@@ -220,6 +225,9 @@ TEST(DeltaLogTest, TextLoaderPinpointsBadLines) {
       {"add-node 5 ghost\n", "unknown node type"},
       {"add-edge 5 0 9\n", "add-edge needs"},
       {"transmogrify 1 2\n", "unknown record kind"},
+      {"add-edge 5 -1 9 view\n", "node id out of range"},
+      // 2^32 + 1 would wrap to node 1.
+      {"add-edge 5 4294967297 9 view\n", "node id out of range"},
   };
   for (const Case& c : cases) {
     std::ofstream(path, std::ios::trunc) << "# comment\n" << c.content;
@@ -257,6 +265,86 @@ TEST(DeltaLogTest, ValidateDeltasCatchesStructuralViolations) {
     EXPECT_NE(st.message().find(c.expect), std::string::npos)
         << st.ToString();
   }
+}
+
+// Seeded mutation fuzzer over both delta-log formats: flips, truncations,
+// splices and insertions of a valid binary .hgd log and a valid text log.
+// Every mutant must load to a clean Status or to a delta vector that
+// ValidateDeltas either rejects with a Status or passes — and a vector it
+// passes must apply to an overlay. scripts/asan_check.sh runs this under
+// ASan + UBSan, which turns any overread or UB in the loaders into a hard
+// failure.
+TEST(DeltaLogFuzzTest, MutantsLoadToStatusOrValidDeltas) {
+  MultiplexHeteroGraph g = MakeBaseGraph();
+  std::vector<GraphDelta> deltas = SampleDeltas();
+  deltas.push_back(GraphDelta::AddEdge(3, 12, 1, uint64_t{1} << 40));
+  deltas.push_back(GraphDelta::AddNode(0, 300, /*expected_id=*/13));
+  const std::string bin_path = TempPath("fuzz_base.hgd");
+  const std::string text_path = TempPath("fuzz_base.txt");
+  ASSERT_TRUE(SaveDeltaLogBinary(deltas, bin_path).ok());
+  ASSERT_TRUE(SaveDeltaLogText(deltas, g, text_path).ok());
+  const std::vector<char> pristine[] = {ReadFile(bin_path),
+                                        ReadFile(text_path)};
+  const std::string mutant_path = TempPath("fuzz_mutant");
+
+  Rng rng(0xF0221);
+  auto pick = [&](size_t n) {
+    return static_cast<size_t>(rng.UniformUint64(n));
+  };
+  size_t loaded = 0, rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::vector<char>& base = pristine[trial % 2];
+    std::vector<char> bytes = base;
+    switch (pick(4)) {
+      case 0:  // flip 1-4 bytes
+        for (size_t k = 0, n = 1 + pick(4); k < n; ++k) {
+          bytes[pick(bytes.size())] ^= static_cast<char>(1 + pick(255));
+        }
+        break;
+      case 1:  // truncate
+        bytes.resize(pick(bytes.size()));
+        break;
+      case 2: {  // splice a chunk of either log over a random position
+        const std::vector<char>& donor = pristine[pick(2)];
+        const size_t from = pick(donor.size());
+        const size_t len =
+            1 + pick(std::min<size_t>(40, donor.size() - from));
+        const size_t at = pick(bytes.size());
+        bytes.resize(std::max(bytes.size(), at + len));
+        std::copy(donor.begin() + static_cast<long>(from),
+                  donor.begin() + static_cast<long>(from + len),
+                  bytes.begin() + static_cast<long>(at));
+        break;
+      }
+      default: {  // insert random bytes
+        const size_t at = pick(bytes.size() + 1);
+        std::vector<char> junk(1 + pick(24));
+        for (char& c : junk) c = static_cast<char>(pick(256));
+        bytes.insert(bytes.begin() + static_cast<long>(at), junk.begin(),
+                     junk.end());
+        break;
+      }
+    }
+    WriteFile(mutant_path, bytes);
+    // The text parser also sees the binary mutants' bytes.
+    for (const auto& result :
+         {LoadDeltaLog(mutant_path, g), LoadDeltaLogText(mutant_path, g)}) {
+      if (!result.ok()) {
+        ++rejected;
+        continue;
+      }
+      ++loaded;
+      Status valid = ValidateDeltas(*result, g.num_nodes(),
+                                    g.num_relations(), g.num_node_types());
+      if (!valid.ok()) continue;
+      DynamicGraphOverlay overlay(&g);
+      EXPECT_TRUE(overlay.Apply(*result).ok())
+          << "validated deltas failed to apply (trial " << trial << ")";
+    }
+  }
+  // Both outcomes occur, so the mutations reach past the first check.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // -------------------------------------------------------------- edge filter
@@ -471,10 +559,7 @@ TEST(RefresherTest, RowsOutsideDirtyRegionKeepTheirBits) {
   EmbeddingStore store = MakeStore(g, 8, 13);
   DynamicGraphOverlay overlay(&g);
   auto live = MakeLive(g, store);
-  RefreshOptions opts;
-  opts.smoothing_alpha = 0.25f;  // smoothing must also respect the region
-  opts.num_negatives = 3;        // negatives come from the dirty pool only
-  IncrementalRefresher refresher(&overlay, live.get(), opts);
+  IncrementalRefresher refresher(&overlay, live.get(), RefreshOptions{});
 
   // Island rows (nodes 4, 5, 10, 11) before a main-component batch.
   const NodeId island[] = {4, 5, 10, 11};
@@ -502,47 +587,172 @@ TEST(RefresherTest, RowsOutsideDirtyRegionKeepTheirBits) {
   }
 }
 
-// Regression: num_negatives > 0 with a relation group whose dirty set has
-// no rows in that relation's table. Walk pairs between nodes outside the
-// dirty set keep the group non-empty while the negative pool is empty, so
-// the gather loop must honor the pool-derived negs_per_pair (0), not the
-// configured num_negatives — the mismatch used to read past an empty
-// negatives vector and memcpy into 0-row tensors.
-TEST(RefresherTest, EmptyNegativePoolGroupTrainsWithoutNegatives) {
-  MultiplexHeteroGraph g = MakeBaseGraph();
-  // Custom store: the "buy" table excludes the streamed endpoints 0 and 9,
-  // so the dirty set {0, 9} contributes no buy-relation negatives, while
-  // buy walks from those roots still yield trainable pairs between covered
-  // nodes (e.g. the (6, 6) pair of an oscillating 0-6 walk).
-  std::vector<EmbeddingStore::TableInit> tables;
-  Rng rng(23);
-  for (RelationId r = 0; r < g.num_relations(); ++r) {
-    EmbeddingStore::TableInit t;
-    t.name = g.relation_name(r);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (r == 1 && (v == 0 || v == 9)) continue;
-      t.row_to_node.push_back(v);
+/// Fnv1a64 over every staging row, table by table in row order.
+uint64_t StagingHash(const LiveEmbeddingStore& live) {
+  std::vector<float> rows;
+  for (RelationId r = 0; r < live.num_relations(); ++r) {
+    for (size_t i = 0; i < live.NumRows(r); ++i) {
+      const float* row = live.Row(r, live.RowNode(r, i));
+      rows.insert(rows.end(), row, row + live.dim());
     }
-    t.data = Tensor(t.row_to_node.size(), 8);
-    for (size_t i = 0; i < t.data.size(); ++i) {
-      t.data.data()[i] = rng.UniformFloat(-0.5f, 0.5f);
-    }
-    tables.push_back(std::move(t));
   }
-  auto store =
-      EmbeddingStore::FromTables("test", g.num_nodes(), std::move(tables));
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  DynamicGraphOverlay overlay(&g);
-  auto live = MakeLive(g, *store);
+  return Fnv1a64(rows.data(), rows.size() * sizeof(float));
+}
+
+// Pins the refresher's exact output: three default-option batches on a
+// small connected graph (one streamed-in node, both relations) must leave
+// these staging bits and this pair count. A change to the SGNS step that
+// is meant to be a pure refactor must pass this without re-pinning.
+TEST(RefresherTest, DefaultRefreshMatchesGolden) {
+  kernels::ScopedBackend scalar(kernels::Backend::kScalar);
+  GraphBuilder b;
+  ASSERT_TRUE(b.AddNodeType("user").ok());
+  ASSERT_TRUE(b.AddNodeType("item").ok());
+  ASSERT_TRUE(b.AddRelation("view").ok());
+  ASSERT_TRUE(b.AddRelation("buy").ok());
+  ASSERT_TRUE(b.AddNodes(0, 6).ok());
+  ASSERT_TRUE(b.AddNodes(1, 6).ok());
+  // User u views items 6+u and 6+(u+1)%6 (one 12-cycle); buys 6+u for
+  // even u.
+  for (NodeId u = 0; u < 6; ++u) {
+    ASSERT_TRUE(b.AddEdge(u, 6 + u, 0).ok());
+    ASSERT_TRUE(b.AddEdge(u, 6 + (u + 1) % 6, 0).ok());
+    if (u % 2 == 0) {
+      ASSERT_TRUE(b.AddEdge(u, 6 + u, 1).ok());
+    }
+  }
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EmbeddingStore store = MakeStore(*g, 8, 29);
+  DynamicGraphOverlay overlay(&*g);
+  auto live = MakeLive(*g, store);
   RefreshOptions opts;
-  opts.k_hops = 0;  // dirty set stays exactly {0, 9}
-  opts.num_negatives = 3;
+  opts.seed = 31;
   IncrementalRefresher refresher(&overlay, live.get(), opts);
 
-  auto stats = refresher.IngestBatch(
-      std::vector<GraphDelta>{GraphDelta::AddEdge(0, 9, 0, 1)});
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GT(stats->pairs_trained, 0u);
+  const std::vector<std::vector<GraphDelta>> batches = {
+      {GraphDelta::AddEdge(0, 9, 0, 1), GraphDelta::AddEdge(3, 7, 1, 2)},
+      {GraphDelta::AddNode(1, 3), GraphDelta::AddEdge(1, 12, 0, 4),
+       GraphDelta::AddEdge(4, 12, 0, 5)},
+      {GraphDelta::AddEdge(5, 8, 1, 6), GraphDelta::AddEdge(2, 11, 0, 7)},
+  };
+  size_t pairs = 0;
+  for (const auto& batch : batches) {
+    auto stats = refresher.IngestBatch(batch);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    pairs += stats->pairs_trained;
+  }
+  EXPECT_EQ(pairs, 5568u);
+  EXPECT_EQ(StagingHash(*live), 0x7fc494b242c26ba6ull)
+      << std::hex << StagingHash(*live);
+}
+
+// The write set of a refresh is bounded by walk reach, not by the dirty
+// frontier: walks from frontier roots take walk_length - 1 steps and both
+// pair endpoints move. On a path graph with default options (k_hops 1,
+// walk_length 6) rows within 1 + 5 hops of a touched node may change;
+// rows beyond keep their bits.
+TEST(RefresherTest, WriteSetStopsAtWalkReach) {
+  GraphBuilder b;
+  ASSERT_TRUE(b.AddNodeType("n").ok());
+  ASSERT_TRUE(b.AddRelation("r").ok());
+  constexpr NodeId kNodes = 20;
+  ASSERT_TRUE(b.AddNodes(0, kNodes).ok());
+  for (NodeId v = 0; v + 1 < kNodes; ++v) {
+    ASSERT_TRUE(b.AddEdge(v, v + 1, 0).ok());  // path 0-1-...-19
+  }
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  EmbeddingStore store = MakeStore(*g, 8, 19);
+  DynamicGraphOverlay overlay(&*g);
+  auto live = MakeLive(*g, store);
+  const RefreshOptions opts;
+  IncrementalRefresher refresher(&overlay, live.get(), opts);
+  std::vector<std::vector<float>> before;
+  for (NodeId v = 0; v < kNodes; ++v) {
+    before.emplace_back(live->Row(0, v), live->Row(0, v) + live->dim());
+  }
+
+  // Touches {0, 2}; after the shortcut, node v >= 2 sits v - 2 hops out.
+  ASSERT_TRUE(refresher
+                  .IngestBatch(std::vector<GraphDelta>{
+                      GraphDelta::AddEdge(0, 2, 0)})
+                  .ok());
+  const std::vector<NodeId> touched = {0, 2};
+  const std::vector<NodeId> dirty =
+      refresher.DirtyFrontier(touched, opts.k_hops);
+  const NodeId reach = 2 + static_cast<NodeId>(opts.k_hops +
+                                               opts.walk_length - 1);
+  auto changed = [&](NodeId v) {
+    return std::memcmp(live->Row(0, v), before[v].data(),
+                       live->dim() * sizeof(float)) != 0;
+  };
+  bool changed_outside_frontier = false;
+  for (NodeId v = 0; v < kNodes; ++v) {
+    if (v > reach) {
+      EXPECT_FALSE(changed(v)) << "row " << v << " is past walk reach";
+    } else if (!std::binary_search(dirty.begin(), dirty.end(), v) &&
+               changed(v)) {
+      changed_outside_frontier = true;
+    }
+  }
+  EXPECT_TRUE(changed_outside_frontier)
+      << "walks should carry updates past the dirty frontier";
+}
+
+// A learning rate that is not positive and finite is refused before the
+// overlay or staging is touched.
+TEST(RefresherTest, RejectsBadLearningRateBeforeMutation) {
+  for (float lr : {std::numeric_limits<float>::quiet_NaN(), -1.0f, 0.0f,
+                   std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE(lr);
+    MultiplexHeteroGraph g = MakeBaseGraph();
+    EmbeddingStore store = MakeStore(g, 8, 37);
+    DynamicGraphOverlay overlay(&g);
+    auto live = MakeLive(g, store);
+    const uint64_t staging = StagingHash(*live);
+    RefreshOptions opts;
+    opts.learning_rate = lr;
+    IncrementalRefresher refresher(&overlay, live.get(), opts);
+    auto stats = refresher.IngestBatch(
+        std::vector<GraphDelta>{GraphDelta::AddEdge(0, 9, 0, 1)});
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(overlay.num_delta_edges(), 0u);
+    EXPECT_EQ(live->version(), 1u);
+    EXPECT_EQ(StagingHash(*live), staging);
+  }
+}
+
+// A step that blows rows up (lr * minibatch overflows to inf at FLT_MAX)
+// fails the batch, bumps core/nonfinite_loss and publishes nothing: the
+// front snapshot stays the last good version.
+TEST(RefresherTest, NonFiniteRowsBlockPublish) {
+  MultiplexHeteroGraph g = MakeBaseGraph();
+  EmbeddingStore store = MakeStore(g, 8, 41);
+  DynamicGraphOverlay overlay(&g);
+  auto live = MakeLive(g, store);
+  RefreshOptions opts;
+  opts.learning_rate = std::numeric_limits<float>::max();
+  IncrementalRefresher refresher(&overlay, live.get(), opts);
+  obs::Counter& nonfinite =
+      obs::GlobalRegistry().GetCounter("core/nonfinite_loss");
+  const uint64_t before = nonfinite.value();
+  auto front = live->Acquire();
+
+  auto stats = refresher.IngestBatch(std::vector<GraphDelta>{
+      GraphDelta::AddEdge(0, 9, 0, 1), GraphDelta::AddEdge(1, 7, 1, 2)});
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(nonfinite.value(), before + 1);
+  EXPECT_EQ(live->version(), 1u);
+  EXPECT_EQ(live->Acquire(), front);
+  // The served rows are still the checkpoint's.
+  const float* served = live->Acquire()->store.Lookup(0, 0);
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(std::memcmp(served, store.Lookup(0, 0),
+                        store.dim() * sizeof(float)),
+            0);
 }
 
 TEST(RefresherTest, StreamedInNodeBecomesServable) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "tensor/init.h"
@@ -201,6 +202,30 @@ TEST(TensorOpsTest, L2NormalizeRows) {
   EXPECT_NEAR(a.At(0, 0), 0.6f, 1e-6);
   EXPECT_NEAR(a.At(0, 1), 0.8f, 1e-6);
   EXPECT_EQ(a.At(1, 0), 0.0f);  // zero row untouched
+}
+
+// AllFinite tests exponent bits instead of calling std::isfinite; check it
+// against std::isfinite on edge values, with the odd value at every
+// position of a 37-float run (vector body and scalar tail).
+TEST(TensorOpsTest, AllFiniteMatchesIsfinite) {
+  const float values[] = {0.0f,
+                          -0.0f,
+                          1.0f,
+                          std::numeric_limits<float>::max(),
+                          -std::numeric_limits<float>::max(),
+                          std::numeric_limits<float>::denorm_min(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN(),
+                          -std::numeric_limits<float>::quiet_NaN()};
+  for (float v : values) {
+    for (size_t pos = 0; pos < 37; ++pos) {
+      Tensor t = Tensor::Full(1, 37, 0.5f);
+      t.At(0, pos) = v;
+      EXPECT_EQ(AllFinite(t), static_cast<bool>(std::isfinite(v)))
+          << v << " at " << pos;
+    }
+  }
 }
 
 TEST(TensorOpsTest, CosineSimilarity) {
