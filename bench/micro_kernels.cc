@@ -33,6 +33,7 @@ constexpr size_t kScoreRows = 256;  // matches serve/topk.cc's block size
 struct Workload {
   std::vector<float> a, b, c;      // dim-sized operand rows
   std::vector<float> table;        // kScoreRows x dim candidate block
+  std::vector<uint32_t> ids;       // row ids 0..kScoreRows-1
   std::vector<double> scores;      // kScoreRows outputs
 };
 
@@ -43,6 +44,7 @@ Workload MakeWorkload(size_t dim, Rng& rng) {
   w.c.resize(dim);
   w.table.resize(kScoreRows * dim);
   w.scores.resize(kScoreRows);
+  for (uint32_t i = 0; i < kScoreRows; ++i) w.ids.push_back(i);
   for (auto* v : {&w.a, &w.b, &w.c}) {
     for (auto& x : *v) x = rng.UniformFloat(-1.0f, 1.0f);
   }
@@ -140,8 +142,8 @@ void Run() {
           });
         } else {
           cell = TimeCell(reps, 2 * dim * kScoreRows, [&] {
-            k::ScoreBlock(w.a.data(), w.table.data(), kScoreRows, dim,
-                          w.scores.data());
+            k::ScoreBlock(w.a.data(), w.table.data(), w.ids.data(),
+                          kScoreRows, dim, w.scores.data());
             return w.scores[0] + w.scores[kScoreRows - 1];
           });
         }

@@ -1,11 +1,14 @@
 // Micro benchmark for the quantized serving path and admission control:
 //
 //   scan:     exact top-k QPS over one embedding table, measured per store
-//             dtype (fp32 / int8) through TopKRecommender, plus
-//             recall@10 of the int8 store against the fp32 exact
-//             ranking on the same queries; an int8+ANN column tracks the
-//             quantization x candidate-generation composition (the ANN
-//             gate itself lives in bench/micro_ann);
+//             dtype (fp32 / int8) through TopKRecommender in interleaved
+//             fp32/int8 repeats, plus recall@10 of the int8 store against
+//             the fp32 exact ranking on the same queries; an int8+ANN
+//             column tracks the quantization x candidate-generation
+//             composition (the ANN gate itself lives in bench/micro_ann);
+//   typed:    fp32 QPS of the typed query (candidate_type = item, every
+//             other table row) that the paper's relation-specific top-K
+//             and the serve_live benchmark send; reported, not gated;
 //   overload: a RecommendService with a bounded queue driven open-loop at
 //             2x its measured closed-loop capacity — the shed counter must
 //             move and the served p99 must stay bounded by the queue size,
@@ -16,9 +19,10 @@
 //
 //   micro_serve_qps [--rows N] [--dim N] [--queries N] [--gate]
 //
-// --gate exits non-zero unless int8 is >= 2x the fp32 exact-scan QPS at
-// recall@10 >= 0.95, and the overload run sheds while keeping served p99
-// within the queue-derived bound (ci_check.sh runs it with --gate).
+// --gate exits non-zero unless int8 is >= 2x the fp32 exact-scan QPS (the
+// median of the per-repeat ratios) at recall@10 >= 0.95, and the overload
+// run sheds while keeping served p99 within the queue-derived bound
+// (ci_check.sh runs it with --gate).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -31,6 +35,7 @@
 
 #include "bench_json.h"
 #include "common/rng.h"
+#include "graph/graph.h"
 #include "serve/embedding_store.h"
 #include "serve/service.h"
 #include "serve/topk.h"
@@ -67,6 +72,21 @@ EmbeddingStore MakeStore(size_t rows, size_t dim) {
     std::exit(1);
   }
   return std::move(store).value();
+}
+
+/// `rows` nodes alternating user (even ids) and item (odd ids) under one
+/// edgeless relation: the typed scan's candidates are every other row.
+MultiplexHeteroGraph MakeTypedGraph(size_t rows) {
+  GraphBuilder b;
+  bool ok = b.AddNodeType("user").ok() && b.AddNodeType("item").ok() &&
+            b.AddRelation("click").ok();
+  for (NodeId v = 0; ok && v < rows; ++v) ok = b.AddNode(v % 2).ok();
+  auto g = b.Build();
+  if (!ok || !g.ok()) {
+    std::fprintf(stderr, "FATAL: typed graph build failed\n");
+    std::exit(1);
+  }
+  return std::move(g).value();
 }
 
 std::vector<TopKQuery> MakeQueries(size_t n, size_t rows) {
@@ -263,29 +283,60 @@ int Main(int argc, char** argv) {
   ann_options.ann_build.M = 24;  // micro_ann's gate config
   TopKRecommender rec_i8_ann(&*i8, nullptr, ann_options);
 
+  const MultiplexHeteroGraph typed_graph = MakeTypedGraph(rows);
+  TopKRecommender rec_f32_typed(&f32, &typed_graph, options);
+
   const auto queries = MakeQueries(num_queries, rows);
-  const double kMinSeconds = 0.4;
-  ScanResult scan_f32 = MeasureScan(rec_f32, queries, kMinSeconds);
-  ScanResult scan_i8 = MeasureScan(rec_i8, queries, kMinSeconds);
-  ScanResult scan_i8_ann = MeasureScan(rec_i8_ann, queries, kMinSeconds);
+  auto typed_queries = queries;
+  for (auto& q : typed_queries) q.candidate_type = 1;  // item
+  // The fp32 and int8 scans alternate, so a slow stretch of a shared host
+  // hits both sides of a ratio; the gate reads the median ratio.
+  const int kRepeats = 5;
+  const double kMinSeconds = 0.15;
+  ScanResult scan_f32, scan_i8;
+  std::vector<double> f32_qps, i8_qps, ratios;
+  for (int r = 0; r < kRepeats; ++r) {
+    ScanResult f = MeasureScan(rec_f32, queries, kMinSeconds);
+    ScanResult i = MeasureScan(rec_i8, queries, kMinSeconds);
+    f32_qps.push_back(f.qps);
+    i8_qps.push_back(i.qps);
+    ratios.push_back(i.qps / f.qps);
+    if (r == 0) {
+      scan_f32 = std::move(f);
+      scan_i8 = std::move(i);
+    }
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  scan_f32.qps = median(f32_qps);
+  scan_i8.qps = median(i8_qps);
+  ScanResult scan_i8_ann = MeasureScan(rec_i8_ann, queries, 0.4);
+  ScanResult scan_f32_typed = MeasureScan(rec_f32_typed, typed_queries, 0.4);
 
   const double recall_i8 = RecallAt10(scan_f32.topk, scan_i8.topk);
   const double recall_i8_ann = RecallAt10(scan_f32.topk, scan_i8_ann.topk);
-  const double speedup_i8 = scan_i8.qps / scan_f32.qps;
+  const double speedup_i8 = median(ratios);
   const double speedup_i8_ann = scan_i8_ann.qps / scan_f32.qps;
 
   std::printf("  fp32 exact scan : %9.0f qps (recall@10 1.0000 by "
-              "definition)\n",
-              scan_f32.qps);
-  std::printf("  int8 scan       : %9.0f qps (%.2fx, recall@10 %.4f, "
-              "gate >= 2x at >= 0.95)\n",
-              scan_i8.qps, speedup_i8, recall_i8);
+              "definition; median of %d)\n",
+              scan_f32.qps, kRepeats);
+  std::printf("  int8 scan       : %9.0f qps (%.2fx median of %d ratios "
+              "%.2f..%.2f, recall@10 %.4f, gate >= 2x at >= 0.95)\n",
+              scan_i8.qps, speedup_i8, kRepeats,
+              *std::min_element(ratios.begin(), ratios.end()),
+              *std::max_element(ratios.begin(), ratios.end()), recall_i8);
   std::printf("  int8 + ann      : %9.0f qps (%.2fx, recall@10 %.4f, "
               "%s)\n",
               scan_i8_ann.qps, speedup_i8_ann, recall_i8_ann,
               rec_i8_ann.ann_enabled() && rec_i8_ann.ann_indexes()[0]
                   ? "hnsw candidate generation"
                   : "exact fallback — table below ann_min_rows");
+  std::printf("  fp32 typed scan : %9.0f qps (candidate_type item, %zu of "
+              "%zu rows)\n",
+              scan_f32_typed.qps, typed_graph.NodesOfType(1).size(), rows);
 
   OverloadResult overload = MeasureOverload(rec_i8);
   const double shed_frac = overload.submitted > 0
@@ -311,6 +362,7 @@ int Main(int argc, char** argv) {
   report.AddStage("fp32_qps", 1, 0.0, scan_f32.qps);
   report.AddStage("int8_qps", 1, 0.0, scan_i8.qps);
   report.AddStage("int8_ann_qps", 1, 0.0, scan_i8_ann.qps);
+  report.AddStage("fp32_typed_qps", 1, 0.0, scan_f32_typed.qps);
   report.AddStage("int8_recall_at_10", 1, 0.0, recall_i8);
   report.AddStage("int8_ann_recall_at_10", 1, 0.0, recall_i8_ann);
   report.AddStage("int8_speedup", 1, 0.0, speedup_i8);

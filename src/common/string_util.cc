@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -59,6 +60,20 @@ StatusOr<int64_t> ParseInt64(std::string_view text) {
     return Status::InvalidArgument("not an integer: " + buf);
   }
   return static_cast<int64_t>(v);
+}
+
+StatusOr<uint64_t> ParseUint64(std::string_view text) {
+  const std::string buf(StripWhitespace(text));
+  uint64_t v = 0;
+  const char* last = buf.data() + buf.size();
+  const auto [end, ec] = std::from_chars(buf.data(), last, v);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::OutOfRange("integer overflow: " + buf);
+  }
+  if (buf.empty() || ec != std::errc() || end != last) {
+    return Status::InvalidArgument("not an unsigned integer: " + buf);
+  }
+  return v;
 }
 
 StatusOr<double> ParseDouble(std::string_view text) {

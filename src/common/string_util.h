@@ -22,6 +22,10 @@ std::string Join(const std::vector<std::string>& parts,
 /// Parses a base-10 signed integer; whole string must be consumed.
 StatusOr<int64_t> ParseInt64(std::string_view text);
 
+/// Parses a base-10 unsigned integer; whole string must be consumed. A sign
+/// (`-` or `+`) is rejected, not wrapped.
+StatusOr<uint64_t> ParseUint64(std::string_view text);
+
 /// Parses a floating point number; whole string must be consumed.
 StatusOr<double> ParseDouble(std::string_view text);
 

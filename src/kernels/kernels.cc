@@ -110,16 +110,17 @@ float SgnsUpdateStep(const float* e, float* c, float* e_grad, size_t n,
   return Active().sgns_update_step(e, c, e_grad, n, label, lr);
 }
 
-void ScoreBlock(const float* query, const float* rows, size_t num_rows,
-                size_t n, double* out) {
-  Active().score_block(query, rows, num_rows, n, out);
+void ScoreBlock(const float* query, const float* table, const uint32_t* rows,
+                size_t num_rows, size_t n, double* out) {
+  Active().score_block(query, table, rows, num_rows, n, out);
 }
 
-void ScoreBlockI8(const float* query, const uint8_t* rows,
+void ScoreBlockI8(const float* query, const uint8_t* table,
                   const float* scales, const float* zeros, double query_sum,
-                  size_t num_rows, size_t n, double* out) {
-  Active().score_block_i8(query, rows, scales, zeros, query_sum, num_rows, n,
-                          out);
+                  const uint32_t* rows, size_t num_rows, size_t n,
+                  double* out) {
+  Active().score_block_i8(query, table, scales, zeros, query_sum, rows,
+                          num_rows, n, out);
 }
 
 void SegmentSum(const float* x, size_t dim, const size_t* indptr,

@@ -8,9 +8,9 @@ namespace hybridgnn::kernels {
 
 /// Runtime-dispatched dense float kernels backing the library's hot loops:
 /// the Hogwild skip-gram inner loop (sampling/sgns.cc, baselines/line.cc),
-/// blocked top-K candidate scoring (serve/topk.cc), the dense reductions in
-/// tensor/tensor_ops.cc, and the frontier segment reductions / CSR SpMM
-/// behind the sparse aggregation ops in nn/sparse.cc.
+/// in-place top-K candidate scoring (serve/block_scorer.cc), the dense
+/// reductions in tensor/tensor_ops.cc, and the frontier segment reductions /
+/// CSR SpMM behind the sparse aggregation ops in nn/sparse.cc.
 ///
 /// Two implementations exist behind one entry point each:
 ///   * kScalar — plain loops, semantically identical to the pre-kernel-layer
@@ -34,6 +34,8 @@ namespace hybridgnn::kernels {
 ///     tests/kernel_test.cc and DESIGN.md §11 for the exact bounds).
 ///   * ScoreBlock: accumulates in double on both paths; backend drift is
 ///     bounded by double rounding of the partial sums (~1e-15 relative).
+///     On each backend a multi-row ScoreBlock{,I8} call is bitwise equal to
+///     one-row calls.
 ///   * SegmentSum / SegmentMean / SegmentMax / CsrSpmm: bit-identical. The
 ///     vector bodies accumulate each output element through the same
 ///     mul-then-add chain (in the same row order) as the scalar reference —
@@ -91,24 +93,33 @@ void Scale(float alpha, float* x, size_t n);
 float SgnsUpdateStep(const float* e, float* c, float* e_grad, size_t n,
                      float label, float lr);
 
-/// Batched candidate scoring for top-K retrieval: out[i] = sum_j
-/// query[j] * rows[i*n + j], accumulated in double. `rows` is `num_rows`
-/// contiguous row-major rows of length n (an EmbeddingStore table slice).
-void ScoreBlock(const float* query, const float* rows, size_t num_rows,
-                size_t n, double* out);
+/// In-place candidate scoring for top-K retrieval: out[i] = sum_j query[j] *
+/// table[rows[i]*n + j], accumulated in double, over `num_rows` row ids of
+/// a row-major table of length-n rows, in any order, duplicates allowed.
+void ScoreBlock(const float* query, const float* table, const uint32_t* rows,
+                size_t num_rows, size_t n, double* out);
+
+/// sum_j a[j] * b[j] accumulated in double: ScoreBlock over the one row b.
+inline double DotDouble(const float* a, const float* b, size_t n) {
+  const uint32_t row = 0;
+  double s = 0.0;
+  ScoreBlock(a, b, &row, 1, n, &s);
+  return s;
+}
 
 /// ScoreBlock over per-row affine-quantized uint8 rows (the int8
-/// EmbeddingStore payload): candidate element j of row i dequantizes as
-/// zeros[i] + scales[i] * rows[i*n+j], so
-///   out[i] = scales[i] * sum_j(query[j] * rows[i*n+j])
-///          + zeros[i] * query_sum
+/// EmbeddingStore payload): element j of table row r dequantizes as
+/// zeros[r] + scales[r] * table[r*n+j], so with r = rows[i]
+///   out[i] = scales[r] * sum_j(query[j] * table[r*n+j])
+///          + zeros[r] * query_sum
 /// with query_sum = sum_j query[j] precomputed once per query. The inner
 /// sum accumulates in float (the vector path reassociates across lanes and
 /// fuses mul+add), so backends agree to ULP-scaled tolerance, not bitwise;
 /// the final affine step widens to double.
-void ScoreBlockI8(const float* query, const uint8_t* rows,
+void ScoreBlockI8(const float* query, const uint8_t* table,
                   const float* scales, const float* zeros, double query_sum,
-                  size_t num_rows, size_t n, double* out);
+                  const uint32_t* rows, size_t num_rows, size_t n,
+                  double* out);
 
 /// Sentinel argmax value written by SegmentMax for empty segments.
 inline constexpr uint32_t kNoSegmentRow = UINT32_MAX;

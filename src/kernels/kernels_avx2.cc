@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/parallel.h"
 #include "kernels/kernels.h"
@@ -106,26 +107,108 @@ float SgnsUpdateStepAvx2(const float* e, float* c, float* e_grad, size_t n,
   return g;
 }
 
-void ScoreBlockAvx2(const float* query, const float* rows, size_t num_rows,
-                    size_t n, double* out) {
-  for (size_t i = 0; i < num_rows; ++i) {
-    const float* row = rows + i * n;
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      const __m256 q = _mm256_loadu_ps(query + j);
-      const __m256 r = _mm256_loadu_ps(row + j);
-      acc0 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(q)),
-                             _mm256_cvtps_pd(_mm256_castps256_ps128(r)),
-                             acc0);
-      acc1 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(q, 1)),
-                             _mm256_cvtps_pd(_mm256_extractf128_ps(r, 1)),
-                             acc1);
+// The indexed scan kernels score R = 4 rows per pass with independent
+// accumulators, so the FMA chains of different rows overlap instead of
+// waiting on each other's latency; leftover rows go through R = 1. Each
+// row runs exactly the one-row operation sequence (two accumulators over
+// 8- or 16-wide steps, the same horizontal sum, the same scalar tail), so
+// interleaving changes no output bit.
+
+/// Scores table rows ids[0..R) against the query widened to double (`q`).
+template <size_t R>
+inline __attribute__((always_inline)) void ScoreRowsF32(
+    const double* q, const float* table, const uint32_t* ids, size_t n,
+    double* out) {
+  const size_t n8 = n & ~size_t{7};
+  const float* row[R];
+  __m256d lo[R], hi[R];
+#pragma GCC unroll 4
+  for (size_t k = 0; k < R; ++k) {
+    row[k] = table + static_cast<size_t>(ids[k]) * n;
+    lo[k] = hi[k] = _mm256_setzero_pd();
+  }
+  for (size_t j = 0; j < n8; j += 8) {
+    const __m256d q_lo = _mm256_loadu_pd(q + j);
+    const __m256d q_hi = _mm256_loadu_pd(q + j + 4);
+#pragma GCC unroll 4
+    for (size_t k = 0; k < R; ++k) {
+      const __m256 r = _mm256_loadu_ps(row[k] + j);
+      const __m256d r_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(r));
+      const __m256d r_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(r, 1));
+      lo[k] = _mm256_fmadd_pd(q_lo, r_lo, lo[k]);
+      hi[k] = _mm256_fmadd_pd(q_hi, r_hi, hi[k]);
     }
-    double s = Hsum256d(_mm256_add_pd(acc0, acc1));
-    for (; j < n; ++j) s += static_cast<double>(query[j]) * row[j];
-    out[i] = s;
+  }
+#pragma GCC unroll 4
+  for (size_t k = 0; k < R; ++k) {
+    double s = Hsum256d(_mm256_add_pd(lo[k], hi[k]));
+    for (size_t j = n8; j < n; ++j) s += q[j] * row[k][j];
+    out[k] = s;
+  }
+}
+
+void ScoreBlockAvx2(const float* query, const float* table,
+                    const uint32_t* rows, size_t num_rows, size_t n,
+                    double* out) {
+  if (num_rows == 0) return;
+  // Widen the query to double once per call; every row reuses it.
+  constexpr size_t kStackDims = 1024;
+  double stack_q[kStackDims];
+  std::vector<double> heap_q(n > kStackDims ? n : 0);
+  double* q = n > kStackDims ? heap_q.data() : stack_q;
+  for (size_t j = 0; j < n; ++j) q[j] = static_cast<double>(query[j]);
+  size_t i = 0;
+  for (; i + 4 <= num_rows; i += 4) {
+    ScoreRowsF32<4>(q, table, rows + i, n, out + i);
+  }
+  for (; i < num_rows; ++i) ScoreRowsF32<1>(q, table, rows + i, n, out + i);
+}
+
+/// 8 u8 codes at `row + j`, widened to floats.
+inline __m256 LoadU8(const uint8_t* row, size_t j) {
+  return _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(row + j))));
+}
+
+/// Scores int8 table rows ids[0..R): float dot, then the per-row affine.
+template <size_t R>
+inline __attribute__((always_inline)) void ScoreRowsI8(
+    const float* query, const uint8_t* table, const float* scales,
+    const float* zeros, double query_sum, const uint32_t* ids, size_t n,
+    double* out) {
+  const uint8_t* row[R];
+  __m256 acc0[R], acc1[R];
+#pragma GCC unroll 4
+  for (size_t k = 0; k < R; ++k) {
+    row[k] = table + static_cast<size_t>(ids[k]) * n;
+    acc0[k] = acc1[k] = _mm256_setzero_ps();
+  }
+  size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    const __m256 q0 = _mm256_loadu_ps(query + j);
+    const __m256 q1 = _mm256_loadu_ps(query + j + 8);
+#pragma GCC unroll 4
+    for (size_t k = 0; k < R; ++k) {
+      acc0[k] = _mm256_fmadd_ps(q0, LoadU8(row[k], j), acc0[k]);
+      acc1[k] = _mm256_fmadd_ps(q1, LoadU8(row[k], j + 8), acc1[k]);
+    }
+  }
+  if (j + 8 <= n) {
+    const __m256 q0 = _mm256_loadu_ps(query + j);
+#pragma GCC unroll 4
+    for (size_t k = 0; k < R; ++k) {
+      acc0[k] = _mm256_fmadd_ps(q0, LoadU8(row[k], j), acc0[k]);
+    }
+    j += 8;
+  }
+#pragma GCC unroll 4
+  for (size_t k = 0; k < R; ++k) {
+    float acc = Hsum256(_mm256_add_ps(acc0[k], acc1[k]));
+    for (size_t t = j; t < n; ++t) {
+      acc += query[t] * static_cast<float>(row[k][t]);
+    }
+    out[k] = static_cast<double>(scales[ids[k]]) * static_cast<double>(acc) +
+             static_cast<double>(zeros[ids[k]]) * query_sum;
   }
 }
 
@@ -134,33 +217,18 @@ void ScoreBlockAvx2(const float* query, const float* rows, size_t num_rows,
 // pure query x u8-row product: 8 bytes widen to 8 floats and fmadd into a
 // float accumulator. The float reduction reassociates across lanes, so
 // backends agree to ULP-scaled tolerance (same contract as Dot).
-void ScoreBlockI8Avx2(const float* query, const uint8_t* rows,
+void ScoreBlockI8Avx2(const float* query, const uint8_t* table,
                       const float* scales, const float* zeros,
-                      double query_sum, size_t num_rows, size_t n,
-                      double* out) {
-  for (size_t i = 0; i < num_rows; ++i) {
-    const uint8_t* row = rows + i * n;
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      const __m256 r0 = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(row + j))));
-      const __m256 r1 = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(row + j + 8))));
-      acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(query + j), r0, acc0);
-      acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(query + j + 8), r1, acc1);
-    }
-    if (j + 8 <= n) {
-      const __m256 r0 = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(row + j))));
-      acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(query + j), r0, acc0);
-      j += 8;
-    }
-    float acc = Hsum256(_mm256_add_ps(acc0, acc1));
-    for (; j < n; ++j) acc += query[j] * static_cast<float>(row[j]);
-    out[i] = static_cast<double>(scales[i]) * static_cast<double>(acc) +
-             static_cast<double>(zeros[i]) * query_sum;
+                      double query_sum, const uint32_t* rows,
+                      size_t num_rows, size_t n, double* out) {
+  size_t i = 0;
+  for (; i + 4 <= num_rows; i += 4) {
+    ScoreRowsI8<4>(query, table, scales, zeros, query_sum, rows + i, n,
+                   out + i);
+  }
+  for (; i < num_rows; ++i) {
+    ScoreRowsI8<1>(query, table, scales, zeros, query_sum, rows + i, n,
+                   out + i);
   }
 }
 

@@ -15,9 +15,11 @@ struct KernelOps {
   void (*scale)(float, float*, size_t);
   float (*sgns_update_step)(const float*, float*, float*, size_t, float,
                             float);
-  void (*score_block)(const float*, const float*, size_t, size_t, double*);
+  void (*score_block)(const float*, const float*, const uint32_t*, size_t,
+                      size_t, double*);
   void (*score_block_i8)(const float*, const uint8_t*, const float*,
-                         const float*, double, size_t, size_t, double*);
+                         const float*, double, const uint32_t*, size_t,
+                         size_t, double*);
   void (*segment_sum)(const float*, size_t, const size_t*, size_t, float*);
   void (*segment_mean)(const float*, size_t, const size_t*, size_t, float*);
   void (*segment_max)(const float*, size_t, const size_t*, size_t, float*,

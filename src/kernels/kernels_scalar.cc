@@ -49,10 +49,11 @@ float SgnsUpdateStepScalar(const float* e, float* c, float* e_grad, size_t n,
   return g;
 }
 
-void ScoreBlockScalar(const float* query, const float* rows, size_t num_rows,
-                      size_t n, double* out) {
+void ScoreBlockScalar(const float* query, const float* table,
+                      const uint32_t* rows, size_t num_rows, size_t n,
+                      double* out) {
   for (size_t i = 0; i < num_rows; ++i) {
-    const float* row = rows + i * n;
+    const float* row = table + static_cast<size_t>(rows[i]) * n;
     double s = 0.0;
     for (size_t j = 0; j < n; ++j) {
       s += static_cast<double>(query[j]) * row[j];
@@ -61,18 +62,19 @@ void ScoreBlockScalar(const float* query, const float* rows, size_t num_rows,
   }
 }
 
-void ScoreBlockI8Scalar(const float* query, const uint8_t* rows,
+void ScoreBlockI8Scalar(const float* query, const uint8_t* table,
                         const float* scales, const float* zeros,
-                        double query_sum, size_t num_rows, size_t n,
-                        double* out) {
+                        double query_sum, const uint32_t* rows,
+                        size_t num_rows, size_t n, double* out) {
   for (size_t i = 0; i < num_rows; ++i) {
-    const uint8_t* row = rows + i * n;
+    const size_t id = rows[i];
+    const uint8_t* row = table + id * n;
     float acc = 0.0f;
     for (size_t j = 0; j < n; ++j) {
       acc += query[j] * static_cast<float>(row[j]);
     }
-    out[i] = static_cast<double>(scales[i]) * static_cast<double>(acc) +
-             static_cast<double>(zeros[i]) * query_sum;
+    out[i] = static_cast<double>(scales[id]) * static_cast<double>(acc) +
+             static_cast<double>(zeros[id]) * query_sum;
   }
 }
 

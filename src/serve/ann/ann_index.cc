@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <queue>
 
 #include "common/parallel.h"
@@ -116,7 +115,6 @@ struct AnnIndex::Builder {
     std::vector<Scored> pool;
     std::vector<uint32_t> batch;
     std::vector<double> scores;
-    std::vector<float> gather;
 
     explicit Scratch(size_t rows) : visited(rows) {}
   };
@@ -142,25 +140,12 @@ struct AnnIndex::Builder {
     return vecs + static_cast<size_t>(row) * idx->dim_;
   }
 
-  double Sim(const float* q, uint32_t row) const {
-    double s = 0.0;
-    kernels::ScoreBlock(q, Vec(row), 1, idx->dim_, &s);
-    return s;
-  }
-
-  /// out[i] = dot(q, vec(rows[i])) in one gathered kernel call — the build
+  /// out[i] = dot(q, vec(rows[i])) in one indexed kernel call — the build
   /// hot path expands whole adjacency lists at a time, and one ScoreBlock
-  /// over a gathered slab beats a kernel dispatch per neighbor.
-  void SimMany(const float* q, const uint32_t* rows, size_t n, double* out,
-               Scratch& s) const {
-    const size_t dim = idx->dim_;
-    if (s.gather.size() < n * dim) s.gather.resize(n * dim);
-    for (size_t i = 0; i < n; ++i) {
-      std::memcpy(s.gather.data() + i * dim,
-                  vecs + static_cast<size_t>(rows[i]) * dim,
-                  dim * sizeof(float));
-    }
-    kernels::ScoreBlock(q, s.gather.data(), n, dim, out);
+  /// over them beats a kernel dispatch per neighbor.
+  void SimMany(const float* q, const uint32_t* rows, size_t n,
+               double* out) const {
+    kernels::ScoreBlock(q, vecs, rows, n, idx->dim_, out);
   }
 
   /// Materializes (or borrows) the fp32 vector matrix from `store`.
@@ -220,7 +205,7 @@ struct AnnIndex::Builder {
     s.visited.NextEpoch();
     std::priority_queue<Scored, std::vector<Scored>, BestOnTop> beam;
     std::priority_queue<Scored, std::vector<Scored>, WorstOnTop> results;
-    const Scored first{Sim(q, ep), ep};
+    const Scored first{kernels::DotDouble(q, Vec(ep), idx->dim_), ep};
     s.visited.TestAndSet(ep);
     beam.push(first);
     results.push(first);
@@ -234,7 +219,7 @@ struct AnnIndex::Builder {
       }
       if (s.batch.empty()) continue;
       s.scores.resize(s.batch.size());
-      SimMany(q, s.batch.data(), s.batch.size(), s.scores.data(), s);
+      SimMany(q, s.batch.data(), s.batch.size(), s.scores.data());
       for (size_t i = 0; i < s.batch.size(); ++i) {
         const Scored cand{s.scores[i], s.batch[i]};
         if (results.size() < ef || Better(cand, results.top())) {
@@ -258,7 +243,7 @@ struct AnnIndex::Builder {
       auto links = Links(ep.row, level);
       if (links.empty()) return ep;
       s.scores.resize(links.size());
-      SimMany(q, links.data(), links.size(), s.scores.data(), s);
+      SimMany(q, links.data(), links.size(), s.scores.data());
       Scored best = ep;
       for (size_t i = 0; i < links.size(); ++i) {
         const Scored cand{s.scores[i], links[i]};
@@ -282,12 +267,12 @@ struct AnnIndex::Builder {
       if (selected.size() >= m) break;
       bool keep = true;
       if (!selected.empty()) {
-        // One gathered kernel call for c-vs-every-kept, instead of a
+        // One indexed kernel call for c-vs-every-kept, instead of a
         // dispatch per kept neighbor (the early-exit saved less than the
         // per-call overhead cost).
         serial.scores.resize(selected.size());
         SimMany(Vec(c.row), selected.data(), selected.size(),
-                serial.scores.data(), serial);
+                serial.scores.data());
         for (double between : serial.scores) {
           if (between > c.sim) {
             keep = false;
@@ -332,7 +317,7 @@ struct AnnIndex::Builder {
     serial.batch.push_back(to);
     serial.scores.resize(serial.batch.size());
     SimMany(fv, serial.batch.data(), serial.batch.size(),
-            serial.scores.data(), serial);
+            serial.scores.data());
     std::vector<Scored> cand;
     cand.reserve(serial.batch.size());
     for (size_t i = 0; i < serial.batch.size(); ++i) {
@@ -355,7 +340,7 @@ struct AnnIndex::Builder {
     const int start_level =
         start == idx->entry_ ? idx->max_level_ : idx->levels_[start];
     const float* q = Vec(row);
-    Scored ep{Sim(q, start), start};
+    Scored ep{kernels::DotDouble(q, Vec(start), idx->dim_), start};
     for (int l = start_level; l > level; --l) {
       ep = GreedyStep(q, ep, l, s);
     }
@@ -544,7 +529,7 @@ StatusOr<std::shared_ptr<const AnnIndex>> AnnIndex::Patched(
   return std::shared_ptr<const AnnIndex>(std::move(idx));
 }
 
-void AnnIndex::Search(BlockScorer& scorer, size_t ef,
+void AnnIndex::Search(const BlockScorer& scorer, size_t ef,
                       std::span<const float> row_norms,
                       std::vector<uint32_t>* out, SearchStats* stats) const {
   out->clear();
@@ -555,10 +540,7 @@ void AnnIndex::Search(BlockScorer& scorer, size_t ef,
   std::vector<uint32_t> batch_rows;
   std::vector<double> batch_scores;
   auto score_many = [&](const uint32_t* rows, size_t n, double* sims) {
-    for (size_t base = 0; base < n; base += BlockScorer::kBlockRows) {
-      const size_t count = std::min(BlockScorer::kBlockRows, n - base);
-      scorer.ScoreRows(rows + base, count, sims + base);
-    }
+    scorer.ScoreRows(rows, n, sims);
     if (!row_norms.empty()) {
       for (size_t i = 0; i < n; ++i) {
         const float norm = row_norms[rows[i]];

@@ -110,8 +110,9 @@ class AnnIndex {
   /// `row_norms` (cosine mode) holds the per-row L2 norms the recommender
   /// precomputed — raw kernel scores are divided by them so traversal ranks
   /// in the same space the index was built in (empty span = raw dot).
-  void Search(BlockScorer& scorer, size_t ef, std::span<const float> row_norms,
-              std::vector<uint32_t>* out, SearchStats* stats) const;
+  void Search(const BlockScorer& scorer, size_t ef,
+              std::span<const float> row_norms, std::vector<uint32_t>* out,
+              SearchStats* stats) const;
 
   size_t num_rows() const { return num_rows_; }
   size_t dim() const { return dim_; }

@@ -1,7 +1,6 @@
 #include "serve/block_scorer.h"
 
-#include <cassert>
-#include <cstring>
+#include <algorithm>
 
 #include "kernels/kernels.h"
 
@@ -9,8 +8,7 @@ namespace hybridgnn {
 
 BlockScorer::BlockScorer(const EmbeddingStore* store, RelationId rel,
                          const float* query)
-    : store_(store),
-      dtype_(store->dtype()),
+    : dtype_(store->dtype()),
       dim_(store->dim()),
       num_rows_(store->NumRows(rel)),
       query_(query) {
@@ -30,48 +28,26 @@ BlockScorer::BlockScorer(const EmbeddingStore* store, RelationId rel,
 }
 
 void BlockScorer::ScoreRange(size_t base, size_t count, double* out) const {
-  switch (dtype_) {
-    case StoreDType::kF32:
-      kernels::ScoreBlock(query_, table_ + base * dim_, count, dim_, out);
-      return;
-    case StoreDType::kI8:
-      kernels::ScoreBlockI8(query_, qtable_ + base * dim_, scales_ + base,
-                            zeros_ + base, query_sum_, count, dim_, out);
-      return;
+  uint32_t ids[kBlockRows];
+  for (size_t done = 0; done < count; done += kBlockRows) {
+    const size_t n = std::min(kBlockRows, count - done);
+    for (size_t i = 0; i < n; ++i) {
+      ids[i] = static_cast<uint32_t>(base + done + i);
+    }
+    ScoreRows(ids, n, out + done);
   }
 }
 
-void BlockScorer::ScoreRows(const uint32_t* rows, size_t count, double* out) {
-  assert(count <= kBlockRows);
+void BlockScorer::ScoreRows(const uint32_t* rows, size_t count,
+                            double* out) const {
   switch (dtype_) {
-    case StoreDType::kF32: {
-      if (gather_f32_.empty()) gather_f32_.resize(kBlockRows * dim_);
-      float* dst = gather_f32_.data();
-      for (size_t i = 0; i < count; ++i) {
-        std::memcpy(dst + i * dim_, table_ + static_cast<size_t>(rows[i]) * dim_,
-                    dim_ * sizeof(float));
-      }
-      kernels::ScoreBlock(query_, dst, count, dim_, out);
+    case StoreDType::kF32:
+      kernels::ScoreBlock(query_, table_, rows, count, dim_, out);
       return;
-    }
-    case StoreDType::kI8: {
-      if (gather_bytes_.empty()) {
-        gather_bytes_.resize(kBlockRows * dim_);
-        gather_scales_.resize(kBlockRows);
-        gather_zeros_.resize(kBlockRows);
-      }
-      uint8_t* dst = gather_bytes_.data();
-      for (size_t i = 0; i < count; ++i) {
-        const size_t row = rows[i];
-        std::memcpy(dst + i * dim_, qtable_ + row * dim_, dim_);
-        gather_scales_[i] = scales_[row];
-        gather_zeros_[i] = zeros_[row];
-      }
-      kernels::ScoreBlockI8(query_, dst, gather_scales_.data(),
-                            gather_zeros_.data(), query_sum_, count, dim_,
-                            out);
+    case StoreDType::kI8:
+      kernels::ScoreBlockI8(query_, qtable_, scales_, zeros_, query_sum_,
+                            rows, count, dim_, out);
       return;
-    }
   }
 }
 

@@ -23,14 +23,8 @@ struct WorseOnTop {
   }
 };
 
-/// Rows scored per block on both the dense scan and the gathered scans.
+/// Rows scored per block on the dense and typed scans.
 constexpr size_t kScoreBlockRows = BlockScorer::kBlockRows;
-
-double DotDouble(const float* a, const float* b, size_t dim) {
-  double s = 0.0;
-  kernels::ScoreBlock(a, b, 1, dim, &s);
-  return s;
-}
 
 }  // namespace
 
@@ -114,7 +108,8 @@ TopKRecommender::TopKRecommender(const EmbeddingStore* store,
           store_->DequantizeRow(r, static_cast<uint32_t>(i), dequant.data());
           row = dequant.data();
         }
-        norms[i] = static_cast<float>(std::sqrt(DotDouble(row, row, dim)));
+        norms[i] =
+            static_cast<float>(std::sqrt(kernels::DotDouble(row, row, dim)));
       }
     }
   }
@@ -223,7 +218,7 @@ StatusOr<std::vector<Recommendation>> TopKRecommender::Recommend(
   }
   double query_norm = 1.0;
   if (options_.cosine) {
-    query_norm = std::sqrt(DotDouble(query_row, query_row, dim));
+    query_norm = std::sqrt(kernels::DotDouble(query_row, query_row, dim));
     if (query_norm == 0.0) query_norm = 1.0;
   }
   std::span<const NodeId> train_nbrs;
@@ -237,8 +232,8 @@ StatusOr<std::vector<Recommendation>> TopKRecommender::Recommend(
       extra_excluded = extra_filter_->Excluded(q.node, q.rel);  // sorted
     }
   }
-  // One dtype-dispatched scorer serves the dense scan, the gathered typed
-  // scan, the ANN traversal, and the ANN re-rank.
+  // One dtype-dispatched scorer serves the dense scan, the typed scan, the
+  // ANN traversal, and the ANN re-rank.
   BlockScorer scorer(store_, q.rel, query_row);
 
   // Bounded min-heap over the candidate scan. `heap` is kept as a vector
@@ -306,22 +301,18 @@ StatusOr<std::vector<Recommendation>> TopKRecommender::Recommend(
       index->Search(scorer, pool_target, norms, &pool, &stats);
       hops.Add(stats.hops);
       candidates.Add(pool.size());
-      // Re-rank the pool through the exact kernels in gathered blocks, then
-      // run the same consider() filters the exact scan applies.
-      double scores[kScoreBlockRows];
-      for (size_t base = 0; base < pool.size(); base += kScoreBlockRows) {
-        const size_t count = std::min(kScoreBlockRows, pool.size() - base);
-        scorer.ScoreRows(pool.data() + base, count, scores);
-        for (size_t i = 0; i < count; ++i) {
-          const uint32_t row = pool[base + i];
-          const NodeId cand = store_->RowNode(q.rel, row);
-          if (q.candidate_type != kInvalidNodeType &&
-              (cand >= graph_->num_nodes() ||
-               graph_->node_type(cand) != q.candidate_type)) {
-            continue;
-          }
-          consider(cand, row, scores[i]);
+      // Re-rank the pool through the exact kernels in place, then run the
+      // same consider() filters the exact scan applies.
+      std::vector<double> scores(pool.size());
+      scorer.ScoreRows(pool.data(), pool.size(), scores.data());
+      for (size_t i = 0; i < pool.size(); ++i) {
+        const NodeId cand = store_->RowNode(q.rel, pool[i]);
+        if (q.candidate_type != kInvalidNodeType &&
+            (cand >= graph_->num_nodes() ||
+             graph_->node_type(cand) != q.candidate_type)) {
+          continue;
         }
+        consider(cand, pool[i], scores[i]);
       }
       rerank_rows.Add(pool.size());
       const size_t reachable =
@@ -339,10 +330,9 @@ StatusOr<std::vector<Recommendation>> TopKRecommender::Recommend(
   }
 
   if (q.candidate_type != kInvalidNodeType) {
-    // Type-filtered candidates hit scattered table rows; gather them into
-    // block-sized buffers and score through the same kernels as the dense
-    // scan (bitwise identical to the old per-row scoring — see
-    // BlockScorer).
+    // Type-filtered candidates hit scattered table rows; collect a block of
+    // their row ids and score those rows in place through the same kernels
+    // as the dense scan (bitwise equal per row — see BlockScorer).
     uint32_t rows_buf[kScoreBlockRows];
     NodeId cand_buf[kScoreBlockRows];
     double scores[kScoreBlockRows];

@@ -229,18 +229,21 @@ StatusOr<std::vector<GraphDelta>> LoadDeltaLogText(
       if (fields.size() != 3) {
         return fail("add-node needs <timestamp> <type-name>");
       }
-      HYBRIDGNN_ASSIGN_OR_RETURN(int64_t ts, ParseInt64(fields[1]));
+      // Timestamps are uint64_t end to end: a signed parse would reject the
+      // upper half and wrap a negative one.
+      auto ts = ParseUint64(fields[1]);
+      if (!ts.ok()) return fail("bad timestamp: " + ts.status().message());
       const NodeTypeId type = base.FindNodeType(fields[2]);
       if (type == kInvalidNodeType) {
         return fail("unknown node type: " + fields[2]);
       }
-      deltas.push_back(
-          GraphDelta::AddNode(type, static_cast<uint64_t>(ts)));
+      deltas.push_back(GraphDelta::AddNode(type, *ts));
     } else if (fields[0] == "add-edge") {
       if (fields.size() != 5) {
         return fail("add-edge needs <timestamp> <src> <dst> <relation-name>");
       }
-      HYBRIDGNN_ASSIGN_OR_RETURN(int64_t ts, ParseInt64(fields[1]));
+      auto ts = ParseUint64(fields[1]);
+      if (!ts.ok()) return fail("bad timestamp: " + ts.status().message());
       HYBRIDGNN_ASSIGN_OR_RETURN(int64_t src, ParseInt64(fields[2]));
       HYBRIDGNN_ASSIGN_OR_RETURN(int64_t dst, ParseInt64(fields[3]));
       // kInvalidNode (2^32 - 1) and above would wrap to another node id.
@@ -254,7 +257,7 @@ StatusOr<std::vector<GraphDelta>> LoadDeltaLogText(
       }
       deltas.push_back(GraphDelta::AddEdge(static_cast<NodeId>(src),
                                            static_cast<NodeId>(dst), rel,
-                                           static_cast<uint64_t>(ts)));
+                                           *ts));
     } else {
       return fail("unknown record kind: " + fields[0]);
     }

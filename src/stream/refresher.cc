@@ -217,10 +217,11 @@ StatusOr<size_t> IncrementalRefresher::TrainPairs(
       }
       if (!AllFinite(written[k], dim)) {
         obs::GlobalRegistry().GetCounter("core/nonfinite_loss").Add();
-        return Status::FailedPrecondition(
+        poisoned_ = Status::FailedPrecondition(
             "stream refresh: a trained row of relation " +
             live_->relation_name(rel) + " is not finite (learning rate " +
-            std::to_string(lr) + ")");
+            std::to_string(lr) + "); rebuild the refresher and live store");
+        return poisoned_;
       }
     }
     group_begin = group_end;
@@ -231,6 +232,9 @@ StatusOr<size_t> IncrementalRefresher::TrainPairs(
 StatusOr<IngestStats> IncrementalRefresher::IngestBatch(
     std::span<const GraphDelta> batch) {
   obs::ScopedTimer timer(obs::Stage("stream/ingest_latency"));
+  // Staging still holds a failed batch's non-finite rows; any Publish from
+  // here on would serve them.
+  HYBRIDGNN_RETURN_IF_ERROR(poisoned_);
   if (!std::isfinite(options_.learning_rate) ||
       options_.learning_rate <= 0.0f) {
     return Status::InvalidArgument(

@@ -91,8 +91,10 @@ class IncrementalRefresher {
   /// a written row non-finite, returns FailedPrecondition, bumps
   /// core/nonfinite_loss and does not publish: the front snapshot stays the
   /// last good version, but the overlay already holds the batch and the
-  /// staging rows hold the blown-up values (the next Publish would serve
-  /// them).
+  /// staging rows hold the blown-up values. Every later IngestBatch then
+  /// returns that same error untouched, so no batch publishes them: a retry
+  /// (hybridgnn_serve's `ingest` retries the failed batch) keeps failing
+  /// until the refresher and live store are rebuilt from a good snapshot.
   StatusOr<IngestStats> IngestBatch(std::span<const GraphDelta> batch);
 
   /// The dirty frontier of a touched set: `touched` plus every node within
@@ -128,6 +130,8 @@ class IncrementalRefresher {
   LiveEmbeddingStore* live_;
   RefreshOptions options_;
   Rng rng_;
+  /// OK until a batch leaves a non-finite row; then that batch's error.
+  Status poisoned_;
 };
 
 }  // namespace hybridgnn

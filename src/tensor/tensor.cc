@@ -123,9 +123,7 @@ double Tensor::Sum() const {
 
 double Tensor::SquaredNorm() const {
   if (empty()) return 0.0;
-  double s = 0.0;
-  kernels::ScoreBlock(data_, data_, 1, size(), &s);
-  return s;
+  return kernels::DotDouble(data_, data_, size());
 }
 
 float Tensor::AbsMax() const {

@@ -288,8 +288,7 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
 void L2NormalizeRowsInPlace(Tensor& a) {
   for (size_t i = 0; i < a.rows(); ++i) {
     float* row = a.RowPtr(i);
-    double s = 0.0;
-    kernels::ScoreBlock(row, row, 1, a.cols(), &s);
+    const double s = kernels::DotDouble(row, row, a.cols());
     if (s < 1e-24) continue;
     const float inv = static_cast<float>(1.0 / std::sqrt(s));
     kernels::Scale(inv, row, a.cols());

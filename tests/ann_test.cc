@@ -2,7 +2,7 @@
 // candidate-generation path, DESIGN.md section 17): recall against the
 // exact scan across both store dtypes, byte-level construction determinism,
 // filter composition / over-fetch refill, exact-fallback routing, the
-// gathered-block scorer's bitwise equivalence to per-row scoring, and index
+// in-place scorer's bitwise equivalence to per-row scoring, and index
 // freshness across streaming publishes. The concurrent search-during-
 // publish case is a TSan target of scripts/tsan_check.sh.
 #include <gtest/gtest.h>
@@ -299,9 +299,9 @@ TEST(AnnRecommenderTest, AnnOffReproducesExactPath) {
   }
 }
 
-// --- gathered-block scoring: bitwise equal to per-row scoring ---
+// --- in-place scoring by row id: bitwise equal to per-row scoring ---
 
-void CheckGatherEquivalence(StoreDType dtype) {
+void CheckInPlaceEquivalence(StoreDType dtype) {
   EmbeddingStore fp32 = MakeStore(700, 24, 0x9A + static_cast<int>(dtype));
   EmbeddingStore store = std::move(fp32);
   if (dtype != StoreDType::kF32) {
@@ -311,35 +311,42 @@ void CheckGatherEquivalence(StoreDType dtype) {
   }
   std::vector<float> query(store.dim());
   store.DequantizeRow(0, 11, query.data());
-  BlockScorer scorer(&store, 0, query.data());
-  // A scattered, unsorted, duplicate-bearing row set.
+  const BlockScorer scorer(&store, 0, query.data());
+  // A scattered, unsorted, duplicate-bearing row set, longer than one
+  // scan block.
   std::vector<uint32_t> rows;
   Rng rng(0x5C);
-  for (size_t i = 0; i < BlockScorer::kBlockRows; ++i) {
+  for (size_t i = 0; i < BlockScorer::kBlockRows + 3; ++i) {
     rows.push_back(static_cast<uint32_t>(rng.UniformInt(0, 699)));
   }
-  std::vector<double> gathered(rows.size());
-  scorer.ScoreRows(rows.data(), rows.size(), gathered.data());
+  std::vector<double> scattered(rows.size());
+  scorer.ScoreRows(rows.data(), rows.size(), scattered.data());
+  // The whole table in one ScoreRange call (several blocks).
+  std::vector<double> dense(store.NumRows(0));
+  scorer.ScoreRange(0, dense.size(), dense.data());
   for (size_t i = 0; i < rows.size(); ++i) {
     double one = 0.0;
     scorer.ScoreRange(rows[i], 1, &one);
-    // Bitwise: the block kernels accumulate each row independently, so
-    // gathering rows into a scratch buffer must not change a single ulp.
-    EXPECT_EQ(gathered[i], one) << "row " << rows[i] << " under "
-                                << StoreDTypeName(dtype);
+    // Bitwise: the kernels score each row independently of the others in
+    // the call, so neither the id order nor the neighbours may change an
+    // ulp.
+    EXPECT_EQ(scattered[i], one) << "row " << rows[i] << " under "
+                                 << StoreDTypeName(dtype);
+    EXPECT_EQ(dense[rows[i]], one) << "row " << rows[i] << " under "
+                                   << StoreDTypeName(dtype);
   }
 }
 
-TEST(BlockScorerTest, GatherBitwiseEqualF32) {
-  CheckGatherEquivalence(StoreDType::kF32);
+TEST(BlockScorerTest, InPlaceBitwiseEqualF32) {
+  CheckInPlaceEquivalence(StoreDType::kF32);
 }
-TEST(BlockScorerTest, GatherBitwiseEqualI8) {
-  CheckGatherEquivalence(StoreDType::kI8);
+TEST(BlockScorerTest, InPlaceBitwiseEqualI8) {
+  CheckInPlaceEquivalence(StoreDType::kI8);
 }
 
 TEST(BlockScorerTest, TypedScanMatchesUnfilteredScores) {
-  // The type-filtered gather path must assign every returned node the same
-  // score the dense scan assigns it.
+  // The type-filtered scan must assign every returned node the same score
+  // the dense scan assigns it.
   const size_t kNodes = 1024;
   EmbeddingStore store = MakeStore(kNodes, 16, 0x77);
   MultiplexHeteroGraph g = MakeTypedGraph(kNodes, 2);

@@ -255,6 +255,18 @@ TEST(StringUtilTest, ParseInt64) {
   EXPECT_FALSE(ParseInt64("999999999999999999999999").ok());
 }
 
+TEST(StringUtilTest, ParseUint64) {
+  EXPECT_EQ(ParseUint64(" 42 ").value(), 42u);
+  EXPECT_EQ(ParseUint64("9223372036854775808").value(), uint64_t{1} << 63);
+  EXPECT_EQ(ParseUint64("18446744073709551615").value(), UINT64_MAX);
+  EXPECT_EQ(ParseUint64("18446744073709551616").status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_FALSE(ParseUint64("-5").ok());
+  EXPECT_FALSE(ParseUint64("+5").ok());
+  EXPECT_FALSE(ParseUint64("4x").ok());
+  EXPECT_FALSE(ParseUint64("").ok());
+}
+
 TEST(StringUtilTest, ParseDouble) {
   EXPECT_DOUBLE_EQ(ParseDouble("2.5").value(), 2.5);
   EXPECT_DOUBLE_EQ(ParseDouble("-1e3").value(), -1000.0);

@@ -12,9 +12,12 @@
 //                   and both within that bound of a double reference
 //   SgnsUpdateStep  g to 64 ULP; row updates elementwise via the Dot-style
 //                   bound scaled by |g| resp. the input magnitudes
-//   ScoreBlock      double accumulation on both paths: 1e-12-relative
+//   ScoreBlock      double accumulation on both paths: 1e-12-relative;
+//                   on each backend a multi-row call is bitwise equal to
+//                   one-row calls (ScoreBlockI8 too)
 // Every kernel must also be deterministic: two calls on the same backend
 // and inputs are bit-identical.
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -261,54 +264,69 @@ TEST_F(KernelTest, SgnsUpdateStepDifferential) {
   }
 }
 
+/// `count` row ids into a `table_rows`-row table, unsorted and (once
+/// count > 2) with duplicates: the scan kernels take any id order.
+std::vector<uint32_t> ScatteredIds(size_t count, size_t table_rows, Rng& rng) {
+  std::vector<uint32_t> ids(count);
+  for (auto& id : ids) {
+    id = static_cast<uint32_t>(rng.UniformUint64(table_rows));
+  }
+  if (count > 2) ids[count - 1] = ids[0];
+  return ids;
+}
+
+/// A random int8 table: codes, per-row scales and zeros.
+struct I8Table {
+  std::vector<uint8_t> codes;
+  std::vector<float> scales, zeros;
+  std::vector<float> codes_f;  // codes as floats, for the bounds
+};
+
+I8Table RandomI8Table(size_t rows, size_t n, Rng& rng) {
+  I8Table t;
+  t.codes.resize(rows * n);
+  t.codes_f.resize(rows * n);
+  t.scales.resize(rows);
+  t.zeros.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    t.scales[r] = rng.UniformFloat(1e-4f, 2e-2f);
+    t.zeros[r] = rng.UniformFloat(-1.0f, 1.0f);
+    for (size_t i = 0; i < n; ++i) {
+      t.codes[r * n + i] = static_cast<uint8_t>(rng.UniformUint64(256));
+      t.codes_f[r * n + i] = static_cast<float>(t.codes[r * n + i]);
+    }
+  }
+  return t;
+}
+
 TEST_F(KernelTest, ScoreBlockDifferential) {
   Rng rng(31337);
   for (size_t n : kDims) {
-    const size_t rows = n == 1000 ? 3 : 7;
+    const size_t table_rows = n == 1000 ? 3 : 7;
     const auto q0 = AwkwardVec(n, rng);
-    const auto t0 = AwkwardVec(rows * n, rng);
+    const auto t0 = AwkwardVec(table_rows * n, rng);
     float *q, *t;
     auto qbuf = Misalign(q0, &q);
     auto tbuf = Misalign(t0, &t);
-    std::vector<double> scalar(rows), scalar2(rows), avx2(rows);
+    const auto ids = ScatteredIds(11, table_rows, rng);
+    std::vector<double> scalar(ids.size()), scalar2(ids.size()),
+        avx2(ids.size());
     {
       k::ScopedBackend g(k::Backend::kScalar);
-      k::ScoreBlock(q, t, rows, n, scalar.data());
-      k::ScoreBlock(q, t, rows, n, scalar2.data());
+      k::ScoreBlock(q, t, ids.data(), ids.size(), n, scalar.data());
+      k::ScoreBlock(q, t, ids.data(), ids.size(), n, scalar2.data());
     }
     {
       k::ScopedBackend g(k::Backend::kAvx2);
-      k::ScoreBlock(q, t, rows, n, avx2.data());
+      k::ScoreBlock(q, t, ids.data(), ids.size(), n, avx2.data());
     }
-    for (size_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(scalar[r], scalar2[r]) << "nondeterministic, n=" << n;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(scalar[i], scalar2[i]) << "nondeterministic, n=" << n;
       // Both paths accumulate in double; drift is double-rounding of the
       // partial sums only.
       const double tol =
-          1e-12 * (SumAbsProducts(q, t + r * n, n) + 1.0);
-      EXPECT_NEAR(scalar[r], avx2[r], tol) << "n=" << n << " row=" << r;
-    }
-  }
-}
-
-TEST_F(KernelTest, ScoreBlockMatchesRowAtATime) {
-  // Blocked scoring must be exactly row-decomposable on every backend —
-  // serve/topk.cc relies on this when it mixes blocked dense scans with
-  // single-row scoring for type-filtered candidates.
-  Rng rng(5);
-  const size_t n = 65, rows = 9;
-  const auto q = AwkwardVec(n, rng);
-  const auto t = AwkwardVec(rows * n, rng);
-  for (k::Backend backend : {k::Backend::kScalar, k::Backend::kAvx2}) {
-    k::ScopedBackend g(backend);
-    std::vector<double> blocked(rows), single(rows);
-    k::ScoreBlock(q.data(), t.data(), rows, n, blocked.data());
-    for (size_t r = 0; r < rows; ++r) {
-      k::ScoreBlock(q.data(), t.data() + r * n, 1, n, &single[r]);
-    }
-    for (size_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(blocked[r], single[r])
-          << k::BackendName(backend) << " row " << r;
+          1e-12 * (SumAbsProducts(q, t + ids[i] * n, n) + 1.0);
+      EXPECT_NEAR(scalar[i], avx2[i], tol) << "n=" << n << " i=" << i;
     }
   }
 }
@@ -319,42 +337,100 @@ TEST_F(KernelTest, ScoreBlockI8Differential) {
   // affine scale, plus the double-rounding of the affine finish.
   Rng rng(888);
   for (size_t n : kDims) {
-    const size_t rows = n == 1000 ? 3 : 7;
+    const size_t table_rows = n == 1000 ? 3 : 7;
     const auto q = AwkwardVec(n, rng);
     double query_sum = 0.0;
     for (float v : q) query_sum += v;
-    std::vector<uint8_t> t(rows * n);
-    std::vector<float> scales(rows), zeros(rows);
-    std::vector<float> codes_f(rows * n);  // codes as floats, for the bound
-    for (size_t r = 0; r < rows; ++r) {
-      scales[r] = rng.UniformFloat(1e-4f, 2e-2f);
-      zeros[r] = rng.UniformFloat(-1.0f, 1.0f);
-      for (size_t i = 0; i < n; ++i) {
-        t[r * n + i] = static_cast<uint8_t>(rng.UniformUint64(256));
-        codes_f[r * n + i] = static_cast<float>(t[r * n + i]);
-      }
-    }
-    std::vector<double> scalar(rows), scalar2(rows), avx2(rows);
+    const I8Table t = RandomI8Table(table_rows, n, rng);
+    const auto ids = ScatteredIds(11, table_rows, rng);
+    auto score = [&](double* out) {
+      k::ScoreBlockI8(q.data(), t.codes.data(), t.scales.data(),
+                      t.zeros.data(), query_sum, ids.data(), ids.size(), n,
+                      out);
+    };
+    std::vector<double> scalar(ids.size()), scalar2(ids.size()),
+        avx2(ids.size());
     {
       k::ScopedBackend g(k::Backend::kScalar);
-      k::ScoreBlockI8(q.data(), t.data(), scales.data(), zeros.data(),
-                      query_sum, rows, n, scalar.data());
-      k::ScoreBlockI8(q.data(), t.data(), scales.data(), zeros.data(),
-                      query_sum, rows, n, scalar2.data());
+      score(scalar.data());
+      score(scalar2.data());
     }
     {
       k::ScopedBackend g(k::Backend::kAvx2);
-      k::ScoreBlockI8(q.data(), t.data(), scales.data(), zeros.data(),
-                      query_sum, rows, n, avx2.data());
+      score(avx2.data());
     }
-    for (size_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(scalar[r], scalar2[r]) << "nondeterministic, n=" << n;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(scalar[i], scalar2[i]) << "nondeterministic, n=" << n;
       const double inner_tol =
           2.0 * n * FLT_EPSILON *
-              SumAbsProducts(q.data(), codes_f.data() + r * n, n) +
+              SumAbsProducts(q.data(), t.codes_f.data() + ids[i] * n, n) +
           1e-30;
-      const double tol = std::abs(scales[r]) * inner_tol + 1e-12;
-      EXPECT_NEAR(scalar[r], avx2[r], tol) << "n=" << n << " row=" << r;
+      const double tol = std::abs(t.scales[ids[i]]) * inner_tol + 1e-12;
+      EXPECT_NEAR(scalar[i], avx2[i], tol) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+// The AVX2 scan kernels score 4 rows per pass; each output must still be
+// bitwise what a one-row call gives, whatever the count (full groups plus
+// 0-3 leftovers), the dim (vector steps plus scalar tails) and the id
+// order. serve/block_scorer.cc relies on this when it scores one row at a
+// time in ANN search and blocks of rows in the scans.
+const size_t kInterleaveCounts[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 257};
+const size_t kInterleaveDims[] = {1, 7, 8, 24, 128, 130};
+
+TEST_F(KernelTest, ScoreBlockInterleavedMatchesOneRowCalls) {
+  Rng rng(5);
+  const size_t table_rows = 37;
+  for (size_t n : kInterleaveDims) {
+    const auto q = AwkwardVec(n, rng);
+    const auto t = AwkwardVec(table_rows * n, rng);
+    for (size_t count : kInterleaveCounts) {
+      const auto ids = ScatteredIds(count, table_rows, rng);
+      for (k::Backend backend : {k::Backend::kScalar, k::Backend::kAvx2}) {
+        k::ScopedBackend g(backend);
+        std::vector<double> many(count, -1.0), single(count, -2.0);
+        k::ScoreBlock(q.data(), t.data(), ids.data(), count, n, many.data());
+        for (size_t i = 0; i < count; ++i) {
+          k::ScoreBlock(q.data(), t.data(), &ids[i], 1, n, &single[i]);
+        }
+        for (size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(many[i]),
+                    std::bit_cast<uint64_t>(single[i]))
+              << k::BackendName(backend) << " n=" << n << " count=" << count
+              << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelTest, ScoreBlockI8InterleavedMatchesOneRowCalls) {
+  Rng rng(6);
+  const size_t table_rows = 37;
+  for (size_t n : kInterleaveDims) {
+    const auto q = AwkwardVec(n, rng);
+    double query_sum = 0.0;
+    for (float v : q) query_sum += v;
+    const I8Table t = RandomI8Table(table_rows, n, rng);
+    for (size_t count : kInterleaveCounts) {
+      const auto ids = ScatteredIds(count, table_rows, rng);
+      auto score = [&](const uint32_t* rows, size_t m, double* out) {
+        k::ScoreBlockI8(q.data(), t.codes.data(), t.scales.data(),
+                        t.zeros.data(), query_sum, rows, m, n, out);
+      };
+      for (k::Backend backend : {k::Backend::kScalar, k::Backend::kAvx2}) {
+        k::ScopedBackend g(backend);
+        std::vector<double> many(count, -1.0), single(count, -2.0);
+        score(ids.data(), count, many.data());
+        for (size_t i = 0; i < count; ++i) score(&ids[i], 1, &single[i]);
+        for (size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(many[i]),
+                    std::bit_cast<uint64_t>(single[i]))
+              << k::BackendName(backend) << " n=" << n << " count=" << count
+              << " i=" << i;
+        }
+      }
     }
   }
 }
@@ -366,13 +442,15 @@ TEST(KernelEdgeCaseTest, QuantizedZeroLength) {
     k::ScopedBackend g(backend);
     double s = -1.0;
     // Zero rows: untouched.
-    k::ScoreBlockI8(nullptr, nullptr, nullptr, nullptr, 0.0, 0, 4, &s);
+    k::ScoreBlockI8(nullptr, nullptr, nullptr, nullptr, 0.0, nullptr, 0, 4,
+                    &s);
     EXPECT_EQ(s, -1.0);
     // Zero dim: the dot is empty, leaving only the affine term.
     const float q = 2.0f;
     const uint8_t code = 9;
     const float scale = 3.0f, zero = 0.5f;
-    k::ScoreBlockI8(&q, &code, &scale, &zero, 4.0, 1, 0, &s);
+    const uint32_t row = 0;
+    k::ScoreBlockI8(&q, &code, &scale, &zero, 4.0, &row, 1, 0, &s);
     EXPECT_EQ(s, 0.5 * 4.0);
   }
 }
@@ -392,10 +470,12 @@ TEST(KernelEdgeCaseTest, ZeroAndOneLength) {
     k::Axpy(2.0f, &x, &y, 1);
     EXPECT_EQ(y, 7.0f);
     double s = -1.0;
-    k::ScoreBlock(&x, &y, 1, 1, &s);
+    const uint32_t row = 0;
+    k::ScoreBlock(&x, &y, &row, 1, 1, &s);
     EXPECT_EQ(s, 14.0);
-    k::ScoreBlock(&x, &y, 0, 4, &s);  // zero rows: out untouched
+    k::ScoreBlock(&x, &y, nullptr, 0, 4, &s);  // zero rows: out untouched
     EXPECT_EQ(s, 14.0);
+    EXPECT_EQ(k::DotDouble(&x, &y, 1), 14.0);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include "data/profiles.h"
 #include "data/split.h"
 #include "eval/evaluator.h"
+#include "kernels/kernels.h"
 #include "serve/checkpoint.h"
 #include "serve/service.h"
 #include "serve/store_model.h"
@@ -431,6 +433,93 @@ TEST(TopKRecommenderTest, BatchIsThreadCountInvariant) {
       EXPECT_EQ((*a[i])[j].node, (*b[i])[j].node);
       EXPECT_EQ((*a[i])[j].score, (*b[i])[j].score);
     }
+  }
+}
+
+/// FNV-1a over (node id, score bits) of every typed top-10 a fixed query
+/// set returns from a fixed store and graph: exact and ANN, dot and cosine.
+/// Table rows are shuffled so each type's candidates are scattered rows.
+uint64_t TypedTopKHash(StoreDType dtype) {
+  auto ds = MakeDataset("taobao", 0.25, 5);
+  EXPECT_TRUE(ds.ok()) << ds.status().ToString();
+  const MultiplexHeteroGraph& g = ds->graph;
+  Rng rng(21);
+  std::vector<EmbeddingStore::TableInit> tables;
+  for (RelationId r = 0; r < g.num_relations(); ++r) {
+    EmbeddingStore::TableInit t;
+    t.name = g.relation_name(r);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) t.row_to_node.push_back(v);
+    rng.Shuffle(t.row_to_node);
+    t.data = Tensor(g.num_nodes(), 36);
+    for (size_t i = 0; i < t.data.size(); ++i) {
+      t.data.data()[i] = rng.UniformFloat(-1.0f, 1.0f);
+    }
+    tables.push_back(std::move(t));
+  }
+  auto store = EmbeddingStore::FromTables("typed", g.num_nodes(),
+                                          std::move(tables));
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  if (dtype == StoreDType::kI8) store = EmbeddingStore::Quantized(*store);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint32_t word) {
+    for (int b = 0; b < 4; ++b) {
+      h = (h ^ ((word >> (8 * b)) & 0xFFu)) * 1099511628211ull;
+    }
+  };
+  for (bool ann : {false, true}) {
+    for (bool cosine : {false, true}) {
+      TopKOptions options;
+      options.ann = ann;
+      options.ann_min_rows = 64;
+      options.ef_search = 32;
+      options.cosine = cosine;
+      TopKRecommender rec(&*store, &g, options);
+      for (NodeId v = 0; v < g.num_nodes(); v += 7) {
+        for (NodeTypeId t = 0; t < g.num_node_types(); ++t) {
+          TopKQuery q;
+          q.node = v;
+          q.rel = static_cast<RelationId>(v % g.num_relations());
+          q.k = 10;
+          q.candidate_type = t;
+          auto got = rec.Recommend(q);
+          EXPECT_TRUE(got.ok()) << got.status().ToString();
+          if (!got.ok()) continue;
+          for (const Recommendation& r : *got) {
+            mix(r.node);
+            mix(std::bit_cast<uint32_t>(r.score));
+          }
+        }
+      }
+    }
+  }
+  return h;
+}
+
+// Pins every typed top-K score bit per kernel backend and store dtype, so a
+// change to the scan kernels or the candidate paths must keep them.
+TEST(TopKRecommenderTest, TypedQueriesMatchGolden) {
+  struct Case {
+    kernels::Backend backend;
+    StoreDType dtype;
+    uint64_t golden;
+  };
+  const Case cases[] = {
+      {kernels::Backend::kScalar, StoreDType::kF32, 0x4fc8f881386ce55bull},
+      {kernels::Backend::kScalar, StoreDType::kI8, 0x26f94144e7cbbc23ull},
+      {kernels::Backend::kAvx2, StoreDType::kF32, 0x4fc8f881386ce55bull},
+      {kernels::Backend::kAvx2, StoreDType::kI8, 0xb7bd3860cb9cf5faull},
+  };
+  for (const Case& c : cases) {
+    if (c.backend == kernels::Backend::kAvx2 && !kernels::Avx2Available()) {
+      continue;
+    }
+    kernels::ScopedBackend scoped(c.backend);
+    const uint64_t got = TypedTopKHash(c.dtype);
+    EXPECT_EQ(got, c.golden)
+        << kernels::BackendName(c.backend) << " "
+        << (c.dtype == StoreDType::kF32 ? "f32" : "i8") << " got 0x"
+        << std::hex << got;
   }
 }
 

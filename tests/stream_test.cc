@@ -27,6 +27,7 @@
 #include "stream/overlay.h"
 #include "stream/refresher.h"
 #include "tensor/tensor.h"
+#include "tensor/tensor_ops.h"
 
 namespace hybridgnn {
 namespace {
@@ -160,6 +161,20 @@ TEST(DeltaLogTest, TextRoundTripAndAutoDetect) {
   EXPECT_EQ(*auto_text, deltas);
 }
 
+TEST(DeltaLogTest, TextRoundTripsFullTimestampRange) {
+  MultiplexHeteroGraph g = MakeBaseGraph();
+  const std::string path = TempPath("timestamps.txt");
+  const std::vector<GraphDelta> deltas = {
+      GraphDelta::AddEdge(0, 9, 0, uint64_t{1} << 63),
+      GraphDelta::AddNode(0, UINT64_MAX),
+      GraphDelta::AddEdge(1, 9, 0, UINT64_MAX),
+  };
+  ASSERT_TRUE(SaveDeltaLogText(deltas, g, path).ok());
+  auto loaded = LoadDeltaLogText(path, g);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded, deltas);
+}
+
 TEST(DeltaLogTest, RejectsTruncatedAndCorruptBinary) {
   const std::string good = TempPath("corrupt_base.hgd");
   ASSERT_TRUE(SaveDeltaLogBinary(SampleDeltas(), good).ok());
@@ -228,6 +243,10 @@ TEST(DeltaLogTest, TextLoaderPinpointsBadLines) {
       {"add-edge 5 -1 9 view\n", "node id out of range"},
       // 2^32 + 1 would wrap to node 1.
       {"add-edge 5 4294967297 9 view\n", "node id out of range"},
+      // A negative timestamp would wrap to 2^64 - 5.
+      {"add-edge -5 0 9 view\n", "bad timestamp"},
+      {"add-node -1 user\n", "bad timestamp"},
+      {"add-edge 18446744073709551616 0 9 view\n", "bad timestamp"},
   };
   for (const Case& c : cases) {
     std::ofstream(path, std::ios::trunc) << "# comment\n" << c.content;
@@ -753,6 +772,41 @@ TEST(RefresherTest, NonFiniteRowsBlockPublish) {
   EXPECT_EQ(std::memcmp(served, store.Lookup(0, 0),
                         store.dim() * sizeof(float)),
             0);
+}
+
+// The staging rows of a failed batch stay non-finite, so no later batch
+// may publish: not a retry of the same batch (its edges are duplicates by
+// then, so it trains nothing and would publish staging as is) and not a
+// fresh one.
+TEST(RefresherTest, FailedBatchPoisonsLaterBatches) {
+  MultiplexHeteroGraph g = MakeBaseGraph();
+  EmbeddingStore store = MakeStore(g, 8, 43);
+  DynamicGraphOverlay overlay(&g);
+  auto live = MakeLive(g, store);
+  RefreshOptions opts;
+  opts.learning_rate = std::numeric_limits<float>::max();
+  IncrementalRefresher refresher(&overlay, live.get(), opts);
+  const std::vector<GraphDelta> batch = {GraphDelta::AddEdge(0, 9, 0, 1),
+                                         GraphDelta::AddEdge(1, 7, 1, 2)};
+  auto first = refresher.IngestBatch(batch);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kFailedPrecondition);
+  const size_t overlay_edges = overlay.num_delta_edges();
+  for (const auto& next :
+       {batch, std::vector<GraphDelta>{GraphDelta::AddEdge(2, 6, 0, 3)}}) {
+    auto again = refresher.IngestBatch(next);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.status(), first.status());
+    EXPECT_EQ(overlay.num_delta_edges(), overlay_edges);
+    EXPECT_EQ(live->version(), 1u);
+  }
+  // Every served value is still finite.
+  const auto front = live->Acquire();
+  const EmbeddingStore& served = front->store;
+  for (RelationId r = 0; r < served.num_relations(); ++r) {
+    const auto table = served.Table(r);
+    EXPECT_TRUE(AllFinite(table.data(), table.size())) << "relation " << r;
+  }
 }
 
 TEST(RefresherTest, StreamedInNodeBecomesServable) {
