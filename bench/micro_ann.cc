@@ -12,9 +12,10 @@
 //   micro_ann [--rows N] [--dim N] [--queries N] [--ef N] [--m N] [--gate]
 //
 // --gate exits non-zero unless, at >= 200k rows, the ANN path answers a
-// single query >= 5x faster than the exact scan with recall@10 >= 0.95
-// (ci_check.sh runs it with --gate). The gate measures the end-to-end
-// recommender (filters, heap, re-rank included), not the bare index.
+// single query >= 5x faster than the exact scan (the median of 5
+// interleaved exact/ANN latency ratios) with recall@10 >= 0.95 (ci_check.sh
+// runs it with --gate). The gate measures the end-to-end recommender
+// (filters, heap, re-rank included), not the bare index.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -75,19 +76,10 @@ std::vector<TopKQuery> MakeQueries(size_t n, size_t rows) {
   return queries;
 }
 
-/// Mean single-query latency (seconds) of `rec` over `queries`, one call at
-/// a time (the serving-relevant number: tail latency of an individual
-/// request, not batch throughput), repeated until ~min_seconds. The first
-/// pass's ranked ids are kept for the recall comparison.
-struct QueryResult {
-  double mean_latency_s = 0.0;
+/// Ranked ids of `rec`'s answer to each of `queries`.
+std::vector<std::vector<NodeId>> RankQueries(
+    const TopKRecommender& rec, const std::vector<TopKQuery>& queries) {
   std::vector<std::vector<NodeId>> topk;
-};
-
-QueryResult MeasureQueries(const TopKRecommender& rec,
-                           const std::vector<TopKQuery>& queries,
-                           double min_seconds) {
-  QueryResult result;
   for (const auto& q : queries) {
     auto r = rec.Recommend(q);
     if (!r.ok()) {
@@ -97,8 +89,17 @@ QueryResult MeasureQueries(const TopKRecommender& rec,
     std::vector<NodeId> ids;
     ids.reserve(r->size());
     for (const Recommendation& rr : *r) ids.push_back(rr.node);
-    result.topk.push_back(std::move(ids));
+    topk.push_back(std::move(ids));
   }
+  return topk;
+}
+
+/// Mean single-query latency (seconds) of `rec` over `queries`, one call at
+/// a time (the serving-relevant number: tail latency of an individual
+/// request, not batch throughput), repeated until ~min_seconds.
+double MeanQuerySeconds(const TopKRecommender& rec,
+                        const std::vector<TopKQuery>& queries,
+                        double min_seconds) {
   size_t calls = 0;
   const auto t0 = Clock::now();
   do {
@@ -108,8 +109,7 @@ QueryResult MeasureQueries(const TopKRecommender& rec,
       ++calls;
     }
   } while (SecondsSince(t0) < min_seconds);
-  result.mean_latency_s = SecondsSince(t0) / static_cast<double>(calls);
-  return result;
+  return SecondsSince(t0) / static_cast<double>(calls);
 }
 
 double RecallAt10(const std::vector<std::vector<NodeId>>& exact,
@@ -214,20 +214,36 @@ int Main(int argc, char** argv) {
   }
 
   const auto queries = MakeQueries(num_queries, rows);
-  const double kMinSeconds = 0.5;
-  QueryResult exact_run = MeasureQueries(exact, queries, kMinSeconds);
-  QueryResult ann_run = MeasureQueries(approx, queries, kMinSeconds);
-
-  const double recall = RecallAt10(exact_run.topk, ann_run.topk);
-  const double speedup = ann_run.mean_latency_s > 0.0
-                             ? exact_run.mean_latency_s /
-                                   ann_run.mean_latency_s
-                             : 0.0;
-  std::printf("  exact scan      : %9.3f ms/query\n",
-              exact_run.mean_latency_s * 1000.0);
-  std::printf("  ann + re-rank   : %9.3f ms/query (%.1fx, ef_search=%zu, "
-              "recall@10 %.4f; gate >= 5x at >= 0.95)\n",
-              ann_run.mean_latency_s * 1000.0, speedup, ef_search, recall);
+  const double recall =
+      RecallAt10(RankQueries(exact, queries), RankQueries(approx, queries));
+  // The exact and ANN timings alternate, so a slow stretch of a shared host
+  // hits both sides of a ratio; the gate reads the median ratio. Recall is
+  // deterministic (same queries, same index), so one pass measures it.
+  const int kRepeats = 5;
+  const double kMinSeconds = 0.25;
+  std::vector<double> exact_s, ann_s, ratios;
+  for (int r = 0; r < kRepeats; ++r) {
+    exact_s.push_back(MeanQuerySeconds(exact, queries, kMinSeconds));
+    ann_s.push_back(MeanQuerySeconds(approx, queries, kMinSeconds));
+    ratios.push_back(ann_s.back() > 0.0 ? exact_s.back() / ann_s.back()
+                                        : 0.0);
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double exact_latency_s = median(exact_s);
+  const double ann_latency_s = median(ann_s);
+  const double speedup = median(ratios);
+  std::printf("  exact scan      : %9.3f ms/query (median of %d)\n",
+              exact_latency_s * 1000.0, kRepeats);
+  std::printf("  ann + re-rank   : %9.3f ms/query (%.1fx median of %d ratios "
+              "%.2f..%.2f, ef_search=%zu, recall@10 %.4f; gate >= 5x at "
+              ">= 0.95)\n",
+              ann_latency_s * 1000.0, speedup, kRepeats,
+              *std::min_element(ratios.begin(), ratios.end()),
+              *std::max_element(ratios.begin(), ratios.end()), ef_search,
+              recall);
 
   uint64_t hash = index.ContentHash();
   {
@@ -238,9 +254,8 @@ int Main(int argc, char** argv) {
 
   bench::BenchReport report("micro_ann");
   report.AddStage("build_ms", 1, build_ms, 0.0);
-  report.AddStage("exact_query_ms", 1, exact_run.mean_latency_s * 1000.0,
-                  0.0);
-  report.AddStage("ann_query_ms", 1, ann_run.mean_latency_s * 1000.0, 0.0);
+  report.AddStage("exact_query_ms", 1, exact_latency_s * 1000.0, 0.0);
+  report.AddStage("ann_query_ms", 1, ann_latency_s * 1000.0, 0.0);
   report.AddStage("ann_speedup", 1, 0.0, speedup);
   report.AddStage("recall_at_10", 1, 0.0, recall);
   report.set_result_hash(hash);
@@ -264,8 +279,8 @@ int Main(int argc, char** argv) {
     }
     if (speedup < 5.0) {
       std::fprintf(stderr,
-                   "GATE FAILED: ANN single-query speedup %.2fx over the "
-                   "exact scan (required >= 5x)\n",
+                   "GATE FAILED: median ANN single-query speedup %.2fx over "
+                   "the exact scan (required >= 5x)\n",
                    speedup);
       return 1;
     }

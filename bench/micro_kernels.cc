@@ -1,5 +1,5 @@
 // Microbenchmark for the runtime-dispatched kernel layer (src/kernels):
-// times Dot, Axpy, Scale, SgnsUpdateStep, and ScoreBlock on the scalar and
+// times Dot, Axpy, Scale, SgnsPairStep, and ScoreBlock on the scalar and
 // (when the host supports it) AVX2 backends across the dims that matter for
 // SGNS training and top-K serving. Reports per-kernel throughput and the
 // avx2-over-scalar speedup; the acceptance bar is >= 2x for Dot and
@@ -29,10 +29,12 @@ namespace k = ::hybridgnn::kernels;
 
 constexpr size_t kDims[] = {8, 32, 64, 128, 256, 512};
 constexpr size_t kScoreRows = 256;  // matches serve/topk.cc's block size
+constexpr size_t kPairRows = 6;     // SGNS: 1 positive + 5 negatives
 
 struct Workload {
   std::vector<float> a, b, c;      // dim-sized operand rows
   std::vector<float> table;        // kScoreRows x dim candidate block
+  std::vector<float*> pair_rows;   // the first kPairRows table rows
   std::vector<uint32_t> ids;       // row ids 0..kScoreRows-1
   std::vector<double> scores;      // kScoreRows outputs
 };
@@ -49,6 +51,9 @@ Workload MakeWorkload(size_t dim, Rng& rng) {
     for (auto& x : *v) x = rng.UniformFloat(-1.0f, 1.0f);
   }
   for (auto& x : w.table) x = rng.UniformFloat(-1.0f, 1.0f);
+  for (size_t r = 0; r < kPairRows; ++r) {
+    w.pair_rows.push_back(w.table.data() + r * dim);
+  }
   return w;
 }
 
@@ -101,12 +106,13 @@ void Run() {
   };
   const Kernel kernels[] = {
       {"dot", 2}, {"axpy", 2}, {"scale", 1},
-      {"sgns_update", 6},       // dot + two axpy-like row updates
+      // Per row a dot and two axpy-like updates, then the center's Axpy.
+      {"sgns_pair", 6 * kPairRows + 2},
       {"score_block", 2 * kScoreRows},
   };
 
-  std::printf("%-14s %6s %10s %14s %14s %9s\n", "kernel", "dim", "backend",
-              "ms", "gflops", "speedup");
+  std::printf("%-14s %6s %10s %14s %10s %14s %9s\n", "kernel", "dim",
+              "backend", "ms", "ns/call", "gflops", "speedup");
   for (const Kernel& kern : kernels) {
     for (size_t dim : kDims) {
       Workload w = MakeWorkload(dim, rng);
@@ -116,6 +122,7 @@ void Run() {
         const std::string kname(kern.name);
         size_t reps = RepsFor(dim);
         if (kname == "score_block") reps /= kScoreRows;
+        if (kname == "sgns_pair") reps /= kPairRows;
         if (reps == 0) reps = 1;
         CellResult cell{};
         if (kname == "dot") {
@@ -134,11 +141,11 @@ void Run() {
             k::Scale(2.0f, w.c.data(), dim);
             return static_cast<double>(w.c[0]);
           });
-        } else if (kname == "sgns_update") {
-          cell = TimeCell(reps, 6 * dim, [&] {
-            std::fill(w.c.begin(), w.c.end(), 0.0f);
-            return static_cast<double>(k::SgnsUpdateStep(
-                w.a.data(), w.b.data(), w.c.data(), dim, 1.0f, 1e-4f));
+        } else if (kname == "sgns_pair") {
+          cell = TimeCell(reps, kern.flops_factor * dim, [&] {
+            k::SgnsPairStep(w.a.data(), w.pair_rows.data(), kPairRows, dim,
+                            1e-4f);
+            return static_cast<double>(w.a[0]);
           });
         } else {
           cell = TimeCell(reps, 2 * dim * kScoreRows, [&] {
@@ -157,8 +164,9 @@ void Run() {
         const std::string stage = kname + "_d" + std::to_string(dim) + "_" +
                                   k::BackendName(backend);
         report.AddStage(stage, dim, cell.ms, cell.flops_per_s);
-        std::printf("%-14s %6zu %10s %11.1f ms %11.2f %8.2fx\n", kern.name,
-                    dim, k::BackendName(backend), cell.ms,
+        std::printf("%-14s %6zu %10s %11.1f ms %10.1f %14.2f %8.2fx\n",
+                    kern.name, dim, k::BackendName(backend), cell.ms,
+                    cell.ms * 1e6 / static_cast<double>(reps),
                     cell.flops_per_s / 1e9,
                     backend == k::Backend::kScalar ? 1.0 : speedup);
         if (k::Avx2Available() && backend == k::Backend::kAvx2 &&

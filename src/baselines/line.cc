@@ -2,10 +2,11 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "common/parallel.h"
-#include "kernels/kernels.h"
 #include "sampling/negative_sampler.h"
+#include "sampling/sgns.h"
 #include "tensor/init.h"
 #include "tensor/tensor_ops.h"
 
@@ -13,49 +14,25 @@ namespace hybridgnn {
 
 namespace {
 
-// One (u, target) sigmoid step against `table` rows: accumulates the u
-// gradient in `grad`, updates the target row in place. LINE's push is the
-// same fused sigmoid-gradient update as SGNS, so it dispatches through the
-// kernel layer (scalar/AVX2).
-HYBRIDGNN_NO_SANITIZE_THREAD
-void LinePush(const float* eu, float* row, float* grad, size_t half,
-              float label, float lr) {
-  kernels::SgnsUpdateStep(eu, row, grad, half, label, lr);
-}
-
-// One sampled-edge SGD step on both orders and both directions. Hogwild
-// workers race on embedding rows by design (sparse updates, tolerant
-// objective) — uninstrumented under TSan like SgnsEmbedder::Update.
+// One sampled-edge SGD step on both orders and both directions; `rows`
+// holds 1 + negatives row pointers. LINE's push is the same
+// sigmoid-gradient update as SGNS. Hogwild workers race on embedding rows
+// by design (sparse updates, tolerant objective) — uninstrumented under
+// TSan like SgnsPairUpdate.
 HYBRIDGNN_NO_SANITIZE_THREAD
 void LineUpdateEdge(Tensor& first, Tensor& second, Tensor& second_ctx,
                     const NegativeSampler& sampler, const EdgeTriple& e,
-                    size_t half, size_t negatives, float lr, Rng& rng) {
+                    std::vector<float*>& rows, float lr, Rng& rng) {
   // Undirected: train both directions.
   for (int dir = 0; dir < 2; ++dir) {
     const NodeId u = dir == 0 ? e.src : e.dst;
     const NodeId v = dir == 0 ? e.dst : e.src;
-    // ---- first order: symmetric, targets live in `first` itself ----
-    {
-      float* eu = first.RowPtr(u);
-      std::vector<float> grad(half, 0.0f);
-      LinePush(eu, first.RowPtr(v), grad.data(), half, 1.0f, lr);
-      for (size_t n = 0; n < negatives; ++n) {
-        LinePush(eu, first.RowPtr(sampler.SampleLike(v, rng)), grad.data(),
-                 half, 0.0f, lr);
-      }
-      kernels::Axpy(-1.0f, grad.data(), eu, half);
-    }
-    // ---- second order: targets are context rows ----
-    {
-      float* eu = second.RowPtr(u);
-      std::vector<float> grad(half, 0.0f);
-      LinePush(eu, second_ctx.RowPtr(v), grad.data(), half, 1.0f, lr);
-      for (size_t n = 0; n < negatives; ++n) {
-        LinePush(eu, second_ctx.RowPtr(sampler.SampleLike(v, rng)),
-                 grad.data(), half, 0.0f, lr);
-      }
-      kernels::Axpy(-1.0f, grad.data(), eu, half);
-    }
+    // First order: symmetric, targets live in `first` itself, so a target
+    // may be u's own row; the pair step orders that exactly as
+    // one-row-at-a-time steps would.
+    SgnsPairUpdate(first.RowPtr(u), first, v, sampler, rows, lr, rng);
+    // Second order: targets are context rows.
+    SgnsPairUpdate(second.RowPtr(u), second_ctx, v, sampler, rows, lr, rng);
   }
 }
 
@@ -85,13 +62,13 @@ Status Line::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
 
   const size_t total = options_.samples_per_edge * edges.size();
   if (threads <= 1 || total < 2 * threads) {
+    std::vector<float*> rows(1 + options_.negatives);
     for (size_t s = 0; s < total; ++s) {
       const float lr = options_.learning_rate *
                        (1.0f - 0.9f * static_cast<float>(s) /
                                    static_cast<float>(total));
       const auto& e = edges[rng.UniformUint64(edges.size())];
-      LineUpdateEdge(first, second, second_ctx, sampler, e, half,
-                     options_.negatives, lr, rng);
+      LineUpdateEdge(first, second, second_ctx, sampler, e, rows, lr, rng);
     }
   } else {
     // Hogwild: contiguous shards of the sample budget, per-worker streams,
@@ -100,13 +77,14 @@ Status Line::Fit(const MultiplexHeteroGraph& g, const FitOptions& options) {
       Rng wrng = rng.Fork(w + 1);
       const size_t lo = total * w / threads;
       const size_t hi = total * (w + 1) / threads;
+      std::vector<float*> rows(1 + options_.negatives);
       for (size_t s = lo; s < hi; ++s) {
         const float lr = options_.learning_rate *
                          (1.0f - 0.9f * static_cast<float>(s) /
                                      static_cast<float>(total));
         const auto& e = edges[wrng.UniformUint64(edges.size())];
-        LineUpdateEdge(first, second, second_ctx, sampler, e, half,
-                       options_.negatives, lr, wrng);
+        LineUpdateEdge(first, second, second_ctx, sampler, e, rows, lr,
+                       wrng);
       }
     });
   }

@@ -70,7 +70,7 @@ StatusOr<MultiplexHeteroGraph> LoadGraph(const std::string& path,
     } else if (kind == "node") {
       if (fields.size() != 3) return fail("node needs <id> <type>");
       HYBRIDGNN_ASSIGN_OR_RETURN(int64_t id, ParseInt64(fields[1]));
-      if (static_cast<NodeId>(id) != expected_node) {
+      if (id != static_cast<int64_t>(expected_node)) {
         return fail(
             StrFormat("node ids must be dense; expected %u", expected_node));
       }
@@ -85,6 +85,15 @@ StatusOr<MultiplexHeteroGraph> LoadGraph(const std::string& path,
       if (fields.size() != 4) return fail("edge needs <src> <dst> <rel>");
       HYBRIDGNN_ASSIGN_OR_RETURN(int64_t src, ParseInt64(fields[1]));
       HYBRIDGNN_ASSIGN_OR_RETURN(int64_t dst, ParseInt64(fields[2]));
+      // Range-check before narrowing, so 2^32 + 1 cannot wrap to node 1.
+      const auto nodes = static_cast<int64_t>(builder.num_nodes());
+      if (src < 0 || src >= nodes || dst < 0 || dst >= nodes) {
+        return fail(StrFormat("edge endpoint out of range: %lld-%lld "
+                              "(nodes=%lld)",
+                              static_cast<long long>(src),
+                              static_cast<long long>(dst),
+                              static_cast<long long>(nodes)));
+      }
       auto it = rel_by_name.find(fields[3]);
       if (it == rel_by_name.end()) {
         return fail("unknown relation: " + fields[3]);

@@ -51,7 +51,7 @@ const KernelOps& Active() {
     // so a training log records which dispatch the run actually used.
     HYBRIDGNN_LOG(Info)
         << "kernels: dispatching to '" << BackendName(s.backend)
-        << "' backend (dot, axpy, scale, sgns_update_step, score_block, "
+        << "' backend (dot, axpy, scale, sgns_pair_step, score_block, "
            "score_block_i8, segment_sum, segment_mean, segment_max, "
            "csr_spmm)";
     g_backend.store(static_cast<int>(s.backend), std::memory_order_relaxed);
@@ -105,9 +105,9 @@ void Axpy(float alpha, const float* x, float* y, size_t n) {
 
 void Scale(float alpha, float* x, size_t n) { Active().scale(alpha, x, n); }
 
-float SgnsUpdateStep(const float* e, float* c, float* e_grad, size_t n,
-                     float label, float lr) {
-  return Active().sgns_update_step(e, c, e_grad, n, label, lr);
+void SgnsPairStep(float* e, float* const* rows, size_t num_rows, size_t n,
+                  float lr) {
+  Active().sgns_pair_step(e, rows, num_rows, n, lr);
 }
 
 void ScoreBlock(const float* query, const float* table, const uint32_t* rows,

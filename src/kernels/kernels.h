@@ -29,9 +29,12 @@ namespace hybridgnn::kernels {
 ///   * Scale: bit-identical (one rounding per element on both paths).
 ///   * Axpy:  <= 1 ULP per element (the scalar path may or may not contract
 ///     mul+add into an FMA depending on compiler defaults).
-///   * Dot / SgnsUpdateStep: reductions are reassociated by the vector
+///   * Dot / SgnsPairStep: reductions are reassociated by the vector
 ///     path, so results agree only to ULP-scaled tolerance (see
 ///     tests/kernel_test.cc and DESIGN.md §11 for the exact bounds).
+///     On each backend SgnsPairStep is bitwise equal to its rows'
+///     one-at-a-time steps: the AVX2 body interleaves only rows whose
+///     results cannot depend on each other.
 ///   * ScoreBlock: accumulates in double on both paths; backend drift is
 ///     bounded by double rounding of the partial sums (~1e-15 relative).
 ///     On each backend a multi-row ScoreBlock{,I8} call is bitwise equal to
@@ -86,12 +89,18 @@ void Axpy(float alpha, const float* x, float* y, size_t n);
 /// x[j] *= alpha.
 void Scale(float alpha, float* x, size_t n);
 
-/// Fused SGNS sigmoid-gradient step (Eqs. 11-13 of the paper): computes
-/// g = (sigmoid(e.c) - label) * lr, then e_grad[j] += g * c[j] and
-/// c[j] -= g * e[j] in place. Returns g. The scalar path is the exact
-/// pre-kernel-layer SgnsPush/LinePush loop.
-float SgnsUpdateStep(const float* e, float* c, float* e_grad, size_t n,
-                     float label, float lr);
+/// One SGNS pair step (Eqs. 11-13 of the paper) for the center row `e`
+/// against `num_rows` context rows: rows[0] is the positive (label 1), the
+/// rest are negatives (label 0). In k order it computes
+/// g_k = (sigmoid(e.c_k) - label_k) * lr, then grad[j] += g_k * c_k[j] and
+/// c_k[j] -= g_k * e[j] in place; finally e[j] += -1 * grad[j] with grad
+/// starting at zero. Rows may repeat, and a row may be `e` itself (LINE's
+/// first order draws its targets from the center table): the result is
+/// exactly that sequence. Rows are whole length-n rows, so two row
+/// pointers are either equal or disjoint. The scalar path is the
+/// pre-kernel-layer SgnsPush/LinePush loop followed by the Axpy.
+void SgnsPairStep(float* e, float* const* rows, size_t num_rows, size_t n,
+                  float lr);
 
 /// In-place candidate scoring for top-K retrieval: out[i] = sum_j query[j] *
 /// table[rows[i]*n + j], accumulated in double, over `num_rows` row ids of

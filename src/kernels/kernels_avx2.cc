@@ -7,7 +7,7 @@
 //
 // Equivalence with the scalar backend (enforced by tests/kernel_test.cc):
 // Axpy/Scale are element-wise with one rounding per element, so they match
-// bit for bit; Dot and SgnsUpdateStep reassociate the float reduction
+// bit for bit; Dot and SgnsPairStep reassociate the float reduction
 // across lanes and fuse mul+add, so they agree to ULP-scaled tolerance;
 // ScoreBlock widens to double before accumulating, keeping backend drift at
 // double-rounding scale even for long rows.
@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/parallel.h"
 #include "kernels/kernels.h"
@@ -41,23 +40,47 @@ double Hsum256d(__m256d v) {
   return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
 }
 
-float DotAvx2(const float* a, const float* b, size_t n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
+/// Dot products of e with rows c[0..R), interleaved with independent
+/// accumulators so the FMA chains of different rows overlap. Each row runs
+/// the one-row sequence (two 8-wide accumulators over 16-wide steps, one
+/// more 8-wide step, the same horizontal sum, the same scalar tail), so
+/// every result has the bits of Dot on that row alone.
+template <size_t R>
+inline __attribute__((always_inline)) void DotRows(const float* e,
+                                                   const float* const* c,
+                                                   size_t n, float* out) {
+  __m256 acc0[R], acc1[R];
+#pragma GCC unroll 8
+  for (size_t k = 0; k < R; ++k) acc0[k] = acc1[k] = _mm256_setzero_ps();
   size_t j = 0;
   for (; j + 16 <= n; j += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + j + 8),
-                           _mm256_loadu_ps(b + j + 8), acc1);
+    const __m256 e0 = _mm256_loadu_ps(e + j);
+    const __m256 e1 = _mm256_loadu_ps(e + j + 8);
+#pragma GCC unroll 8
+    for (size_t k = 0; k < R; ++k) {
+      acc0[k] = _mm256_fmadd_ps(e0, _mm256_loadu_ps(c[k] + j), acc0[k]);
+      acc1[k] = _mm256_fmadd_ps(e1, _mm256_loadu_ps(c[k] + j + 8), acc1[k]);
+    }
   }
   if (j + 8 <= n) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j),
-                           acc0);
+    const __m256 e0 = _mm256_loadu_ps(e + j);
+#pragma GCC unroll 8
+    for (size_t k = 0; k < R; ++k) {
+      acc0[k] = _mm256_fmadd_ps(e0, _mm256_loadu_ps(c[k] + j), acc0[k]);
+    }
     j += 8;
   }
-  float s = Hsum256(_mm256_add_ps(acc0, acc1));
-  for (; j < n; ++j) s += a[j] * b[j];
+#pragma GCC unroll 8
+  for (size_t k = 0; k < R; ++k) {
+    float s = Hsum256(_mm256_add_ps(acc0[k], acc1[k]));
+    for (size_t t = j; t < n; ++t) s += e[t] * c[k][t];
+    out[k] = s;
+  }
+}
+
+float DotAvx2(const float* a, const float* b, size_t n) {
+  float s = 0.0f;
+  DotRows<1>(a, &b, n, &s);
   return s;
 }
 
@@ -85,26 +108,108 @@ void ScaleAvx2(float alpha, float* x, size_t n) {
   for (; j < n; ++j) x[j] *= alpha;
 }
 
-HYBRIDGNN_NO_SANITIZE_THREAD
-float SgnsUpdateStepAvx2(const float* e, float* c, float* e_grad, size_t n,
-                         float label, float lr) {
-  const float dot = DotAvx2(e, c, n);
-  const float sig = 1.0f / (1.0f + std::exp(-dot));
-  const float g = (sig - label) * lr;
-  const __m256 vg = _mm256_set1_ps(g);
+// The SGNS pair step splits its rows into runs whose dot products can all
+// be taken before any row of the run is updated: a run ends before a row
+// that repeats one of its rows (that dot must see the earlier update) and
+// after a row that is `e` itself (every later dot must see e's update). A
+// run also ends at kMaxSgnsRun rows, which bounds the per-run state;
+// ending a run early never changes a result.
+constexpr size_t kMaxSgnsRun = 8;
+
+size_t SgnsRunEnd(const float* e, float* const* rows, size_t begin,
+                  size_t num_rows) {
+  size_t end = begin;
+  while (end < num_rows && end - begin < kMaxSgnsRun) {
+    const float* c = rows[end];
+    if (std::find(rows + begin, rows + end, c) != rows + end) break;
+    ++end;
+    if (c == e) break;
+  }
+  return end;
+}
+
+/// One run of R rows: every row's dot first, then one pass over the
+/// columns that updates every row, accumulates the center gradient in row
+/// order (from `grad` unless this is the first run) and, after the last
+/// run, applies it to `e` with Axpy's arithmetic (else stores it back).
+template <size_t R>
+inline __attribute__((always_inline)) void SgnsRun(float* e, float* const* c,
+                                                   size_t n, float lr,
+                                                   bool first, bool last,
+                                                   float* grad) {
+  float g[R];
+  if constexpr (R <= 6) {
+    DotRows<R>(e, c, n, g);
+  } else {
+    DotRows<4>(e, c, n, g);
+    DotRows<R - 4>(e, c + 4, n, g + 4);
+  }
+  __m256 vg[R];
+#pragma GCC unroll 8
+  for (size_t k = 0; k < R; ++k) {
+    const float label = first && k == 0 ? 1.0f : 0.0f;
+    const float sig = 1.0f / (1.0f + std::exp(-g[k]));
+    g[k] = (sig - label) * lr;
+    vg[k] = _mm256_set1_ps(g[k]);
+  }
+  const __m256 minus_one = _mm256_set1_ps(-1.0f);
+  const size_t n8 = n & ~size_t{7};
   size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 vc = _mm256_loadu_ps(c + j);
+  for (; j < n8; j += 8) {
     const __m256 ve = _mm256_loadu_ps(e + j);
-    _mm256_storeu_ps(e_grad + j,
-                     _mm256_fmadd_ps(vg, vc, _mm256_loadu_ps(e_grad + j)));
-    _mm256_storeu_ps(c + j, _mm256_fnmadd_ps(vg, ve, vc));
+    __m256 acc = first ? _mm256_setzero_ps() : _mm256_loadu_ps(grad + j);
+#pragma GCC unroll 8
+    for (size_t k = 0; k < R; ++k) {
+      const __m256 vc = _mm256_loadu_ps(c[k] + j);
+      acc = _mm256_fmadd_ps(vg[k], vc, acc);
+      _mm256_storeu_ps(c[k] + j, _mm256_fnmadd_ps(vg[k], ve, vc));
+    }
+    if (last) {
+      _mm256_storeu_ps(e + j, _mm256_add_ps(_mm256_loadu_ps(e + j),
+                                            _mm256_mul_ps(minus_one, acc)));
+    } else {
+      _mm256_storeu_ps(grad + j, acc);
+    }
   }
   for (; j < n; ++j) {
-    e_grad[j] += g * c[j];
-    c[j] -= g * e[j];
+    float acc = first ? 0.0f : grad[j];
+#pragma GCC unroll 8
+    for (size_t k = 0; k < R; ++k) {
+      acc += g[k] * c[k][j];
+      c[k][j] -= g[k] * e[j];
+    }
+    if (last) {
+      e[j] += -1.0f * acc;
+    } else {
+      grad[j] = acc;
+    }
   }
-  return g;
+}
+
+// Benign Hogwild races on the rows and `e` by design (see
+// kernels_scalar.cc); the inlined helpers above inherit the annotation.
+HYBRIDGNN_NO_SANITIZE_THREAD
+void SgnsPairStepAvx2(float* e, float* const* rows, size_t num_rows,
+                      size_t n, float lr) {
+  // The center gradient, carried between runs.
+  CallScratch<float> grad(n);
+  for (size_t begin = 0; begin < num_rows;) {
+    const size_t end = SgnsRunEnd(e, rows, begin, num_rows);
+    float* const* c = rows + begin;
+    const bool first = begin == 0;
+    const bool last = end == num_rows;
+    switch (end - begin) {
+      case 1: SgnsRun<1>(e, c, n, lr, first, last, grad.data()); break;
+      case 2: SgnsRun<2>(e, c, n, lr, first, last, grad.data()); break;
+      case 3: SgnsRun<3>(e, c, n, lr, first, last, grad.data()); break;
+      case 4: SgnsRun<4>(e, c, n, lr, first, last, grad.data()); break;
+      case 5: SgnsRun<5>(e, c, n, lr, first, last, grad.data()); break;
+      case 6: SgnsRun<6>(e, c, n, lr, first, last, grad.data()); break;
+      case 7: SgnsRun<7>(e, c, n, lr, first, last, grad.data()); break;
+      default: SgnsRun<8>(e, c, n, lr, first, last, grad.data()); break;
+    }
+    begin = end;
+  }
 }
 
 // The indexed scan kernels score R = 4 rows per pass with independent
@@ -152,10 +257,8 @@ void ScoreBlockAvx2(const float* query, const float* table,
                     double* out) {
   if (num_rows == 0) return;
   // Widen the query to double once per call; every row reuses it.
-  constexpr size_t kStackDims = 1024;
-  double stack_q[kStackDims];
-  std::vector<double> heap_q(n > kStackDims ? n : 0);
-  double* q = n > kStackDims ? heap_q.data() : stack_q;
+  CallScratch<double> widened(n);
+  double* q = widened.data();
   for (size_t j = 0; j < n; ++j) q[j] = static_cast<double>(query[j]);
   size_t i = 0;
   for (; i + 4 <= num_rows; i += 4) {
@@ -346,7 +449,7 @@ const KernelOps* Avx2Ops() {
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   if (!supported) return nullptr;
   static const KernelOps ops = {
-      DotAvx2, AxpyAvx2, ScaleAvx2, SgnsUpdateStepAvx2, ScoreBlockAvx2,
+      DotAvx2, AxpyAvx2, ScaleAvx2, SgnsPairStepAvx2, ScoreBlockAvx2,
       ScoreBlockI8Avx2, SegmentSumAvx2, SegmentMeanAvx2, SegmentMaxAvx2,
       CsrSpmmAvx2,
   };

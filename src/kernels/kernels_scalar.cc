@@ -33,20 +33,28 @@ void ScaleScalar(float alpha, float* x, size_t n) {
   for (size_t j = 0; j < n; ++j) x[j] *= alpha;
 }
 
-// The pre-kernel-layer SgnsPush/LinePush body, verbatim. Benign Hogwild
-// races on `c` (and reads of `e`) by design.
+// The pre-kernel-layer SgnsPush/LinePush body, verbatim, once per row,
+// then the Axpy that applies the center gradient. Benign Hogwild races on
+// the rows and `e` by design.
 HYBRIDGNN_NO_SANITIZE_THREAD
-float SgnsUpdateStepScalar(const float* e, float* c, float* e_grad, size_t n,
-                           float label, float lr) {
-  float dot = 0.0f;
-  for (size_t j = 0; j < n; ++j) dot += e[j] * c[j];
-  const float sig = 1.0f / (1.0f + std::exp(-dot));
-  const float g = (sig - label) * lr;
-  for (size_t j = 0; j < n; ++j) {
-    e_grad[j] += g * c[j];
-    c[j] -= g * e[j];
+void SgnsPairStepScalar(float* e, float* const* rows, size_t num_rows,
+                        size_t n, float lr) {
+  CallScratch<float> grad(n);
+  float* e_grad = grad.data();
+  std::fill(e_grad, e_grad + n, 0.0f);
+  for (size_t k = 0; k < num_rows; ++k) {
+    float* c = rows[k];
+    const float label = k == 0 ? 1.0f : 0.0f;
+    float dot = 0.0f;
+    for (size_t j = 0; j < n; ++j) dot += e[j] * c[j];
+    const float sig = 1.0f / (1.0f + std::exp(-dot));
+    const float g = (sig - label) * lr;
+    for (size_t j = 0; j < n; ++j) {
+      e_grad[j] += g * c[j];
+      c[j] -= g * e[j];
+    }
   }
-  return g;
+  AxpyScalar(-1.0f, e_grad, e, n);
 }
 
 void ScoreBlockScalar(const float* query, const float* table,
@@ -158,7 +166,7 @@ void CsrSpmmScalar(const size_t* indptr, const uint32_t* indices,
 
 const KernelOps& ScalarOps() {
   static const KernelOps ops = {
-      DotScalar, AxpyScalar, ScaleScalar, SgnsUpdateStepScalar,
+      DotScalar, AxpyScalar, ScaleScalar, SgnsPairStepScalar,
       ScoreBlockScalar, ScoreBlockI8Scalar, SegmentSumScalar,
       SegmentMeanScalar, SegmentMaxScalar, CsrSpmmScalar,
   };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "common/parallel.h"
 #include "kernels/kernels.h"
@@ -18,27 +19,18 @@ SgnsEmbedder::SgnsEmbedder(size_t num_nodes, size_t dim, Rng& rng)
   // Context vectors start at zero, as in word2vec.
 }
 
-// Hogwild workers race on emb_/ctx_ rows by design; uninstrumented under
-// TSan so the benign races don't drown out real findings elsewhere. The
-// row-level arithmetic lives in the kernel layer (runtime scalar/AVX2
-// dispatch); its implementations on this path carry the same annotation.
+// Hogwild callers race on the rows by design, so this stays
+// uninstrumented under TSan; the kernel bodies (runtime scalar/AVX2
+// dispatch) carry the same annotation.
 HYBRIDGNN_NO_SANITIZE_THREAD
-void SgnsEmbedder::Update(NodeId center, NodeId context,
-                          const NegativeSampler& sampler, size_t negatives,
-                          float lr, Rng& rng) {
-  const size_t dim = emb_.cols();
-  float* e = emb_.RowPtr(center);
-  // Per-thread scratch: Update runs once per skip-gram pair, so a fresh
-  // vector here used to dominate the pretrain allocation profile.
-  static thread_local std::vector<float> e_grad;
-  e_grad.assign(dim, 0.0f);
-  kernels::SgnsUpdateStep(e, ctx_.RowPtr(context), e_grad.data(), dim, 1.0f,
-                          lr);
-  for (size_t n = 0; n < negatives; ++n) {
-    kernels::SgnsUpdateStep(e, ctx_.RowPtr(sampler.SampleLike(context, rng)),
-                            e_grad.data(), dim, 0.0f, lr);
+void SgnsPairUpdate(float* e, Tensor& targets, NodeId context,
+                    const NegativeSampler& sampler, std::vector<float*>& rows,
+                    float lr, Rng& rng) {
+  rows[0] = targets.RowPtr(context);
+  for (size_t k = 1; k < rows.size(); ++k) {
+    rows[k] = targets.RowPtr(sampler.SampleLike(context, rng));
   }
-  kernels::Axpy(-1.0f, e_grad.data(), e, dim);
+  kernels::SgnsPairStep(e, rows.data(), rows.size(), targets.cols(), lr);
 }
 
 Status SgnsEmbedder::Train(const PairStream& stream,
@@ -71,6 +63,7 @@ Status SgnsEmbedder::Train(const PairStream& stream,
   // `max_walks` walks; returns how many it drew.
   auto train_range = [&](size_t lo, size_t hi, size_t max_walks, Rng& wrng) {
     PairStream::Reader reader(stream, hi - lo, max_walks, wrng);
+    std::vector<float*> rows(1 + opts.negatives);
     SkipGramPair p;
     size_t i = lo;
     for (; reader.Next(&p); ++i) {
@@ -78,7 +71,8 @@ Status SgnsEmbedder::Train(const PairStream& stream,
       const float lr = opts.learning_rate *
                        (1.0f - 0.9f * static_cast<float>(i) /
                                    static_cast<float>(use));
-      Update(p.center, p.context, sampler, opts.negatives, lr, wrng);
+      SgnsPairUpdate(emb_.RowPtr(p.center), ctx_, p.context, sampler, rows,
+                     lr, wrng);
     }
     return i - lo;
   };

@@ -33,6 +33,17 @@ struct SgnsOptions {
   size_t num_threads = 1;
 };
 
+/// One SGD step of skip-gram with negative sampling for the center row `e`
+/// (targets.cols() floats): the positive row targets[context], then one
+/// noise row per remaining slot of `rows`, drawn like `context` from
+/// `sampler`, all trained in one kernels::SgnsPairStep. `rows` is caller
+/// scratch of 1 + negatives slots. Hogwild callers race on the rows by
+/// design, so it is uninstrumented under TSan. SgnsEmbedder and LINE train
+/// through it.
+void SgnsPairUpdate(float* e, Tensor& targets, NodeId context,
+                    const NegativeSampler& sampler, std::vector<float*>& rows,
+                    float lr, Rng& rng);
+
 /// Classic SGNS embedder with manual SGD updates — the high-throughput
 /// word2vec formulation used by DeepWalk/node2vec, and as *pretraining* for
 /// GATNE's and HybridGNN's base/context tables (GATNE's reference
@@ -42,15 +53,12 @@ class SgnsEmbedder {
   SgnsEmbedder(size_t num_nodes, size_t dim, Rng& rng);
 
   /// Runs `opts.epochs` epochs of pairs drawn from `stream`, the learning
-  /// rate decaying linearly within each. Fails with InvalidArgument on a
+  /// rate decaying linearly within each; each pair is one SgnsPairUpdate
+  /// with `opts.negatives` noise rows. Fails with InvalidArgument on a
   /// non-finite or non-positive learning rate, and with FailedPrecondition
   /// when the stream has no pairs or a table is non-finite after an epoch.
   Status Train(const PairStream& stream, const NegativeSampler& sampler,
                const SgnsOptions& opts, Rng& rng);
-
-  /// One SGD update on a (center, context) pair plus `negatives` noise draws.
-  void Update(NodeId center, NodeId context, const NegativeSampler& sampler,
-              size_t negatives, float lr, Rng& rng);
 
   const Tensor& embeddings() const { return emb_; }
   const Tensor& contexts() const { return ctx_; }

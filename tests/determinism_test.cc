@@ -257,6 +257,79 @@ TEST(DeterminismTest, TableBaselinesSerialFitMatchGolden) {
   }
 }
 
+// The AVX2 path of the SGNS pretrain at the shape MinibatchTrainer runs it:
+// SgnsOptions' defaults (dim 128, 5 negatives, 2 epochs) over uniform
+// walks with the registry's default corpus plus two copies of each edge.
+// The small graph makes repeated negatives within one pair common. FNV-1a
+// of the raw bytes of both tables, pinned before the per-row SGNS steps
+// were fused into one pair step, which must keep every bit.
+TEST(DeterminismTest, SgnsAvx2PretrainMatchesGolden) {
+  if (!kernels::Avx2Available()) {
+    GTEST_SKIP() << "AVX2 kernels unavailable on this host";
+  }
+  kernels::ScopedBackend avx2(kernels::Backend::kAvx2);
+  auto ds = MakeDataset("taobao", 0.25, 41);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  const MultiplexHeteroGraph& g = ds->graph;
+  const ModelBudget budget;
+  CorpusOptions co;
+  co.num_walks_per_node = budget.num_walks;
+  co.walk_length = budget.walk_length;
+  co.window = budget.window;
+  Rng rng(42);
+  NegativeSampler sampler(g);
+  SgnsOptions so;
+  SgnsEmbedder emb(g.num_nodes(), so.dim, rng);
+  ASSERT_TRUE(
+      emb.Train(PairStream::Uniform(g, co, /*edge_copies=*/2), sampler, so,
+                rng)
+          .ok());
+  const Tensor& e = emb.embeddings();
+  const Tensor& c = emb.contexts();
+  const uint64_t he = Fnv1a64(e.data(), e.size() * sizeof(float));
+  const uint64_t hc = Fnv1a64(c.data(), c.size() * sizeof(float));
+  EXPECT_EQ(he, 0x096895f4368dc6c2ull) << std::hex << he;
+  EXPECT_EQ(hc, 0xfda6a172329ebda2ull) << std::hex << hc;
+}
+
+// The AVX2 path of the SGNS-trained table baselines, hashed as in
+// TableBaselinesSerialFitMatchGolden. LINE's first order can draw its own
+// center row as a target, which the fused pair step must order exactly as
+// the per-row steps did.
+TEST(DeterminismTest, SgnsBaselinesAvx2SerialFitMatchGolden) {
+  if (!kernels::Avx2Available()) {
+    GTEST_SKIP() << "AVX2 kernels unavailable on this host";
+  }
+  kernels::ScopedBackend avx2(kernels::Backend::kAvx2);
+  auto ds = MakeDataset("taobao", 0.08, 31);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  Rng split_rng(32);
+  auto split = SplitEdges(ds->graph, SplitOptions{}, split_rng);
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  const MultiplexHeteroGraph& g = split->train_graph;
+  std::vector<std::pair<NodeId, RelationId>> queries;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (RelationId r = 0; r < g.num_relations(); ++r) {
+      queries.emplace_back(v, r);
+    }
+  }
+  const std::pair<const char*, uint64_t> goldens[] = {
+      {"DeepWalk", 0xac35a25f1fef7983ull},
+      {"node2vec", 0x95cae949a682e233ull},
+      {"LINE", 0x2d1740ed13555c0bull}};
+  FitOptions opts;
+  opts.num_threads = 1;
+  for (const auto& [name, golden] : goldens) {
+    SCOPED_TRACE(name);
+    auto model = CreateModel(name, ds->schemes, 33, TinyBudget());
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    ASSERT_TRUE((*model)->Fit(g, opts).ok());
+    const Tensor table = (*model)->EmbeddingsFor(queries);
+    EXPECT_EQ(Fnv1a64(table.data(), table.size() * sizeof(float)), golden)
+        << std::hex << Fnv1a64(table.data(), table.size() * sizeof(float));
+  }
+}
+
 // A registry model by name: the two models MinibatchTrainer drives get
 // their tiny configs, the rest the tiny registry budget. On the taobao
 // graph below, TinyConfig's and TinyGatneOptions' 32-edge minibatches are

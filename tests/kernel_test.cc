@@ -10,8 +10,9 @@
 //   Axpy            <= 1 ULP per element (compiler-contraction ambiguity)
 //   Dot             |scalar - avx2| <= 2 * n * eps_f * sum|a_i * b_i|,
 //                   and both within that bound of a double reference
-//   SgnsUpdateStep  g to 64 ULP; row updates elementwise via the Dot-style
-//                   bound scaled by |g| resp. the input magnitudes
+//   SgnsPairStep    row updates elementwise via the Dot-style bound pushed
+//                   through sigmoid and scaled by the input magnitudes; on
+//                   each backend bitwise equal to one-row-at-a-time steps
 //   ScoreBlock      double accumulation on both paths: 1e-12-relative;
 //                   on each backend a multi-row call is bitwise equal to
 //                   one-row calls (ScoreBlockI8 too)
@@ -217,48 +218,141 @@ TEST_F(KernelTest, ScaleDifferentialBitwise) {
   }
 }
 
-TEST_F(KernelTest, SgnsUpdateStepDifferential) {
+TEST_F(KernelTest, SgnsPairStepDifferential) {
   Rng rng(2024);
+  const float lr = 0.025f;
   for (size_t n : kDims) {
-    for (float label : {0.0f, 1.0f}) {
+    for (size_t m : {size_t{1}, size_t{6}}) {
       const auto e0 = AwkwardVec(n, rng);
-      const auto c0 = AwkwardVec(n, rng);
-      const auto g0 = AwkwardVec(n, rng);
-      const float lr = 0.025f;
-      float *e, *cs, *cv, *gs, *gv;
-      auto ebuf = Misalign(e0, &e);
-      auto csbuf = Misalign(c0, &cs);
-      auto cvbuf = Misalign(c0, &cv);
-      auto gsbuf = Misalign(g0, &gs);
-      auto gvbuf = Misalign(g0, &gv);
-      float coef_s, coef_v;
+      std::vector<std::vector<float>> c0(m);
+      for (auto& c : c0) c = AwkwardVec(n, rng);
+      float *es, *ev;
+      auto esbuf = Misalign(e0, &es);
+      auto evbuf = Misalign(e0, &ev);
+      std::vector<std::vector<float>> csbuf(m), cvbuf(m);
+      std::vector<float*> cs(m), cv(m);
+      for (size_t r = 0; r < m; ++r) {
+        csbuf[r] = Misalign(c0[r], &cs[r]);
+        cvbuf[r] = Misalign(c0[r], &cv[r]);
+      }
       {
         k::ScopedBackend g(k::Backend::kScalar);
-        coef_s = k::SgnsUpdateStep(e, cs, gs, n, label, lr);
+        k::SgnsPairStep(es, cs.data(), m, n, lr);
       }
       {
         k::ScopedBackend g(k::Backend::kAvx2);
-        coef_v = k::SgnsUpdateStep(e, cv, gv, n, label, lr);
+        k::SgnsPairStep(ev, cv.data(), m, n, lr);
       }
-      // The gradient coefficient inherits the dot reduction's drift pushed
-      // through sigmoid (Lipschitz 1/4) and scaled by lr. The bound is
-      // absolute, not ULP-relative: when the dot cancels to near zero, the
-      // reduction drift dwarfs the coefficient's own magnitude.
-      const double dot_tol =
-          2.0 * n * FLT_EPSILON * SumAbsProducts(e, c0.data(), n) + 1e-30;
-      const double coef_tol = 0.25 * lr * dot_tol + 2.0 * FLT_EPSILON *
-                                                        std::abs(coef_s);
-      EXPECT_NEAR(coef_s, coef_v, coef_tol) << "n=" << n << " label="
-                                            << label;
+      // Each row's coefficient g_k inherits its dot reduction's drift
+      // pushed through sigmoid (Lipschitz 1/4) and scaled by lr; |g_k| <=
+      // lr. The bound is absolute, not ULP-relative: when a dot cancels to
+      // near zero, the reduction drift dwarfs the coefficient's magnitude.
+      std::vector<double> coef_tol(m);
+      for (size_t r = 0; r < m; ++r) {
+        const double dot_tol =
+            2.0 * n * FLT_EPSILON * SumAbsProducts(e0.data(), c0[r].data(),
+                                                   n) +
+            1e-30;
+        coef_tol[r] = 0.25 * lr * dot_tol + 2.0 * FLT_EPSILON * lr;
+      }
       for (size_t i = 0; i < n; ++i) {
-        // c' = c - g*e and grad' = grad + g*c: drift is |Δg|*|operand| plus
-        // one rounding of each fused/unfused multiply-add.
-        const double ctol = coef_tol * std::abs(e[i]) +
-                            4.0 * FLT_EPSILON * std::abs(cs[i]) + 1e-30;
-        EXPECT_NEAR(cs[i], cv[i], ctol) << "c row, n=" << n << " i=" << i;
-        const double gtol = coef_tol * std::abs(c0[i]) +
-                            4.0 * FLT_EPSILON * std::abs(gs[i]) + 1e-30;
-        EXPECT_NEAR(gs[i], gv[i], gtol) << "grad, n=" << n << " i=" << i;
+        // c' = c - g*e: drift is |dg|*|e| plus one rounding of the fused or
+        // unfused multiply-add. e' = e - sum_k g_k*c_k adds up every row's.
+        double etol = 4.0 * FLT_EPSILON * std::abs(es[i]) + 1e-30;
+        for (size_t r = 0; r < m; ++r) {
+          const double ctol = coef_tol[r] * std::abs(e0[i]) +
+                              4.0 * FLT_EPSILON * std::abs(cs[r][i]) + 1e-30;
+          EXPECT_NEAR(cs[r][i], cv[r][i], ctol)
+              << "row " << r << ", n=" << n << " m=" << m << " i=" << i;
+          etol += (coef_tol[r] + 4.0 * FLT_EPSILON * lr) * std::abs(c0[r][i]);
+        }
+        EXPECT_NEAR(es[i], ev[i], etol) << "e, n=" << n << " m=" << m
+                                        << " i=" << i;
+      }
+    }
+  }
+}
+
+/// The SGNS update as the kernel layer ran it before the pair step: one
+/// call per row, g = (sigmoid(e.c) - label) * lr, e_grad += g*c, c -= g*e,
+/// then Axpy(-1, e_grad, e). The dot is the active backend's Dot. The AVX2
+/// body updated whole 8-column blocks with one fused multiply-add per
+/// element and the tail with mul-then-add; the scalar body mul-then-add
+/// throughout.
+void SequentialPairStep(float* e, float* const* rows, size_t m, size_t n,
+                        float lr) {
+  const size_t fused =
+      k::ActiveBackend() == k::Backend::kAvx2 ? n & ~size_t{7} : 0;
+  std::vector<float> e_grad(n, 0.0f);
+  for (size_t r = 0; r < m; ++r) {
+    float* c = rows[r];
+    const float label = r == 0 ? 1.0f : 0.0f;
+    const float dot = k::Dot(e, c, n);
+    const float sig = 1.0f / (1.0f + std::exp(-dot));
+    const float g = (sig - label) * lr;
+    for (size_t j = 0; j < n; ++j) {
+      if (j < fused) {
+        const float cj = c[j];
+        e_grad[j] = std::fma(g, cj, e_grad[j]);
+        c[j] = std::fma(-g, e[j], cj);
+      } else {
+        e_grad[j] += g * c[j];
+        c[j] -= g * e[j];
+      }
+    }
+  }
+  k::Axpy(-1.0f, e_grad.data(), e, n);
+}
+
+// On each backend the pair step must reproduce the one-row-at-a-time
+// steps bit for bit, whatever rows it is handed: distinct rows, repeated
+// rows (a repeat's dot must see the earlier update), and the center row
+// itself among the targets (every later dot must see its update), as
+// LINE's first order draws them. Row 0 of the table is the center.
+TEST_F(KernelTest, SgnsPairStepMatchesSequentialSteps) {
+  Rng rng(11);
+  const size_t table_rows = 10;
+  enum class Rows { kDistinct, kRepeated, kWithCenter };
+  for (size_t n : {1, 7, 8, 16, 24, 128, 130}) {
+    const auto t0 = AwkwardVec(table_rows * n, rng);
+    for (size_t m = 1; m <= 8; ++m) {
+      for (Rows kind : {Rows::kDistinct, Rows::kRepeated, Rows::kWithCenter}) {
+        std::vector<size_t> ids(m);
+        for (size_t r = 0; r < m; ++r) {
+          switch (kind) {
+            case Rows::kDistinct:
+              ids[r] = 1 + r;
+              break;
+            case Rows::kRepeated:
+              ids[r] = 1 + rng.UniformUint64(3);
+              break;
+            case Rows::kWithCenter:
+              ids[r] = rng.UniformUint64(3);
+              break;
+          }
+        }
+        if (kind == Rows::kRepeated && m > 1) ids[m - 1] = ids[0];
+        if (kind == Rows::kWithCenter) ids[rng.UniformUint64(m)] = 0;
+        for (k::Backend backend : {k::Backend::kScalar, k::Backend::kAvx2}) {
+          k::ScopedBackend g(backend);
+          std::vector<float> fused = t0, sequential = t0;
+          std::vector<float*> fused_rows(m), sequential_rows(m);
+          for (size_t r = 0; r < m; ++r) {
+            fused_rows[r] = fused.data() + ids[r] * n;
+            sequential_rows[r] = sequential.data() + ids[r] * n;
+          }
+          const float lr = 0.5f;
+          k::SgnsPairStep(fused.data(), fused_rows.data(), m, n, lr);
+          SequentialPairStep(sequential.data(), sequential_rows.data(), m, n,
+                             lr);
+          for (size_t i = 0; i < fused.size(); ++i) {
+            ASSERT_EQ(std::bit_cast<uint32_t>(fused[i]),
+                      std::bit_cast<uint32_t>(sequential[i]))
+                << k::BackendName(backend) << " n=" << n << " m=" << m
+                << " kind=" << static_cast<int>(kind) << " row " << i / n
+                << " col " << i % n;
+          }
+        }
       }
     }
   }
