@@ -1,5 +1,7 @@
 #include "baselines/deepwalk.h"
 
+#include <utility>
+
 namespace hybridgnn {
 
 Status DeepWalk::Fit(const MultiplexHeteroGraph& g,
@@ -16,7 +18,7 @@ Status DeepWalk::Fit(const MultiplexHeteroGraph& g,
   const Status st = embedder.Train(stream, sampler, sgns, rng);
   if (!st.ok()) return Status(st.code(), "DeepWalk: " + st.message());
   options.Report("train", 1, 1);
-  return SetTable("DeepWalk", embedder.embeddings());
+  return SetTable("DeepWalk", std::move(embedder.mutable_embeddings()));
 }
 
 }  // namespace hybridgnn

@@ -1,5 +1,7 @@
 #include "baselines/node2vec.h"
 
+#include <utility>
+
 namespace hybridgnn {
 
 Status Node2Vec::Fit(const MultiplexHeteroGraph& g,
@@ -15,7 +17,7 @@ Status Node2Vec::Fit(const MultiplexHeteroGraph& g,
   const Status st = embedder.Train(stream, sampler, sgns, rng);
   if (!st.ok()) return Status(st.code(), "node2vec: " + st.message());
   options.Report("train", 1, 1);
-  return SetTable("node2vec", embedder.embeddings());
+  return SetTable("node2vec", std::move(embedder.mutable_embeddings()));
 }
 
 }  // namespace hybridgnn

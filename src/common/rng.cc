@@ -16,8 +16,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -27,47 +25,10 @@ Rng::Rng(uint64_t seed) {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
 }
 
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-uint64_t Rng::UniformUint64(uint64_t bound) {
-  HYBRIDGNN_CHECK(bound > 0) << "UniformUint64 bound must be positive";
-  // Lemire's method.
-  uint64_t x = NextUint64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  uint64_t l = static_cast<uint64_t>(m);
-  if (l < bound) {
-    uint64_t t = -bound % bound;
-    while (l < t) {
-      x = NextUint64();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
-}
-
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   HYBRIDGNN_CHECK(lo <= hi) << "UniformInt requires lo <= hi";
   uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(UniformUint64(span));
-}
-
-double Rng::UniformDouble() {
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
-}
-
-float Rng::UniformFloat(float lo, float hi) {
-  return lo + static_cast<float>(UniformDouble()) * (hi - lo);
 }
 
 double Rng::Normal() {

@@ -30,12 +30,12 @@ obs::Counter& FromBaseCounter() {
 
 size_t RelationEmbeddingCache::Row(NodeId v, RelationId r) const {
   HYBRIDGNN_CHECK(filled()) << "Fit() must succeed before an embedding lookup";
-  const size_t row = static_cast<size_t>(v) * num_relations_ + r;
-  HYBRIDGNN_CHECK(r < num_relations_ && row < table_.rows())
+  const size_t rows_per_node = per_node_ ? 1 : num_relations_;
+  const size_t num_nodes = table_.rows() / rows_per_node;
+  HYBRIDGNN_CHECK(r < num_relations_ && v < num_nodes)
       << "node " << v << " relation " << r << " outside the embedding cache of "
-      << table_.rows() / num_relations_ << " nodes x " << num_relations_
-      << " relations";
-  return row;
+      << num_nodes << " nodes x " << num_relations_ << " relations";
+  return static_cast<size_t>(v) * rows_per_node + (per_node_ ? 0 : r);
 }
 
 Tensor RelationEmbeddingCache::Embedding(NodeId v, RelationId r) const {
@@ -101,25 +101,20 @@ double MinibatchTrainer::BaseValidationAuc(const Tensor& base) const {
   return wins / (2.0 * static_cast<double>(val_edges_.size()));
 }
 
-Tensor MinibatchTrainer::BaseCacheTable(const Tensor& base,
-                                        size_t num_relations) const {
+Tensor MinibatchTrainer::BaseCacheTable(const Tensor& base) const {
   FromBaseCounter().Add(1);
   const size_t cols = base.cols();
-  Tensor table(base.rows() * num_relations, cols);
-  std::vector<float> row(cols), avg(cols);
+  Tensor table(base.rows(), cols);
+  std::vector<float> row(cols);
   for (size_t v = 0; v < base.rows(); ++v) {
     // The tower's row: base + (+0), as its Add gives it (a -0 entry reads
-    // +0); then its samples averaged in order, since equal rows do not
-    // always average back to the row (subnormals, three samples).
+    // +0); then its samples averaged in order into the zeroed table row,
+    // since equal rows do not always average back to the row (subnormals,
+    // three samples).
     const float* b = base.RowPtr(v);
     for (size_t j = 0; j < cols; ++j) row[j] = b[j] + 0.0f;
-    std::fill(avg.begin(), avg.end(), 0.0f);
     for (size_t s = 0; s < spec_.cache_samples; ++s) {
-      AddCacheSample(row.data(), spec_.cache_samples, cols, avg.data());
-    }
-    for (size_t r = 0; r < num_relations; ++r) {
-      std::memcpy(table.RowPtr(v * num_relations + r), avg.data(),
-                  cols * sizeof(float));
+      AddCacheSample(row.data(), spec_.cache_samples, cols, table.RowPtr(v));
     }
   }
   return table;
@@ -155,8 +150,8 @@ Status MinibatchTrainer::Prepare(const MultiplexHeteroGraph& g,
         PairStream::Uniform(g, spec_.corpus, kPretrainEdgeCopies),
         *neg_sampler_, pre, rng);
     if (!st.ok()) return Status(st.code(), spec_.name + ": " + st.message());
-    params.base->value = pretrainer.embeddings();
-    params.context->value = pretrainer.contexts();
+    params.base->value = std::move(pretrainer.mutable_embeddings());
+    params.context->value = std::move(pretrainer.mutable_contexts());
     options_.Report("pretrain", 1, 1);
   }
 

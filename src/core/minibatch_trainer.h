@@ -26,16 +26,22 @@ namespace hybridgnn {
 /// op overhead is already negligible at this size.
 inline constexpr size_t kForwardChunk = 512;
 
-/// The frozen [V * R, dim] table of e*_{v,r} rows (row v * R + r) a trained
-/// model serves from. Empty until a Fit fills it; every lookup checks the
-/// node and relation against the table's shape.
+/// The frozen table of e*_{v,r} rows a trained model serves from: [V * R,
+/// dim] with row v * R + r, or, when every relation's row of a node is the
+/// same (`per_node`), [V, dim] with row v for every r. Empty until a Fit
+/// fills it; every lookup checks the node and relation against the table's
+/// shape.
 class RelationEmbeddingCache {
  public:
   RelationEmbeddingCache() = default;
-  RelationEmbeddingCache(Tensor table, size_t num_relations)
-      : table_(std::move(table)), num_relations_(num_relations) {}
+  RelationEmbeddingCache(Tensor table, size_t num_relations, bool per_node)
+      : table_(std::move(table)),
+        num_relations_(num_relations),
+        per_node_(per_node) {}
 
   bool filled() const { return !table_.empty(); }
+  /// Rows held: V when per node, else V * R.
+  size_t rows() const { return table_.rows(); }
   Tensor Embedding(NodeId v, RelationId r) const;
   /// One [queries.size(), dim] gather.
   Tensor EmbeddingsFor(
@@ -46,6 +52,7 @@ class RelationEmbeddingCache {
 
   Tensor table_;
   size_t num_relations_ = 0;
+  bool per_node_ = false;
 };
 
 /// The protocol settings the trainer reads. HybridGnnConfig and
@@ -105,7 +112,9 @@ struct TowerParams {
 /// the link objective against relationship-aware negatives with early
 /// stopping on an internal validation holdout and best-epoch restore, then
 /// the embedding cache. While every output projection is zero, validation
-/// and the cache read the base table, with the bits the tower would give.
+/// and the cache read the base table, with the bits the tower would give;
+/// the cache then holds one row per node, shared by its R relations. The
+/// pretrained tables move into the base and context parameters.
 ///
 /// With options.num_threads > 1 pretraining (Hogwild), the epochs
 /// (data-parallel shards, per-worker gradient sinks reduced on the main
@@ -169,9 +178,9 @@ class MinibatchTrainer {
   /// The validation AUC from base-row dot products, accumulated as the
   /// tower path accumulates its rows'.
   double BaseValidationAuc(const Tensor& base) const;
-  /// The cache from the base table: each node's row, averaged over the
-  /// cache samples as the tower path averages them, in all R slots.
-  Tensor BaseCacheTable(const Tensor& base, size_t num_relations) const;
+  /// The per-node cache from the base table: each node's row, averaged over
+  /// the cache samples as the tower path averages each of its R rows.
+  Tensor BaseCacheTable(const Tensor& base) const;
   /// The cache from the tower over V * cache_samples sketches of width
   /// `dim`, chunked. Serial: one stream in node order. Parallel: a forked
   /// stream per node, so the table is invariant to the thread count.
@@ -281,11 +290,12 @@ Status MinibatchTrainer::Fit(const MultiplexHeteroGraph& g,
   HYBRIDGNN_RETURN_IF_ERROR(RunEpochs(run_batch, validation_auc, params, rng));
 
   obs::ScopedTimer cache_timer(obs::Stage("core/embedding_cache"));
-  Tensor table =
-      OutputsZero(params)
-          ? BaseCacheTable(params.base->value, g.num_relations())
-          : TowerCacheTable(g, tower, params.base->value.cols());
-  *cache = RelationEmbeddingCache(std::move(table), g.num_relations());
+  const bool from_base = OutputsZero(params);
+  Tensor table = from_base
+                     ? BaseCacheTable(params.base->value)
+                     : TowerCacheTable(g, tower, params.base->value.cols());
+  *cache =
+      RelationEmbeddingCache(std::move(table), g.num_relations(), from_base);
   options_.Report("cache", 1, 1);
   return Status::OK();
 }

@@ -40,9 +40,4 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
   for (size_t i : small) prob_[i] = 1.0;  // numerical leftovers
 }
 
-size_t AliasTable::Sample(Rng& rng) const {
-  const size_t i = static_cast<size_t>(rng.UniformUint64(prob_.size()));
-  return rng.UniformDouble() < prob_[i] ? i : alias_[i];
-}
-
 }  // namespace hybridgnn

@@ -16,11 +16,19 @@ class AliasTable {
   /// Builds from non-negative weights; at least one must be positive.
   explicit AliasTable(const std::vector<double>& weights);
 
-  /// Draws an index in [0, size()) with probability proportional to weight.
-  size_t Sample(Rng& rng) const;
+  /// Draws an index in [0, size()) with probability proportional to weight:
+  /// a uniform slot i, then i itself with probability prob(i), else
+  /// alias(i).
+  size_t Sample(Rng& rng) const {
+    const size_t i = static_cast<size_t>(rng.UniformUint64(prob_.size()));
+    return rng.UniformDouble() < prob_[i] ? i : alias_[i];
+  }
 
   size_t size() const { return prob_.size(); }
   bool empty() const { return prob_.empty(); }
+  /// Slot i's keep probability and its alias index.
+  double prob(size_t i) const { return prob_[i]; }
+  size_t alias(size_t i) const { return alias_[i]; }
 
  private:
   std::vector<double> prob_;

@@ -17,30 +17,18 @@ NegativeSampler::NegativeSampler(const MultiplexHeteroGraph& g, double power,
   }
   for (NodeTypeId t = 0; t < g.num_node_types(); ++t) {
     const auto& nodes = g.NodesOfType(t);
+    std::vector<Slot>& slots = per_type_.emplace_back(nodes.size());
+    if (nodes.empty()) continue;
     std::vector<double> weights(nodes.size());
     for (size_t i = 0; i < nodes.size(); ++i) {
       weights[i] = global_weights[nodes[i]];
     }
-    if (weights.empty()) weights.push_back(1.0);  // placeholder, unused
-    per_type_.emplace_back(weights);
+    const AliasTable table(weights);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      slots[i] = Slot{table.prob(i), nodes[i], nodes[table.alias(i)]};
+    }
   }
   global_ = AliasTable(global_weights);
-}
-
-NodeId NegativeSampler::SampleOfType(NodeTypeId t, Rng& rng) const {
-  HYBRIDGNN_CHECK(t < per_type_.size()) << "unknown node type";
-  const auto& nodes = graph_->NodesOfType(t);
-  HYBRIDGNN_CHECK(!nodes.empty()) << "no nodes of requested type";
-  return nodes[per_type_[t].Sample(rng)];
-}
-
-NodeId NegativeSampler::SampleLike(NodeId like, Rng& rng) const {
-  const NodeTypeId t = graph_->node_type(like);
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    NodeId v = SampleOfType(t, rng);
-    if (v != like) return v;
-  }
-  return SampleOfType(t, rng);
 }
 
 NodeId NegativeSampler::SampleAny(Rng& rng) const {

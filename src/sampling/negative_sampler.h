@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "graph/graph.h"
 #include "sampling/alias.h"
@@ -13,6 +14,11 @@ namespace hybridgnn {
 /// from the unigram distribution raised to `power` (0.75 by default),
 /// restricted to a given node type so negatives are type-compatible with the
 /// positive context node.
+///
+/// Each type's alias table is flattened into one 16-byte slot per node
+/// (keep probability, the node, its alias node), so a typed draw costs one
+/// slot load and draws and compares as AliasTable::Sample does. The typed
+/// draws are inline: SGNS makes five per skip-gram pair.
 class NegativeSampler {
  public:
   /// Builds per-type alias tables from total degrees in `g`. Nodes with zero
@@ -21,11 +27,24 @@ class NegativeSampler {
                   double smoothing = 1e-3);
 
   /// Samples one node of type `t`.
-  NodeId SampleOfType(NodeTypeId t, Rng& rng) const;
+  NodeId SampleOfType(NodeTypeId t, Rng& rng) const {
+    HYBRIDGNN_CHECK(t < per_type_.size()) << "unknown node type";
+    const std::vector<Slot>& slots = per_type_[t];
+    HYBRIDGNN_CHECK(!slots.empty()) << "no nodes of requested type";
+    const Slot& s = slots[rng.UniformUint64(slots.size())];
+    return rng.UniformDouble() < s.prob ? s.node : s.alias_node;
+  }
 
   /// Samples one node of the same type as `like`, excluding `like` itself
   /// (retries a few times, then accepts a collision on tiny type sets).
-  NodeId SampleLike(NodeId like, Rng& rng) const;
+  NodeId SampleLike(NodeId like, Rng& rng) const {
+    const NodeTypeId t = graph_->node_type(like);
+    for (int attempt = 0; attempt < 8; ++attempt) {
+      const NodeId v = SampleOfType(t, rng);
+      if (v != like) return v;
+    }
+    return SampleOfType(t, rng);
+  }
 
   /// Samples any node from the global distribution.
   NodeId SampleAny(Rng& rng) const;
@@ -41,8 +60,15 @@ class NegativeSampler {
                              double cross_fraction, Rng& rng) const;
 
  private:
+  /// One alias slot of a type's table, holding node ids, not indices.
+  struct Slot {
+    double prob;
+    NodeId node, alias_node;
+  };
+  static_assert(sizeof(Slot) == 16);
+
   const MultiplexHeteroGraph* graph_;
-  std::vector<AliasTable> per_type_;
+  std::vector<std::vector<Slot>> per_type_;  // empty for a type with no node
   AliasTable global_;
 };
 

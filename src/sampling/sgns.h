@@ -38,8 +38,8 @@ struct SgnsOptions {
 /// noise row per remaining slot of `rows`, drawn like `context` from
 /// `sampler`, all trained in one kernels::SgnsPairStep. `rows` is caller
 /// scratch of 1 + negatives slots. Hogwild callers race on the rows by
-/// design, so it is uninstrumented under TSan. SgnsEmbedder and LINE train
-/// through it.
+/// design, so it is uninstrumented under TSan. LINE trains through it;
+/// SgnsEmbedder makes the same draws and steps, in two phases.
 void SgnsPairUpdate(float* e, Tensor& targets, NodeId context,
                     const NegativeSampler& sampler, std::vector<float*>& rows,
                     float lr, Rng& rng);
@@ -53,16 +53,34 @@ class SgnsEmbedder {
   SgnsEmbedder(size_t num_nodes, size_t dim, Rng& rng);
 
   /// Runs `opts.epochs` epochs of pairs drawn from `stream`, the learning
-  /// rate decaying linearly within each; each pair is one SgnsPairUpdate
-  /// with `opts.negatives` noise rows. Fails with InvalidArgument on a
-  /// non-finite or non-positive learning rate, and with FailedPrecondition
-  /// when the stream has no pairs or a table is non-finite after an epoch.
+  /// rate decaying linearly within each; each pair is one pair step with
+  /// `opts.negatives` noise rows, drawn like SgnsPairUpdate's. Fails with
+  /// InvalidArgument on a non-finite or non-positive learning rate, and
+  /// with FailedPrecondition when the stream has no pairs or a table is
+  /// non-finite after an epoch.
+  ///
+  /// Each epoch (each Hogwild worker's share of it) runs in chunks of
+  /// kChunkPairs pairs and two phases: sample the chunk's pairs and their
+  /// negatives into a flat row-id buffer (center, context, negatives per
+  /// pair), then train the buffer in order, prefetching the rows of the
+  /// pair kPrefetchPairs ahead. Sampling and training no longer evict each
+  /// other's working set per pair. Training draws nothing, so the Rng
+  /// sequence, the lr at each pair index and the row-update order are those
+  /// of a pair-at-a-time loop, and so are the bits.
   Status Train(const PairStream& stream, const NegativeSampler& sampler,
                const SgnsOptions& opts, Rng& rng);
 
+  /// Pairs sampled per chunk: 2^18, 7 MB of row ids at 5 negatives; the
+  /// default 200k-pair epoch is one chunk.
+  static constexpr size_t kChunkPairs = size_t{1} << 18;
+  /// How far ahead of the pair being trained its rows are prefetched.
+  static constexpr size_t kPrefetchPairs = 4;
+
   const Tensor& embeddings() const { return emb_; }
   const Tensor& contexts() const { return ctx_; }
+  /// For moving a trained table out; the embedder is spent afterwards.
   Tensor& mutable_embeddings() { return emb_; }
+  Tensor& mutable_contexts() { return ctx_; }
 
  private:
   Tensor emb_;  // input vectors

@@ -76,15 +76,13 @@ StatusOr<EmbeddingStore> EmbeddingStore::FromTables(
   }
   store.dim_ = dim;
   store.tables_.reserve(tables.size());
-  store.owned_.reserve(tables.size());
+  store.owned_tables_.reserve(tables.size());
   for (auto& t : tables) {
     RelationTable rt;
     rt.name = std::move(t.name);
     rt.row_to_node = std::move(t.row_to_node);
-    std::vector<float> data(t.data.data(), t.data.data() + t.data.size());
-    store.owned_.push_back(std::move(data));
-    rt.data = std::span<const float>(store.owned_.back().data(),
-                                     store.owned_.back().size());
+    const Tensor& data = store.owned_tables_.emplace_back(std::move(t.data));
+    rt.data = std::span<const float>(data.data(), data.size());
     HYBRIDGNN_RETURN_IF_ERROR(IndexTable(rt, num_nodes));
     store.tables_.push_back(std::move(rt));
   }

@@ -73,12 +73,17 @@ class EmbeddingStore {
     Tensor data;
   };
 
-  /// Builds an owning store from materialized tables. All tables must share
-  /// one dim; row counts must match the mappings; node ids must be unique
-  /// within a table and < num_nodes. The result is always kF32.
+  /// Builds an owning store from materialized tables, taking over their
+  /// buffers. All tables must share one dim; row counts must match the
+  /// mappings; node ids must be unique within a table and < num_nodes. The
+  /// result is always kF32.
   static StatusOr<EmbeddingStore> FromTables(std::string model_name,
                                              size_t num_nodes,
                                              std::vector<TableInit> tables);
+
+  /// Hands back the tables FromTables took over, in relation order, so a
+  /// caller can reuse their buffers; the store must not be read afterwards.
+  std::vector<Tensor> ReleaseTables() && { return std::move(owned_tables_); }
 
   /// Builds an owning kI8 copy of a kF32 store. Quantization is per row
   /// (affine min/max), deterministic, and independent of thread count.
@@ -180,7 +185,8 @@ class EmbeddingStore {
   size_t dim_ = 0;
   StoreDType dtype_ = StoreDType::kF32;
   std::vector<RelationTable> tables_;
-  std::vector<std::vector<float>> owned_;  // f32 tables + i8 scales/zeros
+  std::vector<Tensor> owned_tables_;       // FromTables' f32 tables
+  std::vector<std::vector<float>> owned_;  // i8 scales/zeros
   std::vector<std::vector<uint8_t>> owned_bytes_;  // quantized payloads
   std::unique_ptr<MmapRegion> mapping_;    // backing storage in mmap mode
 };

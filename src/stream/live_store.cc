@@ -77,26 +77,43 @@ StatusOr<LiveEmbeddingStore::EnsureResult> LiveEmbeddingStore::EnsureRow(
 }
 
 Status LiveEmbeddingStore::Publish(const DynamicGraphOverlay* overlay) {
-  // Freeze staging into table copies. A fresh Version is always built from
-  // scratch — reusing a retired back buffer gated on use_count() would need
-  // the writer to observe the readers' release ordering, which a relaxed
-  // refcount read does not give us; one memcpy per publish buys a swap that
-  // is provably race-free (and TSan-clean) instead.
+  // Freeze staging into table copies, refilling a retired Version's tables
+  // where their shapes match. Reuse is gated on the spare list's mutex, not
+  // on a retired Version's use_count(): a relaxed refcount read would not
+  // order the readers' last reads before these writes; the mutex does.
+  std::vector<Tensor> spare;
+  {
+    std::lock_guard<std::mutex> lock(spares_->mu);
+    spare.swap(spares_->tables);
+  }
   std::vector<EmbeddingStore::TableInit> tables;
   tables.reserve(staging_.size());
-  for (const StagingTable& t : staging_) {
+  for (size_t r = 0; r < staging_.size(); ++r) {
+    const StagingTable& t = staging_[r];
     EmbeddingStore::TableInit init;
     init.name = t.name;
     init.row_to_node = t.row_to_node;
-    Tensor data(t.row_to_node.size(), dim_);
-    std::memcpy(data.data(), t.data.data(), t.data.size() * sizeof(float));
-    init.data = std::move(data);
+    const size_t rows = t.row_to_node.size();
+    const bool fits = r < spare.size() && spare[r].rows() == rows &&
+                      spare[r].cols() == dim_;
+    init.data = fits ? std::move(spare[r]) : Tensor::Uninit(rows, dim_);
+    std::memcpy(init.data.data(), t.data.data(),
+                t.data.size() * sizeof(float));
     tables.push_back(std::move(init));
   }
   HYBRIDGNN_ASSIGN_OR_RETURN(
       EmbeddingStore store,
       EmbeddingStore::FromTables(model_name_, num_nodes_, std::move(tables)));
-  auto version = std::make_shared<Version>(next_sequence_, std::move(store));
+  // The deleter runs on whichever thread drops the last reference. It keeps
+  // one spare set and frees any other outside the lock.
+  std::shared_ptr<Version> version(
+      new Version(next_sequence_, std::move(store)),
+      [spares = spares_](Version* retired) {
+        std::vector<Tensor> tables = std::move(retired->store).ReleaseTables();
+        delete retired;
+        std::lock_guard<std::mutex> lock(spares->mu);
+        if (spares->tables.empty()) spares->tables.swap(tables);
+      });
   version->filter = std::make_unique<DeltaEdgeFilter>(staging_.size());
   if (overlay != nullptr) {
     size_t dropped = 0;

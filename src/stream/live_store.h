@@ -82,9 +82,10 @@ class LiveEmbeddingStore : public RecommenderSource {
 
   /// Freezes staging into a new Version and swaps it in as the front
   /// snapshot. `overlay` (optional) supplies the delta edges for the
-  /// exclusion-filter rebuild. Cost is one copy of the staging tables; the
-  /// swap itself is a pointer exchange, so in-flight readers are never
-  /// stalled and keep their acquired snapshot until they drop it.
+  /// exclusion-filter rebuild. Cost is one copy of the staging tables, into
+  /// a retired Version's tables when a spare set is waiting; the swap
+  /// itself is a pointer exchange, so in-flight readers are never stalled
+  /// and keep their acquired snapshot until they drop it.
   ///
   /// In cosine mode the new recommender's row norms are carried forward
   /// from the outgoing snapshot for every row the writer did not touch
@@ -148,9 +149,20 @@ class LiveEmbeddingStore : public RecommenderSource {
   TopKOptions options_;
   std::vector<StagingTable> staging_;
 
+  /// Tables of retired Versions, waiting for Publish to refill them. A
+  /// Version's deleter hands its tables back on whichever thread drops the
+  /// last reference; the mutex orders that reader's last reads before the
+  /// writer's refill. Held by shared_ptr, since a Version can outlive the
+  /// store.
+  struct SpareTables {
+    std::mutex mu;
+    std::vector<Tensor> tables;  // at most one set, in relation order
+  };
+
   uint64_t next_sequence_ = 1;
   mutable std::mutex mu_;  // guards front_ only (pointer copy / swap)
   std::shared_ptr<const Version> front_;
+  std::shared_ptr<SpareTables> spares_ = std::make_shared<SpareTables>();
 };
 
 }  // namespace hybridgnn

@@ -64,6 +64,7 @@ struct HybridGnnTestPeer {
   static const std::vector<ag::Var>& Outputs(const HybridGnn& m) {
     return m.w_rel_;
   }
+  static size_t CacheRows(const HybridGnn& m) { return m.cache_.rows(); }
   /// Every trainable tensor of the model, named for failure messages.
   static std::vector<std::pair<std::string, ag::Var>> Params(
       const HybridGnn& m) {
@@ -113,6 +114,7 @@ struct GatneTestPeer {
   static const std::vector<ag::Var>& Outputs(const Gatne& m) {
     return m.m_rel_;
   }
+  static size_t CacheRows(const Gatne& m) { return m.cache_.rows(); }
   /// Every trainable tensor of the model, tables first.
   static std::vector<std::pair<std::string, ag::Var>> Params(const Gatne& m) {
     std::vector<std::pair<std::string, ag::Var>> out;
@@ -145,11 +147,10 @@ struct MinibatchTrainerTestPeer {
     const MinibatchTrainer trainer(spec, opts);
     return trainer.TowerCacheTable(g, m, dim);
   }
-  static Tensor BaseCacheTable(const TrainerSpec& spec, const Tensor& base,
-                               size_t num_relations) {
+  static Tensor BaseCacheTable(const TrainerSpec& spec, const Tensor& base) {
     FitOptions opts;
     const MinibatchTrainer trainer(spec, opts);
-    return trainer.BaseCacheTable(base, num_relations);
+    return trainer.BaseCacheTable(base);
   }
 };
 
@@ -558,6 +559,10 @@ void ExpectCacheMatchesTowerPath(const MultiplexHeteroGraph& g,
           }
         }
         EXPECT_EQ(outputs_zero, cc.from_base == 2);
+        // The base path caches one row per node, the tower path one per
+        // (node, relation).
+        EXPECT_EQ(Peer::CacheRows(*model),
+                  g.num_nodes() * (outputs_zero ? 1 : g.num_relations()));
         const Tensor cached = model->EmbeddingsFor(all);
         const Tensor tower = MinibatchTrainerTestPeer::TowerCacheTable(
             *model, Peer::Spec(*model), g, cached.cols(), threads);
@@ -569,14 +574,20 @@ void ExpectCacheMatchesTowerPath(const MultiplexHeteroGraph& g,
         TrainerSpec three = Peer::Spec(*model);
         three.cache_samples = 3;
         const Tensor base_three = MinibatchTrainerTestPeer::BaseCacheTable(
-            three, Peer::Base(*model), g.num_relations());
+            three, Peer::Base(*model));
         const Tensor tower_three = MinibatchTrainerTestPeer::TowerCacheTable(
             *model, three, g, cached.cols(), threads);
-        ASSERT_TRUE(base_three.SameShape(tower_three));
-        EXPECT_EQ(std::memcmp(base_three.data(), tower_three.data(),
-                              base_three.size() * sizeof(float)),
-                  0)
-            << "three cache samples";
+        const size_t num_rel = g.num_relations();
+        ASSERT_EQ(base_three.rows() * num_rel, tower_three.rows());
+        ASSERT_EQ(base_three.cols(), tower_three.cols());
+        for (size_t i = 0; i < tower_three.rows(); ++i) {
+          ASSERT_EQ(std::memcmp(base_three.RowPtr(i / num_rel),
+                                tower_three.RowPtr(i),
+                                base_three.cols() * sizeof(float)),
+                    0)
+              << "three cache samples, node " << i / num_rel << " relation "
+              << i % num_rel;
+        }
       }
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "kernels/kernels.h"
 #include "obs/metrics.h"
 #include "sampling/alias.h"
 #include "sampling/corpus.h"
@@ -18,6 +20,7 @@
 #include "sampling/neighbor_sampler.h"
 #include "sampling/sgns.h"
 #include "sampling/walker.h"
+#include "tensor/tensor_ops.h"
 #include "test_util.h"
 
 namespace hybridgnn {
@@ -453,6 +456,89 @@ TEST(SgnsTest, HogwildTrainProducesFiniteEmbeddings) {
       EXPECT_TRUE(std::isfinite(emb.contexts().At(v, j)));
     }
   }
+}
+
+// SgnsEmbedder::Train before it sampled each chunk ahead of training it:
+// one serial epoch loop drawing and training a pair at a time.
+void PairAtATimeTrain(const PairStream& stream, const NegativeSampler& sampler,
+                      const SgnsOptions& opts, Rng& rng, Tensor& emb,
+                      Tensor& ctx) {
+  const size_t use =
+      opts.max_pairs_per_epoch == 0
+          ? stream.pairs_per_pass()
+          : std::min(stream.pairs_per_pass(), opts.max_pairs_per_epoch);
+  for (size_t epoch = 0; epoch < opts.epochs; ++epoch) {
+    PairStream::Reader reader(stream, use, stream.walks_per_pass(), rng);
+    std::vector<float*> rows(1 + opts.negatives);
+    SkipGramPair p;
+    for (size_t i = 0; reader.Next(&p); ++i) {
+      const float lr = opts.learning_rate *
+                       (1.0f - 0.9f * static_cast<float>(i) /
+                                   static_cast<float>(use));
+      SgnsPairUpdate(emb.RowPtr(p.center), ctx, p.context, sampler, rows, lr,
+                     rng);
+    }
+  }
+}
+
+// Sampling a chunk before training it changes neither the draws nor the
+// updates: an uncapped pass longer than one chunk gives the pair-at-a-time
+// loop's tables and leaves the Rng where that loop leaves it.
+TEST(SgnsTest, ChunkedTrainMatchesPairAtATimeLoop) {
+  MultiplexHeteroGraph g = SmallBipartite();
+  CorpusOptions corpus;
+  corpus.num_walks_per_node = 500;  // 280,032 pairs a pass
+  const PairStream stream = PairStream::Uniform(g, corpus, 2);
+  ASSERT_GT(stream.pairs_per_pass(), SgnsEmbedder::kChunkPairs);
+  NegativeSampler sampler(g);
+  SgnsOptions so;
+  so.dim = 12;
+  so.epochs = 2;
+  so.max_pairs_per_epoch = 0;
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::Avx2Available()) backends.push_back(kernels::Backend::kAvx2);
+  for (kernels::Backend backend : backends) {
+    SCOPED_TRACE(kernels::BackendName(backend));
+    kernels::ScopedBackend scoped(backend);
+    Rng rng(29);
+    SgnsEmbedder emb(g.num_nodes(), so.dim, rng);
+    Tensor ref_emb = emb.embeddings();
+    Tensor ref_ctx = emb.contexts();
+    Rng ref_rng = rng;
+    ASSERT_TRUE(emb.Train(stream, sampler, so, rng).ok());
+    PairAtATimeTrain(stream, sampler, so, ref_rng, ref_emb, ref_ctx);
+    EXPECT_EQ(std::memcmp(emb.embeddings().data(), ref_emb.data(),
+                          ref_emb.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(emb.contexts().data(), ref_ctx.data(),
+                          ref_ctx.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(rng.NextUint64(), ref_rng.NextUint64());
+  }
+}
+
+// Each Hogwild worker fills its own buffer; together they train exactly
+// the capped epoch.
+TEST(SgnsTest, HogwildTrainsEveryPairOfTheEpoch) {
+  MultiplexHeteroGraph g = SmallBipartite();
+  CorpusOptions corpus;
+  corpus.num_walks_per_node = 40;
+  const PairStream stream = PairStream::Uniform(g, corpus, 2);
+  NegativeSampler sampler(g);
+  SgnsOptions so;
+  so.dim = 8;
+  so.epochs = 3;
+  so.num_threads = 4;
+  so.max_pairs_per_epoch = stream.pairs_per_pass() / 2 + 1;
+  obs::Counter& trained =
+      obs::GlobalRegistry().GetCounter("core/sgns_pairs_trained");
+  const uint64_t before = trained.value();
+  Rng rng(30);
+  SgnsEmbedder emb(g.num_nodes(), so.dim, rng);
+  ASSERT_TRUE(emb.Train(stream, sampler, so, rng).ok());
+  EXPECT_EQ(trained.value() - before, so.epochs * so.max_pairs_per_epoch);
+  EXPECT_TRUE(AllFinite(emb.embeddings()));
+  EXPECT_TRUE(AllFinite(emb.contexts()));
 }
 
 TEST(SgnsTest, RejectsBadLearningRate) {
